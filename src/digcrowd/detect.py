@@ -108,12 +108,26 @@ def combine_confidence(class_prob: float, box_conf: float) -> float:
     return class_prob * box_conf
 
 
+def check_score_threshold(value: float) -> None:
+    """Reject a score threshold outside [0, 1], NaN included."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"score threshold must lie in [0, 1], got {value}")
+
+
+def check_nms_iou(value: float) -> None:
+    """Reject an NMS IoU threshold outside (0, 1], NaN included."""
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"NMS IoU threshold must lie in (0, 1], got {value}")
+
+
 def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> DetectionSet:
     """Boxes with score >= threshold, in image pixels, clamped to the frame.
 
     Box centers sit at ((col + x) * width / S, (row + y) * height / S).
     Boxes with no pixel extent (w or h decoding to zero) are dropped.
+    Boxes come out in row, col, slot order.
     """
+    check_score_threshold(score_threshold)
     spec = pred.spec
     vals = pred.values
     warnings: list[str] = []
@@ -128,50 +142,73 @@ def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOL
     for msg in warnings:
         log.warning("decode: %s", msg)
 
+    s, nb = spec.s, spec.b
     width, height = float(pred.shape.width), float(pred.shape.height)
-    boxes = []
-    for row in range(spec.s):
-        for col in range(spec.s):
-            cell = vals[row, col]
-            class_prob = float(cell[spec.b * 5 :].max())
-            for b in range(spec.b):
-                x, y, w, h, conf = cell[b * 5 : b * 5 + 5]
-                score = combine_confidence(class_prob, float(conf))
-                if score < score_threshold:
-                    continue
-                cx = (col + float(x)) * width / spec.s
-                cy = (row + float(y)) * height / spec.s
-                half_w = float(w) * width / 2.0
-                half_h = float(h) * height / 2.0
-                x_min = max(0.0, cx - half_w)
-                y_min = max(0.0, cy - half_h)
-                x_max = min(width, cx + half_w)
-                y_max = min(height, cy + half_h)
-                if x_max <= x_min or y_max <= y_min:
-                    continue
-                boxes.append(BoundingBox(x_min, y_min, x_max, y_max, score))
-    return DetectionSet(tuple(boxes), source="external", warnings=tuple(warnings))
+    class_prob = vals[:, :, nb * 5 :].max(axis=2)
+    slots = vals[:, :, : nb * 5].reshape(s, s, nb, 5)
+    x, y, w, h, conf = np.moveaxis(slots, 3, 0)
+    score = class_prob[:, :, None] * conf
+    row = np.arange(s, dtype=np.float64)[:, None, None]
+    col = np.arange(s, dtype=np.float64)[None, :, None]
+    cx = (col + x) * width / s
+    cy = (row + y) * height / s
+    half_w = w * width / 2.0
+    half_h = h * height / 2.0
+    x_min = np.maximum(cx - half_w, 0.0)
+    y_min = np.maximum(cy - half_h, 0.0)
+    x_max = np.minimum(cx + half_w, width)
+    y_max = np.minimum(cy + half_h, height)
+    keep = (score >= score_threshold) & (x_max > x_min) & (y_max > y_min)
+    rows = np.stack([x_min, y_min, x_max, y_max, score], axis=-1)[keep]
+    boxes = tuple(BoundingBox(*r) for r in rows.tolist())
+    return DetectionSet(boxes, source="external", warnings=tuple(warnings))
+
+
+def _box_array(boxes) -> np.ndarray:
+    """(N, 5) float64 rows of [x_min, y_min, x_max, y_max, score]."""
+    return np.array(
+        [(b.x_min, b.y_min, b.x_max, b.y_max, b.score) for b in boxes], dtype=np.float64
+    ).reshape(-1, 5)
+
+
+def _iou_one_to_many(box: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """IoU of one box row against each row of ``others``; 0 where disjoint.
+
+    Computes inter / (area_a + area_b - inter). Clamping a negative or zero
+    overlap extent to 0 makes the IoU of disjoint boxes exactly 0.
+    """
+    x0, y0, x1, y1 = box[:4].tolist()
+    ix = np.maximum(np.minimum(x1, others[:, 2]) - np.maximum(x0, others[:, 0]), 0.0)
+    iy = np.maximum(np.minimum(y1, others[:, 3]) - np.maximum(y0, others[:, 1]), 0.0)
+    inter = ix * iy
+    area_b = (others[:, 2] - others[:, 0]) * (others[:, 3] - others[:, 1])
+    return inter / ((x1 - x0) * (y1 - y0) + area_b - inter)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection area over union area; 0 for disjoint boxes."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return float(_iou_one_to_many(_box_array((a,))[0], _box_array((b,)))[0])
 
 
 def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> DetectionSet:
     """Greedy suppression: keep a box iff it overlaps no kept box >= threshold.
 
     Candidates are visited by descending score, ties broken by smaller
-    x_min then y_min so repeated runs produce identical counts.
+    x_min then y_min so repeated runs produce identical counts; boxes tied
+    on all three keep their input order. Each kept box removes every later
+    candidate it overlaps at IoU >= threshold, so the work is O(n * kept)
+    and memory O(n).
     """
-    order = sorted(dets.boxes, key=lambda bb: (-bb.score, bb.x_min, bb.y_min))
-    kept: list[BoundingBox] = []
-    for box in order:
-        if all(iou(box, other) < iou_threshold for other in kept):
-            kept.append(box)
-    return DetectionSet(tuple(kept), source=dets.source, warnings=dets.warnings)
+    check_nms_iou(iou_threshold)
+    arr = _box_array(dets.boxes)
+    order = np.lexsort((arr[:, 1], arr[:, 0], -arr[:, 4]))
+    ranked = arr[order]
+    kept: list[int] = []
+    remaining = np.arange(len(order))
+    while remaining.size:
+        first, rest = remaining[0], remaining[1:]
+        kept.append(int(order[first]))
+        remaining = rest[_iou_one_to_many(ranked[first], ranked[rest]) < iou_threshold]
+    return DetectionSet(
+        tuple(dets.boxes[i] for i in kept), source=dets.source, warnings=dets.warnings
+    )

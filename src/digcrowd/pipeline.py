@@ -20,7 +20,14 @@ import numpy as np
 
 from . import io as dio
 from .density import Region, far_count_from_external, integrate
-from .detect import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESHOLD, decode, nms
+from .detect import (
+    DEFAULT_NMS_IOU,
+    DEFAULT_SCORE_THRESHOLD,
+    check_nms_iou,
+    check_score_threshold,
+    decode,
+    nms,
+)
 from .errors import ConfigError, DigCrowdError, FormatError
 from .metrics import EvaluationRecord, SceneEstimate, evaluate_pairs, fuse
 from .partition import PartitionResult, partition
@@ -75,6 +82,10 @@ class PipelineParams:
     workers: int = 1
     deterministic: bool = False
     render_debug: bool = False
+
+    def __post_init__(self):
+        check_score_threshold(self.score_threshold)
+        check_nms_iou(self.nms_iou)
 
     def apply_overrides(self, cfg: SceneConfig) -> SceneConfig:
         updates = {}

@@ -8,6 +8,7 @@ centers: pixel (ix, iy) is tested at (ix + 0.5, iy + 0.5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -124,6 +125,10 @@ class BoundingBox:
     score: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x_min, self.y_min, self.x_max, self.y_max)):
+            raise ConfigError(
+                f"non-finite box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
+            )
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ConfigError(
                 f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"

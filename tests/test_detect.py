@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from detect_reference import decode_reference, iou_reference, nms_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,3 +192,118 @@ class TestNms:
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert iou(kept[i], kept[j]) < thr
+
+
+def _bits(dets):
+    """Every box as the exact bit patterns of its five floats, in order."""
+    return [
+        tuple(float.hex(v) for v in (b.x_min, b.y_min, b.x_max, b.y_max, b.score))
+        for b in dets.boxes
+    ]
+
+
+_TENSOR_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 0.1, 0.2, 0.25, 0.5, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf]
+    ),
+    st.floats(-0.5, 1.5),
+)
+_THRESHOLDS = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def _predictions(draw):
+    spec = DetectorGridSpec(
+        draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    )
+    shape = GridShape(draw(st.integers(1, 500)), draw(st.integers(1, 500)))
+    n = spec.s * spec.s * spec.cell_values
+    flat = draw(st.lists(_TENSOR_VALUES, min_size=n, max_size=n))
+    return GridPrediction.from_flat(spec, shape, np.array(flat))
+
+
+@st.composite
+def _box_sets(draw):
+    """Boxes on a coarse grid with few score levels, so ties are common."""
+    coord = st.one_of(st.integers(0, 12).map(float), st.floats(0, 12))
+    extent = st.one_of(st.integers(1, 6).map(float), st.floats(0.5, 6))
+    score = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), st.floats(0, 1))
+
+    def build(t):
+        x, y, w, h, s = t
+        return BoundingBox(x, y, x + w, y + h, s)
+
+    boxes = draw(st.lists(st.tuples(coord, coord, extent, extent, score).map(build), max_size=25))
+    if boxes:
+        # exact duplicates and (score, x_min, y_min) ties with other extents
+        for i in draw(st.lists(st.integers(0, len(boxes) - 1), max_size=5)):
+            b = boxes[i]
+            boxes.append(b if draw(st.booleans()) else BoundingBox(
+                b.x_min, b.y_min, b.x_max + 1.0, b.y_max + 0.5, b.score))
+        boxes = draw(st.permutations(boxes))
+    return DetectionSet(tuple(boxes))
+
+
+class TestReferenceOracle:
+    """The numpy decode / NMS / IoU against the scalar loops they replaced."""
+
+    @given(_predictions(), _THRESHOLDS)
+    @settings(max_examples=150, deadline=None)
+    def test_decode_matches_reference(self, pred, thr):
+        got, want = decode(pred, thr), decode_reference(pred, thr)
+        assert got == want
+        assert _bits(got) == _bits(want)
+
+    def test_decode_score_exactly_at_threshold_kept(self):
+        vals = _empty_tensor()
+        _set_box(vals, 2, 4, 1, 0.5, 0.5, 0.1, 0.1, 0.25, class_prob=1.0)
+        pred = GridPrediction(DetectorGridSpec(), GridShape(700, 700), vals)
+        assert decode(pred, 0.25) == decode_reference(pred, 0.25)
+        assert len(decode(pred, 0.25)) == 1
+
+    @given(_box_sets(), st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_nms_matches_reference(self, dets, thr):
+        got, want = nms(dets, thr), nms_reference(dets, thr)
+        assert got.boxes == want.boxes
+        assert [id(b) for b in got.boxes] == [id(b) for b in want.boxes]
+
+    def test_full_tie_keeps_input_order(self):
+        a = BoundingBox(0, 0, 10, 10, 0.8)
+        b = BoundingBox(0, 0, 10, 9, 0.8)
+        assert nms(DetectionSet((b, a)), 0.5).boxes == (b,)
+        assert nms(DetectionSet((a, b)), 0.5).boxes == (a,)
+
+    def test_iou_exactly_at_threshold_suppressed(self):
+        a = BoundingBox(0, 0, 10, 10, 0.9)
+        b = BoundingBox(0, 0, 10, 5, 0.8)
+        assert iou(a, b) == iou_reference(a, b) == 0.5
+        assert nms(DetectionSet((a, b)), 0.5).boxes == (a,)
+        assert nms_reference(DetectionSet((a, b)), 0.5).boxes == (a,)
+
+    @given(_box_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_iou_matches_reference(self, dets):
+        for a in dets.boxes[:6]:
+            for b in dets.boxes[:6]:
+                assert float.hex(iou(a, b)) == float.hex(iou_reference(a, b))
+
+
+class TestThresholdValidation:
+    @pytest.mark.parametrize("thr", [float("nan"), -3.0, -1e-9, 1.0 + 1e-9])
+    def test_decode_rejects(self, thr):
+        pred = GridPrediction(DetectorGridSpec(), GridShape(70, 70), _empty_tensor())
+        with pytest.raises(ConfigError):
+            decode(pred, thr)
+
+    @pytest.mark.parametrize("thr", [float("nan"), 0.0, -0.5, 1.0 + 1e-9])
+    def test_nms_rejects(self, thr):
+        disjoint = DetectionSet((BoundingBox(0, 0, 1, 1, 0.5), BoundingBox(5, 5, 6, 6, 0.4)))
+        with pytest.raises(ConfigError):
+            nms(disjoint, thr)
+
+    def test_bounds_accepted(self):
+        pred = GridPrediction(DetectorGridSpec(), GridShape(70, 70), _empty_tensor())
+        assert len(decode(pred, 0.0)) == len(decode(pred, 1.0)) == 0
+        disjoint = DetectionSet((BoundingBox(0, 0, 1, 1, 0.5), BoundingBox(5, 5, 6, 6, 0.4)))
+        assert len(nms(disjoint, 1.0)) == 2

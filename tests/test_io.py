@@ -173,6 +173,12 @@ class TestDetectionText:
         with pytest.raises(FormatError):
             read_detections_text(path)
 
+    def test_non_finite_coordinate_names_line(self, tmp_path):
+        path = tmp_path / "inf.txt"
+        path.write_text("1 2 3 4 0.5\n10 650 inf 700 0.9\n")
+        with pytest.raises(FormatError, match=r"inf\.txt:2: non-finite box"):
+            read_detections_text(path)
+
     def test_score_clamped_with_warning(self, tmp_path):
         path = tmp_path / "hot.txt"
         path.write_text("0 0 5 5 1.7\n")

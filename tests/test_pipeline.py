@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from digcrowd import FormatError, load_manifest, run_dataset, run_scene
+import digcrowd
+from digcrowd import ConfigError, FormatError, load_manifest, run_dataset, run_scene
 from digcrowd.cli import main as cli_main
 from digcrowd.pipeline import PipelineParams, bench_generate
 
@@ -115,6 +117,37 @@ class TestRunDataset:
         assert outcome.status == "failed"
         assert "far predictions absent" in outcome.error
         assert outcome.near_count is not None and outcome.near_count > 0
+
+    def test_non_finite_detection_fails_only_its_scene(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        bad = manifest.entries[1].detections
+        lines = bad.read_text().splitlines()
+        bad.write_text("\n".join(lines + ["10 650 inf 700 0.9"]) + "\n")
+
+        outcome = run_scene(manifest.entries[1], PipelineParams())
+        assert outcome.status == "failed"
+        assert f"{bad}:{len(lines) + 1}: non-finite box" in outcome.error
+
+        report = run_dataset(manifest, PipelineParams(), tmp_path / "r")
+        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
+        assert report.n_succeeded == 3
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"score_threshold": float("nan")},
+            {"score_threshold": -3.0},
+            {"score_threshold": 1.5},
+            {"nms_iou": float("nan")},
+            {"nms_iou": 0.0},
+            {"nms_iou": -0.1},
+            {"nms_iou": 1.5},
+        ],
+    )
+    def test_params_reject_bad_thresholds(self, kwargs):
+        with pytest.raises(ConfigError):
+            PipelineParams(**kwargs)
 
     def test_workers_match_serial(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
@@ -266,7 +299,10 @@ class TestCli:
         spec = _write_spec(tmp_path / "spec.json", count=1, n_people=25)
         out = tmp_path / "bench"
         cli_main(["bench-gen", "--spec", str(spec), "--out-dir", str(out)])
-        env = dict(os.environ, DIGCROWD_DISABLE_NUMBA="1")
+        # the child imports digcrowd from wherever this process found it
+        src = str(Path(digcrowd.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, DIGCROWD_DISABLE_NUMBA="1", PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [
                 sys.executable,

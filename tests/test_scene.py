@@ -150,6 +150,11 @@ class TestTypes:
             BoundingBox(5, 0, 5, 10, 0.5)
         with pytest.raises(ConfigError):
             BoundingBox(0, 0, 5, 10, 1.5)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                BoundingBox(0, 0, bad, 10, 0.5)
+            with pytest.raises(ConfigError):
+                BoundingBox(bad, 0, 5, 10, 0.5)
 
     def test_scene_config_validation(self):
         with pytest.raises(ConfigError):
