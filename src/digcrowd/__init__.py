@@ -8,7 +8,6 @@ MAE/MSE. Trained networks are replaced by synthetic scenes and oracle
 predictors so the whole pipeline verifies at desk scale.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .density import (
     DensityField,
     KernelParams,
@@ -70,7 +69,6 @@ from .scene import (
     SceneConfig,
     SceneRecord,
     mask_from_polyline,
-    polyline_eval,
 )
 from .spatial import FilterReport, apply_spatial_constraint, box_center
 from .synth import (

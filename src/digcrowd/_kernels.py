@@ -1,11 +1,5 @@
 """Hot numeric kernels: superpixel assignment and Gaussian deposition.
 
-Each kernel ships in two functionally equivalent implementations: a numba
-``@njit`` version (default) and a pure-numpy fallback. Set
-``DIGCROWD_DISABLE_NUMBA=1`` to force the numpy path; it is also selected
-automatically when numba cannot be imported. ``benchmarks/bench_kernels.py``
-times the two side by side.
-
 Gaussian deposition quantizes normalized kernel weights onto multiples of
 2**-40 and pushes the rounding residual onto the pixel nearest the head.
 Every head therefore deposits a total mass of exactly 1.0, and because all
@@ -18,7 +12,6 @@ quanta).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -27,27 +20,15 @@ MASS_SCALE = float(2**MASS_QUANTUM_BITS)
 MASS_SCALE_INT = 2**MASS_QUANTUM_BITS
 MASS_QUANTUM = 1.0 / MASS_SCALE
 
-_flag = os.environ.get("DIGCROWD_DISABLE_NUMBA", "").strip().lower()
-_DISABLE = _flag not in ("", "0", "false", "no")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via DIGCROWD_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI runs
-    NUMBA_ENABLED = False
-
 
 # ---------------------------------------------------------------------------
 # Superpixel assignment: one pass of windowed minimum-distance labeling.
-# D^2 = (depth - feature)^2 + ratio2 * (dx^2 + dy^2); strict < keeps the
-# smallest cluster id on exact ties, so the result does not depend on how
-# pixels would be visited in parallel.
+# D^2 = (depth - feature)^2 + ratio2 * (dx^2 + dy^2); centers are visited in
+# id order and strict < keeps the smallest cluster id on exact ties.
 # ---------------------------------------------------------------------------
 
-def _assign_windows_numpy(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
+def assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
+    """Update (best_d2, best_id) in place with every center's 2*win window."""
     height, width = depth.shape
     cols = np.arange(width, dtype=np.float64)
     rows = np.arange(height, dtype=np.float64)
@@ -69,43 +50,6 @@ def _assign_windows_numpy(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
         sub_id[better] = k
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True, nogil=True)
-    def _assign_windows_numba(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
-        height, width = depth.shape
-        for k in range(feat.shape[0]):
-            c_lo = int(math.floor(cpx[k] - win))
-            c_hi = int(math.ceil(cpx[k] + win))
-            r_lo = int(math.floor(cpy[k] - win))
-            r_hi = int(math.ceil(cpy[k] + win))
-            if c_lo < 0:
-                c_lo = 0
-            if r_lo < 0:
-                r_lo = 0
-            if c_hi > width - 1:
-                c_hi = width - 1
-            if r_hi > height - 1:
-                r_hi = height - 1
-            for r in range(r_lo, r_hi + 1):
-                dy = r - cpy[k]
-                for c in range(c_lo, c_hi + 1):
-                    dx = c - cpx[k]
-                    df = depth[r, c] - feat[k]
-                    d2 = df * df + ratio2 * (dx * dx + dy * dy)
-                    if d2 < best_d2[r, c]:
-                        best_d2[r, c] = d2
-                        best_id[r, c] = k
-
-
-def assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
-    """Update (best_d2, best_id) in place with every center's 2*win window."""
-    if NUMBA_ENABLED:
-        _assign_windows_numba(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id)
-    else:
-        _assign_windows_numpy(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian deposition with exact unit mass per head.
 # ---------------------------------------------------------------------------
@@ -118,7 +62,7 @@ def _window_bounds(x, y, radius, width, height):
     return c_lo, c_hi, r_lo, r_hi
 
 
-def _nearest_valid_numpy(x, y, valid):
+def _nearest_valid(x, y, valid):
     height, width = valid.shape
     cols = np.arange(width, dtype=np.float64) + 0.5 - x
     rows = np.arange(height, dtype=np.float64) + 0.5 - y
@@ -130,7 +74,8 @@ def _nearest_valid_numpy(x, y, valid):
     return flat // width, flat % width
 
 
-def _deposit_gaussians_numpy(field, xs, ys, sigmas, truncs, valid):
+def deposit_gaussians(field, xs, ys, sigmas, truncs, valid):
+    """Accumulate one exactly-unit-mass truncated Gaussian per head."""
     height, width = field.shape
     for i in range(xs.shape[0]):
         x = xs[i]
@@ -141,7 +86,7 @@ def _deposit_gaussians_numpy(field, xs, ys, sigmas, truncs, valid):
         inv2s = 1.0 / (2.0 * sig * sig)
         c_lo, c_hi, r_lo, r_hi = _window_bounds(x, y, radius, width, height)
         if c_lo > c_hi or r_lo > r_hi:
-            br, bc = _nearest_valid_numpy(x, y, valid)
+            br, bc = _nearest_valid(x, y, valid)
             field[br, bc] += 1.0
             continue
         dx = np.arange(c_lo, c_hi + 1, dtype=np.float64) + 0.5 - x
@@ -149,7 +94,7 @@ def _deposit_gaussians_numpy(field, xs, ys, sigmas, truncs, valid):
         d2 = dy[:, None] * dy[:, None] + dx[None, :] * dx[None, :]
         ok = (d2 <= r2) & (valid[r_lo : r_hi + 1, c_lo : c_hi + 1] != 0)
         if not ok.any():
-            br, bc = _nearest_valid_numpy(x, y, valid)
+            br, bc = _nearest_valid(x, y, valid)
             field[br, bc] += 1.0
             continue
         w = np.where(ok, np.exp(-d2 * inv2s), 0.0)
@@ -162,91 +107,3 @@ def _deposit_gaussians_numpy(field, xs, ys, sigmas, truncs, valid):
         nc = c_lo + nearest % (c_hi - c_lo + 1)
         field[r_lo : r_hi + 1, c_lo : c_hi + 1] += quanta * MASS_QUANTUM
         field[nr, nc] += (MASS_SCALE_INT - total) * MASS_QUANTUM
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, nogil=True)
-    def _deposit_gaussians_numba(field, xs, ys, sigmas, truncs, valid):
-        height, width = field.shape
-        scale = MASS_SCALE
-        quantum = MASS_QUANTUM
-        for i in range(xs.shape[0]):
-            x = xs[i]
-            y = ys[i]
-            sig = sigmas[i]
-            radius = truncs[i] * sig
-            r2 = radius * radius
-            inv2s = 1.0 / (2.0 * sig * sig)
-            c_lo = int(math.ceil(x - radius - 0.5))
-            c_hi = int(math.floor(x + radius - 0.5))
-            r_lo = int(math.ceil(y - radius - 0.5))
-            r_hi = int(math.floor(y + radius - 0.5))
-            if c_lo < 0:
-                c_lo = 0
-            if r_lo < 0:
-                r_lo = 0
-            if c_hi > width - 1:
-                c_hi = width - 1
-            if r_hi > height - 1:
-                r_hi = height - 1
-            # First pass: weight total plus the nearest contributing pixel,
-            # which also carries the largest weight (isotropic kernel).
-            s = 0.0
-            best_d2 = 1e300
-            best_r = -1
-            best_c = -1
-            if c_lo <= c_hi and r_lo <= r_hi:
-                for r in range(r_lo, r_hi + 1):
-                    dy = (r + 0.5) - y
-                    for c in range(c_lo, c_hi + 1):
-                        if valid[r, c] == 0:
-                            continue
-                        dx = (c + 0.5) - x
-                        d2 = dy * dy + dx * dx
-                        if d2 <= r2:
-                            s += math.exp(-d2 * inv2s)
-                            if d2 < best_d2:
-                                best_d2 = d2
-                                best_r = r
-                                best_c = c
-            if best_r < 0 or s <= 0.0:
-                best_d2 = 1e300
-                for r in range(height):
-                    dy = (r + 0.5) - y
-                    for c in range(width):
-                        if valid[r, c] == 0:
-                            continue
-                        dx = (c + 0.5) - x
-                        d2 = dy * dy + dx * dx
-                        if d2 < best_d2:
-                            best_d2 = d2
-                            best_r = r
-                            best_c = c
-                if best_r < 0:
-                    raise ValueError("density support mask has no valid pixels")
-                field[best_r, best_c] += 1.0
-                continue
-            total = 0
-            for r in range(r_lo, r_hi + 1):
-                dy = (r + 0.5) - y
-                for c in range(c_lo, c_hi + 1):
-                    if valid[r, c] == 0:
-                        continue
-                    dx = (c + 0.5) - x
-                    d2 = dy * dy + dx * dx
-                    if d2 <= r2:
-                        w = math.exp(-d2 * inv2s)
-                        q = int(math.floor(w / s * scale + 0.5))
-                        if q > 0:
-                            field[r, c] += q * quantum
-                            total += q
-            field[best_r, best_c] += (MASS_SCALE_INT - total) * quantum
-
-
-def deposit_gaussians(field, xs, ys, sigmas, truncs, valid):
-    """Accumulate one exactly-unit-mass truncated Gaussian per head."""
-    if NUMBA_ENABLED:
-        _deposit_gaussians_numba(field, xs, ys, sigmas, truncs, valid)
-    else:
-        _deposit_gaussians_numpy(field, xs, ys, sigmas, truncs, valid)

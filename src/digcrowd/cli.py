@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,19 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .density import far_count_from_external
-from .detect import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESHOLD, decode, nms
+from .detect import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESHOLD
 from .errors import DigCrowdError
-from .metrics import fuse
 from .partition import partition
 from .pipeline import (
     TOOL_VERSION,
+    ManifestEntry,
     PipelineParams,
     bench_generate,
+    count_scene,
     load_manifest,
     run_dataset,
 )
-from .spatial import apply_spatial_constraint
 
 log = logging.getLogger("digcrowd")
 
@@ -112,10 +112,7 @@ def _cmd_partition(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "scene_id": cfg.scene_id,
-        "polyline": [
-            {"x_start": s.x_start, "x_end": s.x_end, "k": s.k, "b": s.b}
-            for s in result.polyline.segments
-        ],
+        "polyline": dio.polyline_to_json(result.polyline),
         "threshold_used": result.threshold_used,
         "cluster_mean_depths": list(result.cluster_mean_depths),
         "far_pixels": result.mask.far_count,
@@ -134,30 +131,23 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    cfg = dio.read_scene_config(args.config)
     params = PipelineParams(
         score_threshold=args.score_threshold,
         nms_iou=args.nms_iou,
         beta=args.beta,
         knn_k=args.knn_k,
     )
-    cfg = params.apply_overrides(cfg)
-    depth = dio.read_depth(args.depth)
-    part = partition(depth, cfg)
-    if args.detections:
-        dets = dio.read_detections_text(args.detections)
-    elif args.tensor:
-        dets = nms(decode(dio.read_prediction_tensor(args.tensor), args.score_threshold), args.nms_iou)
-    else:
-        raise DigCrowdError("count needs --detections or --tensor")
-    report = apply_spatial_constraint(dets, part.polyline, cfg.scene_id)
-    far = 0.0
-    if args.density:
-        far = far_count_from_external(args.density, part.mask)
-    gt = float("nan")
-    if args.annotations:
-        _, gt = dio.read_annotations(args.annotations)
-    est = fuse(report.kept, far, cfg.scene_id, gt)
+    optional = {
+        name: Path(getattr(args, name)) if getattr(args, name) else None
+        for name in ("annotations", "detections", "tensor", "density")
+    }
+    entry = ManifestEntry(
+        scene_id=args.config, depth=Path(args.depth), config=Path(args.config), **optional
+    )
+    outcome = count_scene(entry, params)
+    if not outcome.ok:
+        raise DigCrowdError(outcome.error)
+    est = outcome.estimate
     print(
         json.dumps(
             {
@@ -165,8 +155,8 @@ def _cmd_count(args) -> int:
                 "near_count": est.near_count,
                 "far_count": est.far_count,
                 "total": est.total,
-                "deleted": len(report.deleted),
-                "ground_truth": None if gt != gt else gt,
+                "deleted": outcome.deleted_count,
+                "ground_truth": None if math.isnan(est.ground_truth) else est.ground_truth,
             }
         )
     )

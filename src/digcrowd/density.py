@@ -210,11 +210,8 @@ def integrate(field: DensityField, mask: RegionMask, region: Region | str) -> fl
     return float(field.values[mask.region_pixels(region)].sum())
 
 
-def far_count_from_external(field_file, mask: RegionMask) -> float:
-    """Load a predicted density field from file and integrate the far region."""
-    from .io import read_density_field  # local import: io builds on this module
-
-    field = read_density_field(field_file)
+def far_count_from_external(field: DensityField, mask: RegionMask) -> float:
+    """Integrate a predicted density field over the far region of a scene."""
     if field.shape != mask.shape:
         raise FormatError(
             f"density file grid {field.shape} does not match scene grid {mask.shape}"

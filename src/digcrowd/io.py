@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from pathlib import Path
 
@@ -55,6 +56,8 @@ __all__ = [
     "write_annotations",
     "read_scene_config",
     "write_scene_config",
+    "polyline_to_json",
+    "polyline_from_json",
     "write_pgm8",
     "heatmap_u8",
 ]
@@ -124,7 +127,10 @@ def read_depth_pgm16(path) -> DepthMap:
         fields.append(data[start:pos])
     if len(fields) < 3:
         raise FormatError(f"{path}: truncated PGM header")
-    width, height, maxval = (int(f) for f in fields)
+    try:
+        width, height, maxval = (int(f) for f in fields)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad PGM header: {exc}") from exc
     pos += 1  # single whitespace after maxval
     if maxval != 65535:
         raise FormatError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval}")
@@ -256,6 +262,8 @@ def read_annotations(path) -> tuple[tuple[HeadPoint, ...], float]:
         count = float(payload["count"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad annotation file: {exc}") from exc
+    if not (math.isfinite(count) and count >= 0.0):
+        raise FormatError(f"{path}: count must be finite and >= 0, got {count}")
     if heads and count != len(heads):
         raise FormatError(f"{path}: count {count} != {len(heads)} heads")
     return heads, count
@@ -263,15 +271,25 @@ def read_annotations(path) -> tuple[tuple[HeadPoint, ...], float]:
 
 # -- scene config -----------------------------------------------------------
 
+def polyline_to_json(p: Polyline) -> list[dict]:
+    """One ``{x_start, x_end, k, b}`` object per segment."""
+    return [{"x_start": s.x_start, "x_end": s.x_end, "k": s.k, "b": s.b} for s in p.segments]
+
+
+def polyline_from_json(raw) -> Polyline:
+    """Inverse of ``polyline_to_json``."""
+    return Polyline(
+        tuple(
+            PolySegment(float(s["x_start"]), float(s["x_end"]), float(s["k"]), float(s["b"]))
+            for s in raw
+        )
+    )
+
+
 def write_scene_config(path, cfg: SceneConfig) -> None:
     payload = {
         "scene_id": cfg.scene_id,
-        "polyline": None
-        if cfg.polyline is None
-        else [
-            {"x_start": s.x_start, "x_end": s.x_end, "k": s.k, "b": s.b}
-            for s in cfg.polyline.segments
-        ],
+        "polyline": None if cfg.polyline is None else polyline_to_json(cfg.polyline),
         "depth_threshold": "auto" if cfg.depth_threshold is None else cfg.depth_threshold,
         "knn_k": cfg.knn_k,
         "beta": cfg.beta,
@@ -283,17 +301,13 @@ def write_scene_config(path, cfg: SceneConfig) -> None:
 def read_scene_config(path) -> SceneConfig:
     try:
         payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise FormatError(f"{path}: scene config must be a JSON object")
         poly_raw = payload.get("polyline")
-        polyline = None
-        if poly_raw is not None:
-            polyline = Polyline(
-                tuple(
-                    PolySegment(
-                        float(s["x_start"]), float(s["x_end"]), float(s["k"]), float(s["b"])
-                    )
-                    for s in poly_raw
-                )
-            )
+        polyline = None if poly_raw is None else polyline_from_json(poly_raw)
+        knn_k = payload.get("knn_k", 3)
+        if isinstance(knn_k, bool) or not isinstance(knn_k, int):
+            raise FormatError(f"{path}: knn_k must be an integer, got {knn_k!r}")
         threshold = payload.get("depth_threshold", "auto")
         if threshold in (None, "auto"):
             threshold = None
@@ -303,7 +317,7 @@ def read_scene_config(path) -> SceneConfig:
             scene_id=str(payload["scene_id"]),
             polyline=polyline,
             depth_threshold=threshold,
-            knn_k=int(payload.get("knn_k", 3)),
+            knn_k=knn_k,
             beta=float(payload.get("beta", 0.3)),
             kernel_truncation_radius=float(payload.get("truncation_radius", 3.0)),
         )

@@ -4,6 +4,11 @@ A manifest lists scenes with paths to their depth, config, annotation, and
 prediction files. ``run_dataset`` executes every scene (optionally with a
 thread pool), aggregates MAE/MSE over the scenes that succeeded, and writes
 a CSV row per scene plus a JSON report covering every manifest entry.
+
+Every scene takes one path: ``count_scene`` loads an entry's inputs and
+runs the stages (spatial filter, far integral, fuse) that ``run_record``
+also runs on in-memory oracle predictions. ``run_scene`` and the CLI
+``count`` differ only in whether ground truth is required.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,10 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .density import Region, far_count_from_external, integrate
+from .density import DensityField, far_count_from_external
 from .detect import (
     DEFAULT_NMS_IOU,
     DEFAULT_SCORE_THRESHOLD,
+    DetectionSet,
     check_nms_iou,
     check_score_threshold,
     decode,
@@ -43,6 +50,7 @@ __all__ = [
     "SceneOutcome",
     "RunReport",
     "load_manifest",
+    "count_scene",
     "run_scene",
     "run_record",
     "run_dataset",
@@ -179,7 +187,7 @@ def load_manifest(path) -> Manifest:
     return Manifest(dataset_id=str(payload.get("dataset_id", path.stem)), entries=tuple(entries))
 
 
-def _write_debug_rasters(out_dir: Path, scene_id: str, part: PartitionResult, density=None):
+def _write_debug_rasters(out_dir: Path, scene_id: str, part: PartitionResult, density):
     debug = out_dir / "debug"
     debug.mkdir(parents=True, exist_ok=True)
     dio.write_pgm8(debug / f"{scene_id}_mask.pgm", np.where(part.mask.far, 255, 0))
@@ -188,8 +196,88 @@ def _write_debug_rasters(out_dir: Path, scene_id: str, part: PartitionResult, de
             debug / f"{scene_id}_clusters.pgm",
             (part.cluster_assignments % 256).astype(np.uint8),
         )
-    if density is not None:
-        dio.write_pgm8(debug / f"{scene_id}_density.pgm", dio.heatmap_u8(density.values))
+    dio.write_pgm8(debug / f"{scene_id}_density.pgm", dio.heatmap_u8(density.values))
+
+
+class _Stages:
+    """Spatial filter -> far integral -> fuse on one scene's in-memory inputs.
+
+    The filter runs on construction, so its report exists before the far
+    input is read: a scene whose far input fails still reports its near and
+    deleted counts.
+    """
+
+    def __init__(self, part: PartitionResult, dets: DetectionSet, scene_id: str):
+        self.part = part
+        self.scene_id = scene_id
+        self.report = apply_spatial_constraint(dets, part.polyline, scene_id)
+
+    def count(self, field: DensityField, ground_truth: float) -> SceneEstimate:
+        far = far_count_from_external(field, self.part.mask)
+        return fuse(self.report.kept, far, self.scene_id, ground_truth)
+
+
+def _near_input(entry: ManifestEntry, params: PipelineParams, shape: GridShape) -> DetectionSet:
+    """The entry's detection list, else its tensor decoded and NMS'd."""
+    if entry.detections is not None:
+        return dio.read_detections_text(entry.detections)
+    if entry.tensor is None:
+        raise ConfigError("near predictions absent (no detections or tensor file)")
+    pred = dio.read_prediction_tensor(entry.tensor)
+    if pred.shape != shape:
+        raise FormatError(
+            f"{entry.tensor}: tensor grid {pred.shape} does not match scene grid {shape}"
+        )
+    return nms(decode(pred, params.score_threshold), params.nms_iou)
+
+
+def count_scene(
+    entry: ManifestEntry,
+    params: PipelineParams = PipelineParams(),
+    out_dir: Path | None = None,
+) -> SceneOutcome:
+    """partition -> near detections -> spatial filter -> far integral -> fuse.
+
+    Ground truth is read when the entry has annotations and is NaN
+    otherwise. Any failure produces a failed outcome carrying whatever
+    partial results were already computed.
+    """
+    part = stages = estimate = error = None
+    warnings: list[str] = []
+    try:
+        cfg = params.apply_overrides(dio.read_scene_config(entry.config))
+        # No reference to the depth map outlives the partition: malloc then
+        # reuses its pages for the density read instead of faulting in new ones.
+        part = partition(dio.read_depth(entry.depth), cfg)
+        warnings.extend(part.warnings)
+        dets = _near_input(entry, params, part.mask.shape)
+        warnings.extend(dets.warnings)
+        stages = _Stages(part, dets, cfg.scene_id)
+        warnings.extend(stages.report.warnings)
+        if entry.density is None:
+            raise ConfigError("far predictions absent (no density file)")
+        field = dio.read_density_field(entry.density)
+        ground_truth = math.nan
+        if entry.annotations is not None:
+            _, ground_truth = dio.read_annotations(entry.annotations)
+        estimate = stages.count(field, ground_truth)
+        if params.render_debug and out_dir is not None:
+            _write_debug_rasters(out_dir, cfg.scene_id, part, field)
+    except (DigCrowdError, OSError) as exc:
+        estimate, error = None, str(exc)
+    return SceneOutcome(
+        scene_id=entry.scene_id,
+        status="ok" if error is None else "failed",
+        estimate=estimate,
+        error=error,
+        near_count=None if stages is None else len(stages.report.kept),
+        deleted_count=None if stages is None else len(stages.report.deleted),
+        threshold_used=None if part is None else part.threshold_used,
+        polyline=None
+        if part is None
+        else tuple((s.x_start, s.x_end, s.k, s.b) for s in part.polyline.segments),
+        warnings=tuple(warnings),
+    )
 
 
 def run_scene(
@@ -197,77 +285,21 @@ def run_scene(
     params: PipelineParams = PipelineParams(),
     out_dir: Path | None = None,
 ) -> SceneOutcome:
-    """partition -> detections -> spatial filter -> far integral -> fuse.
+    """``count_scene`` with ground truth required; failures never raise.
 
-    Any stage failure produces a failed outcome carrying whatever partial
-    results were already computed; the batch keeps going.
+    A failed scene is logged and reported; the batch keeps going.
     """
-    near_count = None
-    deleted_count = None
-    threshold_used = None
-    poly_echo = None
-    warnings: list[str] = []
-    try:
-        cfg = params.apply_overrides(dio.read_scene_config(entry.config))
-        depth = dio.read_depth(entry.depth)
-        part = partition(depth, cfg)
-        threshold_used = part.threshold_used
-        poly_echo = tuple(
-            (s.x_start, s.x_end, s.k, s.b) for s in part.polyline.segments
-        )
-        warnings.extend(part.warnings)
-
-        if entry.detections is not None:
-            dets = dio.read_detections_text(entry.detections)
-        elif entry.tensor is not None:
-            dets = nms(
-                decode(dio.read_prediction_tensor(entry.tensor), params.score_threshold),
-                params.nms_iou,
-            )
-        else:
-            raise ConfigError("near predictions absent (no detections or tensor file)")
-        warnings.extend(dets.warnings)
-
-        report = apply_spatial_constraint(dets, part.polyline, cfg.scene_id)
-        warnings.extend(report.warnings)
-        near_count = len(report.kept)
-        deleted_count = len(report.deleted)
-
-        density = None
-        if entry.density is None:
-            raise ConfigError("far predictions absent (no density file)")
-        far = far_count_from_external(entry.density, part.mask)
-        if params.render_debug and out_dir is not None:
-            density = dio.read_density_field(entry.density)
-            _write_debug_rasters(out_dir, cfg.scene_id, part, density)
-
-        if entry.annotations is None:
-            raise ConfigError("ground truth absent (no annotations file)")
-        _, gt = dio.read_annotations(entry.annotations)
-
-        estimate = fuse(report.kept, far, cfg.scene_id, gt)
-        return SceneOutcome(
-            scene_id=entry.scene_id,
-            status="ok",
-            estimate=estimate,
-            near_count=near_count,
-            deleted_count=deleted_count,
-            threshold_used=threshold_used,
-            polyline=poly_echo,
-            warnings=tuple(warnings),
-        )
-    except (DigCrowdError, OSError) as exc:
-        log.warning("scene %s failed: %s", entry.scene_id, exc)
-        return SceneOutcome(
-            scene_id=entry.scene_id,
+    outcome = count_scene(entry, params, out_dir)
+    if outcome.ok and entry.annotations is None:
+        outcome = dataclasses.replace(
+            outcome,
             status="failed",
-            error=str(exc),
-            near_count=near_count,
-            deleted_count=deleted_count,
-            threshold_used=threshold_used,
-            polyline=poly_echo,
-            warnings=tuple(warnings),
+            estimate=None,
+            error="ground truth absent (no annotations file)",
         )
+    if not outcome.ok:
+        log.warning("scene %s failed: %s", entry.scene_id, outcome.error)
+    return outcome
 
 
 def run_record(
@@ -279,9 +311,8 @@ def run_record(
     """In-memory pipeline over a synthetic record with oracle predictions."""
     part = partition(rec.depth, rec.config)
     preds = oracle_predictions(rec, part, noise, seed=seed, spec=spec)
-    report = apply_spatial_constraint(preds.detections, part.polyline, rec.config.scene_id)
-    far = integrate(preds.density, part.mask, Region.FAR)
-    return fuse(report.kept, far, rec.config.scene_id, rec.ground_truth_count)
+    stages = _Stages(part, preds.detections, rec.config.scene_id)
+    return stages.count(preds.density, rec.ground_truth_count)
 
 
 def run_dataset(

@@ -31,7 +31,6 @@ __all__ = [
     "SceneRecord",
     "as_xy_array",
     "mask_from_polyline",
-    "polyline_eval",
 ]
 
 
@@ -222,6 +221,7 @@ class Polyline:
         return min(max(idx, 0), len(self.segments) - 1)
 
     def eval(self, x: float) -> float:
+        """y of the split line at x. Errors when x is outside the domain."""
         i = self.segment_index(x)
         return float(self._ks[i] * x + self._bs[i])
 
@@ -254,11 +254,6 @@ class Polyline:
             b = ys[i] - k * xs[i]
             segs.append(PolySegment(float(xs[i]), float(xs[i + 1]), float(k), float(b)))
         return cls(tuple(segs))
-
-
-def polyline_eval(p: Polyline, x: float) -> float:
-    """y of the split line at x. Errors when x is outside the domain."""
-    return p.eval(x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from digcrowd import (
     mask_from_polyline,
     rasterize_density,
 )
-from digcrowd.io import write_density_field
+from digcrowd.io import read_density_field, write_density_field
 
 
 def _uniform_params(n, sigma=2.0, trunc=3.0):
@@ -209,13 +209,14 @@ class TestFarCountFromExternal:
         )
         path = tmp_path / "far.digf"
         write_density_field(path, field)
-        assert far_count_from_external(path, mask) == pytest.approx(30.0, abs=1e-3)
+        far = far_count_from_external(read_density_field(path), mask)
+        assert far == pytest.approx(30.0, abs=1e-3)
 
     def test_zero_field(self, tmp_path):
         shape = GridShape(16, 16)
         path = tmp_path / "zero.digf"
         write_density_field(path, DensityField.zeros(shape))
-        assert far_count_from_external(path, _full_mask(shape)) == 0.0
+        assert far_count_from_external(read_density_field(path), _full_mask(shape)) == 0.0
 
     def test_near_only_mass_excluded(self, tmp_path):
         shape = GridShape(40, 40)
@@ -225,10 +226,10 @@ class TestFarCountFromExternal:
         )
         path = tmp_path / "near.digf"
         write_density_field(path, field)
-        assert far_count_from_external(path, mask) == 0.0
+        assert far_count_from_external(read_density_field(path), mask) == 0.0
 
     def test_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.digf"
         write_density_field(path, DensityField.zeros(GridShape(8, 8)))
         with pytest.raises(DigCrowdError):
-            far_count_from_external(path, _full_mask(GridShape(9, 8)))
+            far_count_from_external(read_density_field(path), _full_mask(GridShape(9, 8)))

@@ -1,119 +1,133 @@
-import subprocess
-import sys
-from pathlib import Path
+import math
 
 import numpy as np
 import pytest
 
-from digcrowd import _kernels
-from digcrowd._kernels import MASS_QUANTUM
-
-pytestmark = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba path disabled; nothing to compare"
-)
+from digcrowd._kernels import MASS_QUANTUM, assign_windows, deposit_gaussians
 
 
-def _assign_both(depth, feat, cpx, cpy, ratio2, win):
-    results = []
-    for impl in (_kernels._assign_windows_numba, _kernels._assign_windows_numpy):
-        d2 = np.full(depth.shape, np.inf)
-        ids = np.full(depth.shape, -1, dtype=np.int32)
-        impl(depth, feat, cpx, cpy, ratio2, win, d2, ids)
-        results.append((d2, ids))
-    return results
+def _assign_oracle(depth, feat, cpx, cpy, ratio2, win):
+    """Per pixel, the minimum D^2 over every center whose window covers it."""
+    height, width = depth.shape
+    best_d2 = np.full(depth.shape, np.inf)
+    best_id = np.full(depth.shape, -1, dtype=np.int32)
+    for r in range(height):
+        for c in range(width):
+            for k in range(feat.shape[0]):
+                covers = (
+                    math.floor(cpx[k] - win) <= c <= math.ceil(cpx[k] + win)
+                    and math.floor(cpy[k] - win) <= r <= math.ceil(cpy[k] + win)
+                )
+                if not covers:
+                    continue
+                df = float(depth[r, c]) - float(feat[k])
+                dx = c - float(cpx[k])
+                dy = r - float(cpy[k])
+                d2 = df * df + ratio2 * (dx * dx + dy * dy)
+                if d2 < best_d2[r, c]:  # ids rise, so ties keep the smallest
+                    best_d2[r, c] = d2
+                    best_id[r, c] = k
+    return best_d2, best_id
 
 
-class TestAssignCrossPath:
-    def test_identical_on_smooth_depth(self):
-        rng = np.random.default_rng(0)
-        depth = rng.random((48, 64))
-        k = 12
+def _assign(depth, feat, cpx, cpy, ratio2, win):
+    d2 = np.full(depth.shape, np.inf)
+    ids = np.full(depth.shape, -1, dtype=np.int32)
+    assign_windows(depth, feat, cpx, cpy, ratio2, win, d2, ids)
+    return d2, ids
+
+
+class TestAssignWindowsOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_exhaustive_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        depth = rng.random((24, 32))
+        k = 9
         feat = rng.random(k)
-        cpx = rng.uniform(0, 64, k)
-        cpy = rng.uniform(0, 48, k)
-        (d2a, ida), (d2b, idb) = _assign_both(depth, feat, cpx, cpy, 1e-4, 16.0)
-        assert np.array_equal(ida, idb)
-        assert np.array_equal(d2a, d2b)
+        # some centers sit off the grid, so their windows are clipped or empty
+        cpx = rng.uniform(-12, 44, k)
+        cpy = rng.uniform(-12, 36, k)
+        got_d2, got_id = _assign(depth, feat, cpx, cpy, 1e-3, 6.0)
+        want_d2, want_id = _assign_oracle(depth, feat, cpx, cpy, 1e-3, 6.0)
+        assert np.array_equal(got_id, want_id)
+        assert np.array_equal(got_d2, want_d2)
 
-    def test_identical_on_constant_depth_with_ties(self):
-        depth = np.full((32, 32), 0.5)
+    def test_ties_keep_smallest_id(self):
+        depth = np.full((16, 16), 0.5)
         feat = np.full(4, 0.5)
-        cpx = np.array([8.0, 24.0, 8.0, 24.0])
-        cpy = np.array([8.0, 8.0, 24.0, 24.0])
-        (_, ida), (_, idb) = _assign_both(depth, feat, cpx, cpy, 2.5e-4, 16.0)
-        assert np.array_equal(ida, idb)
+        cpx = np.array([4.0, 12.0, 4.0, 12.0])
+        cpy = np.array([4.0, 4.0, 12.0, 12.0])
+        got_d2, got_id = _assign(depth, feat, cpx, cpy, 2.5e-4, 8.0)
+        want_d2, want_id = _assign_oracle(depth, feat, cpx, cpy, 2.5e-4, 8.0)
+        assert np.array_equal(got_id, want_id)
+        assert np.array_equal(got_d2, want_d2)
+        assert got_id[8, 8] == 0  # equidistant from all four centers
 
 
-class TestDepositCrossPath:
-    def test_same_mass_and_near_identical_fields(self):
-        rng = np.random.default_rng(1)
-        h, w, n = 60, 80, 40
-        xs = rng.uniform(0, w, n)
-        ys = rng.uniform(0, h, n)
-        sigmas = rng.uniform(0.8, 6.0, n)
-        truncs = np.full(n, 3.0)
+def _gaussian_oracle(x, y, sigma, trunc, valid):
+    """Unquantized weights normalized over the valid truncation disc."""
+    height, width = valid.shape
+    w = np.zeros(valid.shape)
+    nearest, nearest_d2 = None, math.inf
+    for r in range(height):
+        for c in range(width):
+            d2 = (r + 0.5 - y) ** 2 + (c + 0.5 - x) ** 2
+            if valid[r, c] and d2 <= (trunc * sigma) ** 2:
+                w[r, c] = math.exp(-d2 / (2.0 * sigma * sigma))
+                if d2 < nearest_d2:
+                    nearest, nearest_d2 = (r, c), d2
+    return w / w.sum(), nearest
+
+
+def _heads(rng, n, width, height):
+    xs = rng.uniform(0, width, n)
+    ys = rng.uniform(0, height, n)
+    return xs, ys, rng.uniform(0.6, 4.0, n), rng.choice([1.0, 2.0, 3.0], n)
+
+
+class TestDepositGaussiansOracle:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_each_head_within_half_a_quantum(self, masked):
+        rng = np.random.default_rng(5 + masked)
+        h, w, n = 30, 40, 12
         valid = np.ones((h, w), dtype=np.uint8)
-        fa = np.zeros((h, w))
-        fb = np.zeros((h, w))
-        _kernels._deposit_gaussians_numba(fa, xs, ys, sigmas, truncs, valid)
-        _kernels._deposit_gaussians_numpy(fb, xs, ys, sigmas, truncs, valid)
-        assert fa.sum() == float(n)
-        assert fb.sum() == float(n)
-        # weight sums differ only in reduction order, so per-pixel quanta
-        # can disagree by at most a rounding step
-        assert np.abs(fa - fb).max() <= 2 * MASS_QUANTUM
-
-    def test_masked_deposition_agrees(self):
-        rng = np.random.default_rng(2)
-        h, w, n = 40, 40, 10
-        valid = np.zeros((h, w), dtype=np.uint8)
-        valid[: h // 2] = 1
-        xs = rng.uniform(0, w, n)
-        ys = rng.uniform(0, h // 2 - 1, n)
-        sigmas = rng.uniform(1.0, 5.0, n)
-        truncs = np.full(n, 3.0)
-        fa = np.zeros((h, w))
-        fb = np.zeros((h, w))
-        _kernels._deposit_gaussians_numba(fa, xs, ys, sigmas, truncs, valid)
-        _kernels._deposit_gaussians_numpy(fb, xs, ys, sigmas, truncs, valid)
-        assert fa.sum() == float(n) == fb.sum()
-        assert fa[h // 2 :].sum() == 0.0 == fb[h // 2 :].sum()
-
-    def test_tiny_truncation_falls_back_to_nearest_pixel(self):
-        valid = np.ones((8, 8), dtype=np.uint8)
-        for impl in (_kernels._deposit_gaussians_numba, _kernels._deposit_gaussians_numpy):
-            field = np.zeros((8, 8))
-            impl(
-                field,
-                np.array([3.0]),
-                np.array([3.0]),
-                np.array([0.05]),
-                np.array([1.0]),
-                valid,
-            )
+        if masked:
+            valid[h // 2 :] = 0
+        xs, ys, sigmas, truncs = _heads(rng, n, w, h // 2 if masked else h)
+        total = np.zeros((h, w))
+        for i in range(n):
+            field = np.zeros((h, w))
+            deposit_gaussians(field, xs[i : i + 1], ys[i : i + 1], sigmas[i : i + 1],
+                              truncs[i : i + 1], valid)
+            want, nearest = _gaussian_oracle(xs[i], ys[i], sigmas[i], truncs[i], valid)
             assert field.sum() == 1.0
-            assert field.max() == 1.0
+            assert not field[valid == 0].any()
+            assert not field[want == 0.0].any()
+            err = np.abs(field - want)
+            # every rounding error lands on the nearest pixel as the residual
+            assert err[nearest] <= np.count_nonzero(want) * MASS_QUANTUM
+            err[nearest] = 0.0
+            # round to nearest quantum; the slack covers the weight sum's order
+            assert err.max() <= 0.501 * MASS_QUANTUM
+            total += field
+        # dyadic values on the 2^-40 lattice add exactly, in any order
+        together = np.zeros((h, w))
+        deposit_gaussians(together, xs, ys, sigmas, truncs, valid)
+        assert np.array_equal(together, total)
+        assert together.sum() == float(n)
 
-
-def test_benchmark_script_smoke():
-    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    proc = subprocess.run(
+    @pytest.mark.parametrize(
+        "x, y, sigma, trunc, valid_side, cell",
         [
-            sys.executable,
-            str(script),
-            "--width",
-            "120",
-            "--height",
-            "90",
-            "--clusters",
-            "16",
-            "--heads",
-            "20",
-            "--repeat",
-            "1",
+            (3.0, 3.0, 0.05, 1.0, 8, (2, 2)),  # truncation disc holds no pixel center
+            (6.5, 6.5, 1.0, 3.0, 2, (1, 1)),  # disc misses the valid 2x2 corner
         ],
-        capture_output=True,
-        text=True,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "gaussian deposition" in proc.stdout
+    def test_nearest_valid_pixel_fallback(self, x, y, sigma, trunc, valid_side, cell):
+        valid = np.zeros((8, 8), dtype=np.uint8)
+        valid[:valid_side, :valid_side] = 1
+        field = np.zeros((8, 8))
+        deposit_gaussians(field, np.array([x]), np.array([y]), np.array([sigma]),
+                          np.array([trunc]), valid)
+        assert field.sum() == 1.0
+        assert field[cell] == 1.0

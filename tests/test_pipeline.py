@@ -1,15 +1,28 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import digcrowd
-from digcrowd import ConfigError, FormatError, load_manifest, run_dataset, run_scene
+from digcrowd import (
+    ConfigError,
+    DetectorGridSpec,
+    FormatError,
+    GridPrediction,
+    GridShape,
+    load_manifest,
+    run_dataset,
+    run_scene,
+)
+from digcrowd import io as dio
 from digcrowd.cli import main as cli_main
-from digcrowd.pipeline import PipelineParams, bench_generate
+from digcrowd.pipeline import Manifest, PipelineParams, bench_generate
 
 
 def _write_spec(path, count=4, n_people=40, noise=None, shape=(320, 240), seed_start=100):
@@ -110,8 +123,6 @@ class TestRunDataset:
         with pytest.raises(FormatError):
             load_manifest(manifest_path)  # manifest validation catches it
         # entry without any density path exercises the per-scene failure path
-        import dataclasses
-
         entry = dataclasses.replace(manifest.entries[0], density=None)
         outcome = run_scene(entry, PipelineParams())
         assert outcome.status == "failed"
@@ -132,6 +143,54 @@ class TestRunDataset:
         report = run_dataset(manifest, PipelineParams(), tmp_path / "r")
         assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
         assert report.n_succeeded == 3
+
+    @pytest.mark.parametrize(
+        "victim, content",
+        [
+            ("depth", b"P5\n24x 160\n65535\n" + bytes(2 * 24 * 160)),
+            ("config", b'[{"scene_id": "scene-0001"}]'),
+            ("annotations", b'{"heads": [], "count": "nan"}'),
+            ("annotations", b'{"heads": [], "count": -5}'),
+            ("config", None),  # knn_k 2.5
+        ],
+        ids=["pgm-header", "config-list", "nan-count", "negative-count", "fractional-knn-k"],
+    )
+    def test_input_defect_fails_only_its_scene(self, bench_dir, tmp_path, victim, content):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        path = getattr(manifest.entries[1], victim)
+        if content is None:
+            cfg = json.loads(path.read_text())
+            cfg["knn_k"] = 2.5
+            content = json.dumps(cfg).encode()
+        path.write_bytes(content)
+
+        report = run_dataset(manifest, PipelineParams(), tmp_path / "r")
+        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
+        assert str(path) in report.outcomes[1].error
+        assert math.isfinite(report.evaluation.mae)
+        assert math.isfinite(report.evaluation.mse)
+
+    def test_tensor_grid_must_match_scene(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        spec = DetectorGridSpec(s=4, b=1, c=1)
+        values = np.zeros((4, 4, spec.cell_values))
+        values[3, 1] = (0.5, 0.5, 0.05, 0.05, 1.0, 1.0)  # one box low in the frame
+        entries = list(manifest.entries)
+        for i, scale in ((1, 1), (2, 10)):
+            path = tmp_path / f"scene{i}.digy"
+            shape = GridShape(320 * scale, 240 * scale)
+            dio.write_prediction_tensor(path, GridPrediction(spec, shape, values))
+            entries[i] = dataclasses.replace(entries[i], detections=None, tensor=path)
+
+        report = run_dataset(Manifest(manifest.dataset_id, tuple(entries)), PipelineParams())
+        assert [o.status for o in report.outcomes] == ["ok", "ok", "failed", "ok"]
+        assert report.outcomes[1].near_count == 1
+        error = report.outcomes[2].error
+        assert str(tmp_path / "scene2.digy") in error
+        assert "GridShape(width=3200, height=2400)" in error
+        assert "GridShape(width=320, height=240)" in error
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -237,6 +296,66 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["total"] == pytest.approx(payload["ground_truth"], abs=1e-4)
 
+    def _count_args(self, tmp_path, omit):
+        spec = _write_spec(tmp_path / "spec.json", count=1)
+        out = tmp_path / "bench"
+        cli_main(["bench-gen", "--spec", str(spec), "--out-dir", str(out)])
+        scene = out / "scene-0000"
+        files = {
+            "--depth": "depth.digd",
+            "--config": "config.json",
+            "--detections": "detections.txt",
+            "--density": "density.digf",
+            "--annotations": "annotations.json",
+        }
+        args = ["count"]
+        for flag, name in files.items():
+            if flag != omit:
+                args += [flag, str(scene / name)]
+        return args
+
+    def test_count_without_density_fails(self, tmp_path, capsys):
+        args = self._count_args(tmp_path, omit="--density")
+        capsys.readouterr()
+        rc = cli_main(args)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "far predictions absent" in captured.err
+        assert captured.out == ""
+
+    def test_count_without_annotations_has_null_ground_truth(self, tmp_path, capsys):
+        rc = cli_main(self._count_args(tmp_path, omit="--annotations"))
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["ground_truth"] is None
+        assert payload["far_count"] > 0.0
+
+    def test_render_debug_reads_each_density_once(self, tmp_path, monkeypatch):
+        spec = _write_spec(tmp_path / "spec.json", count=2)
+        out = tmp_path / "bench"
+        cli_main(["bench-gen", "--spec", str(spec), "--out-dir", str(out)])
+        reads = []
+        original = dio.read_density_field
+
+        def counting(path):
+            reads.append(Path(path))
+            return original(path)
+
+        monkeypatch.setattr(dio, "read_density_field", counting)
+        rc = cli_main(
+            [
+                "evaluate",
+                "--manifest",
+                str(out / "manifest.json"),
+                "--out-dir",
+                str(tmp_path / "r"),
+                "--render-debug",
+            ]
+        )
+        assert rc == 0
+        assert sorted(reads) == sorted(out.rglob("density.digf"))
+        assert len(list((tmp_path / "r" / "debug").glob("*_density.pgm"))) == 2
+
     def test_partition_subcommand(self, tmp_path):
         from digcrowd import GridShape, SceneConfig, generate_step_depth
         from digcrowd.io import write_depth_digd, write_scene_config
@@ -295,14 +414,13 @@ class TestCli:
         assert payload["config"]["knn_k"] == 4
 
     def test_numpy_fallback_subprocess(self, tmp_path):
-        # the env flag must select the pure-numpy path and still count right
         spec = _write_spec(tmp_path / "spec.json", count=1, n_people=25)
         out = tmp_path / "bench"
         cli_main(["bench-gen", "--spec", str(spec), "--out-dir", str(out)])
         # the child imports digcrowd from wherever this process found it
         src = str(Path(digcrowd.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, DIGCROWD_DISABLE_NUMBA="1", PYTHONPATH=pythonpath)
+        env = dict(os.environ, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [
                 sys.executable,

@@ -13,14 +13,13 @@ from digcrowd import (
     SceneConfig,
     SceneRecord,
     mask_from_polyline,
-    polyline_eval,
 )
 
 
 class TestPolylineEval:
     def test_constant_segment(self):
         p = Polyline.constant(100.0, x_end=50.0)
-        assert polyline_eval(p, 20.0) == 100.0
+        assert p.eval(20.0) == 100.0
 
     def test_boundary_belongs_to_second_segment(self):
         p = Polyline(
@@ -29,21 +28,21 @@ class TestPolylineEval:
                 PolySegment(10.0, 20.0, -1.0, 20.0),
             )
         )
-        assert polyline_eval(p, 10.0) == 10.0
+        assert p.eval(10.0) == 10.0
 
     def test_hand_arithmetic(self):
         p = Polyline((PolySegment(0.0, 5.0, 2.0, 3.0),))
-        assert polyline_eval(p, 4.0) == 11.0
+        assert p.eval(4.0) == 11.0
 
     def test_last_interval_closed(self):
         p = Polyline((PolySegment(0.0, 5.0, 2.0, 3.0),))
-        assert polyline_eval(p, 5.0) == 13.0
+        assert p.eval(5.0) == 13.0
 
     @pytest.mark.parametrize("x", [-0.5, 20.01])
     def test_outside_domain(self, x):
         p = Polyline((PolySegment(0.0, 20.0, 0.0, 1.0),))
         with pytest.raises(PolylineDomainError):
-            polyline_eval(p, x)
+            p.eval(x)
 
     def test_eval_array_matches_scalar(self):
         p = Polyline.from_points([0.0, 30.0, 100.0], [5.0, 20.0, 10.0])
