@@ -28,10 +28,19 @@ MASS_QUANTUM = 1.0 / MASS_SCALE
 # ---------------------------------------------------------------------------
 
 def assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
-    """Update (best_d2, best_id) in place with every center's 2*win window."""
+    """Update (best_d2, best_id) in place with every center's 2*win window.
+
+    Each window's D^2 is built in reused buffers and merged with masked
+    copies; the arithmetic is the formula above, operation for operation.
+    """
     height, width = depth.shape
     cols = np.arange(width, dtype=np.float64)
     rows = np.arange(height, dtype=np.float64)
+    side = int(2.0 * win) + 3  # ceil(c + win) - floor(c - win) + 1 never exceeds it
+    area = min(height, side) * min(width, side)
+    d2_buf = np.empty(area)
+    sp_buf = np.empty(area)
+    better_buf = np.empty(area, dtype=bool)
     for k in range(feat.shape[0]):
         c_lo = max(0, int(math.floor(cpx[k] - win)))
         c_hi = min(width - 1, int(math.ceil(cpx[k] + win)))
@@ -39,15 +48,23 @@ def assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
         r_hi = min(height - 1, int(math.ceil(cpy[k] + win)))
         if c_lo > c_hi or r_lo > r_hi:
             continue
-        df = depth[r_lo : r_hi + 1, c_lo : c_hi + 1] - feat[k]
+        shape = (r_hi - r_lo + 1, c_hi - c_lo + 1)
+        size = shape[0] * shape[1]
+        d2 = d2_buf[:size].reshape(shape)
+        sp = sp_buf[:size].reshape(shape)
+        better = better_buf[:size].reshape(shape)
         dx = cols[c_lo : c_hi + 1] - cpx[k]
         dy = rows[r_lo : r_hi + 1] - cpy[k]
-        d2 = df * df + ratio2 * (dx[None, :] * dx[None, :] + dy[:, None] * dy[:, None])
+        np.subtract(depth[r_lo : r_hi + 1, c_lo : c_hi + 1], feat[k], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.copyto(sp, dx * dx)  # broadcast rows, then add dy^2: faster than one outer add
+        np.add(sp, (dy * dy)[:, None], out=sp)
+        np.multiply(sp, ratio2, out=sp)
+        np.add(d2, sp, out=d2)
         sub_d2 = best_d2[r_lo : r_hi + 1, c_lo : c_hi + 1]
-        sub_id = best_id[r_lo : r_hi + 1, c_lo : c_hi + 1]
-        better = d2 < sub_d2
-        sub_d2[better] = d2[better]
-        sub_id[better] = k
+        np.less(d2, sub_d2, out=better)
+        np.copyto(sub_d2, d2, where=better)
+        np.copyto(best_id[r_lo : r_hi + 1, c_lo : c_hi + 1], k, where=better)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +117,6 @@ def deposit_gaussians(field, xs, ys, sigmas, truncs, valid):
         w = np.where(ok, np.exp(-d2 * inv2s), 0.0)
         s = float(w.sum())
         quanta = np.floor(w / s * MASS_SCALE + 0.5)
-        quanta[~ok] = 0.0
         total = int(quanta.sum())
         nearest = int(np.argmin(np.where(ok, d2, np.inf)))
         nr = r_lo + nearest // (c_hi - c_lo + 1)

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 CENTER_RESIDUAL_TOL = 1e-4
+DISTANCE_BLOCK = 1 << 15  # pixels per block of _current_distance
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,12 @@ class PartitionResult:
 
 
 def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Regular-grid centers, each nudged to the flattest pixel of its 3x3 patch."""
+    """Regular-grid centers, each nudged to the flattest pixel of its 3x3 patch.
+
+    The gradient is evaluated only on the patches, with ``np.gradient``'s
+    formulas: a central difference over 2 inside, a one-sided difference
+    over 1 at an edge, and 0 along an axis of length 1.
+    """
     height, width = depth.shape
     nx = int(np.clip(round(np.sqrt(target * width / height)), 1, width))
     ny = int(np.clip(round(target / nx), 1, height))
@@ -104,34 +110,54 @@ def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, 
             ny = 2
         else:
             nx = 2
-    gy, gx = np.gradient(depth)
-    grad = np.sqrt(gx * gx + gy * gy)
-    feat, cpx, cpy = [], [], []
-    for j in range(ny):
-        for i in range(nx):
-            cx = int(round((i + 0.5) * width / nx - 0.5))
-            cy = int(round((j + 0.5) * height / ny - 0.5))
-            c_lo, c_hi = max(0, cx - 1), min(width - 1, cx + 1)
-            r_lo, r_hi = max(0, cy - 1), min(height - 1, cy + 1)
-            patch = grad[r_lo : r_hi + 1, c_lo : c_hi + 1]
-            flat = int(np.argmin(patch))
-            py = r_lo + flat // patch.shape[1]
-            px = c_lo + flat % patch.shape[1]
-            feat.append(depth[py, px])
-            cpx.append(float(px))
-            cpy.append(float(py))
-    return (
-        np.asarray(feat, dtype=np.float64),
-        np.asarray(cpx, dtype=np.float64),
-        np.asarray(cpy, dtype=np.float64),
-    )
+    cx = np.rint((np.arange(nx) + 0.5) * width / nx - 0.5).astype(np.intp)
+    cy = np.rint((np.arange(ny) + 0.5) * height / ny - 0.5).astype(np.intp)
+    # One row per seed (row-major over the grid), one column per patch pixel
+    # in row-major patch order; pixels off the image get an infinite gradient.
+    dr, dc = np.divmod(np.arange(9), 3)
+    rows = np.repeat(cy, nx)[:, None] + (dr - 1)
+    cols = np.tile(cx, ny)[:, None] + (dc - 1)
+    inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+    rows = rows.clip(0, height - 1)
+    cols = cols.clip(0, width - 1)
+    r_lo, r_hi = np.maximum(rows - 1, 0), np.minimum(rows + 1, height - 1)
+    c_lo, c_hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, width - 1)
+    gy = (depth[r_hi, cols] - depth[r_lo, cols]) / np.maximum(r_hi - r_lo, 1)
+    gx = (depth[rows, c_hi] - depth[rows, c_lo]) / np.maximum(c_hi - c_lo, 1)
+    grad = np.where(inside, np.sqrt(gx * gx + gy * gy), np.inf)
+    flat = np.argmin(grad, axis=1)[:, None]
+    py = np.take_along_axis(rows, flat, axis=1)[:, 0]
+    px = np.take_along_axis(cols, flat, axis=1)[:, 0]
+    return depth[py, px], px.astype(np.float64), py.astype(np.float64)
 
 
-def _current_distance(depth, assign, feat, cpx, cpy, ratio2, cols, rows):
-    df = depth - feat[assign]
-    dx = cols - cpx[assign]
-    dy = rows - cpy[assign]
-    return df * df + ratio2 * (dx * dx + dy * dy)
+def _current_distance(depth, assign, feat, cpx, cpy, ratio2, cols, rows, out):
+    """Write each pixel's D^2 to its own center into ``out``.
+
+    The work goes in blocks of ``DISTANCE_BLOCK`` pixels, so the gathered
+    centres and the partial terms stay in cache. Every label is a valid
+    center id, so ``mode="clip"`` changes nothing; it spares ``take`` the
+    buffered bounds check that ``out=`` costs by default.
+    """
+    tmp = np.empty(min(DISTANCE_BLOCK, out.size))
+    tmp2 = np.empty_like(tmp)
+    for lo in range(0, out.size, DISTANCE_BLOCK):
+        d2 = out[lo : lo + DISTANCE_BLOCK]
+        ids = assign[lo : lo + DISTANCE_BLOCK]
+        dx2 = tmp[: d2.size]
+        dy2 = tmp2[: d2.size]
+        np.take(feat, ids, out=d2, mode="clip")
+        np.subtract(depth[lo : lo + DISTANCE_BLOCK], d2, out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.take(cpx, ids, out=dx2, mode="clip")
+        np.subtract(cols[lo : lo + DISTANCE_BLOCK], dx2, out=dx2)
+        np.multiply(dx2, dx2, out=dx2)
+        np.take(cpy, ids, out=dy2, mode="clip")
+        np.subtract(rows[lo : lo + DISTANCE_BLOCK], dy2, out=dy2)
+        np.multiply(dy2, dy2, out=dy2)
+        np.add(dx2, dy2, out=dx2)
+        np.multiply(dx2, ratio2, out=dx2)
+        np.add(d2, dx2, out=d2)
 
 
 def _attach_orphans(depth, feat, cpx, cpy, ratio2, cols, rows, best_d2, best_id):
@@ -196,20 +222,26 @@ def cluster_depth(
     rows = rows2d.ravel()
     flat_depth = grid.ravel()
 
+    # Labels are intp, the index type of take and bincount, so neither casts;
+    # they become int32 once, on return.
     best_d2 = np.full((height, width), np.inf)
-    best_id = np.full((height, width), -1, dtype=np.int32)
-    _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
+    labels = np.full((height, width), -1, dtype=np.intp)
+    _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
     bd = best_d2.ravel()
-    bi = best_id.ravel()
-    _attach_orphans(flat_depth, feat, cpx, cpy, ratio2, cols, rows, bd, bi)
-    assign = bi.copy()
+    assign = labels.ravel()
+    _attach_orphans(flat_depth, feat, cpx, cpy, ratio2, cols, rows, bd, assign)
     energies = [float(bd.sum())]
 
+    # Pixel counts and coordinate sums are integers below 2**53, exact in
+    # any order, so they follow only the pixels that change cluster; the
+    # depth sum is rebuilt each iteration in pixel order.
+    counts = np.bincount(assign, minlength=k_count).astype(np.float64)
+    sum_x = np.bincount(assign, weights=cols, minlength=k_count)
+    sum_y = np.bincount(assign, weights=rows, minlength=k_count)
+    previous = np.empty_like(assign)
+
     for _ in range(max_iters):
-        counts = np.bincount(assign, minlength=k_count).astype(np.float64)
         sum_f = np.bincount(assign, weights=flat_depth, minlength=k_count)
-        sum_x = np.bincount(assign, weights=cols, minlength=k_count)
-        sum_y = np.bincount(assign, weights=rows, minlength=k_count)
         nz = counts > 0
         new_feat = np.where(nz, sum_f / np.maximum(counts, 1.0), feat)
         new_px = np.where(nz, sum_x / np.maximum(counts, 1.0), cpx)
@@ -221,18 +253,19 @@ def cluster_depth(
         )
         feat, cpx, cpy = new_feat, new_px, new_py
 
-        best_d2 = _current_distance(
-            flat_depth, assign, feat, cpx, cpy, ratio2, cols, rows
-        ).reshape(height, width)
-        best_id = assign.reshape(height, width).astype(np.int32).copy()
-        _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
-        assign = best_id.ravel().copy()
-        energies.append(float(best_d2.sum()))
+        _current_distance(flat_depth, assign, feat, cpx, cpy, ratio2, cols, rows, bd)
+        np.copyto(previous, assign)
+        _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
+        moved = np.flatnonzero(assign != previous)
+        for sign, ids in ((1.0, assign[moved]), (-1.0, previous[moved])):
+            counts += sign * np.bincount(ids, minlength=k_count)
+            sum_x += sign * np.bincount(ids, weights=cols[moved], minlength=k_count)
+            sum_y += sign * np.bincount(ids, weights=rows[moved], minlength=k_count)
+        energies.append(float(bd.sum()))
         if residual < CENTER_RESIDUAL_TOL:
             break
 
     # Drop empty clusters so ids stay dense.
-    counts = np.bincount(assign, minlength=k_count)
     keep = counts > 0
     if not keep.all():
         remap = np.full(k_count, -1, dtype=np.int32)
@@ -340,16 +373,21 @@ def extract_polyline(
         raise PartitionError("far region empty after cluster labeling")
     sizes = np.bincount(labeled.ravel())
     sizes[0] = 0
-    far_clean = ndimage.binary_fill_holes(labeled == int(np.argmax(sizes)))
+    # Fill holes: background components that do not touch the image edge
+    # (4-connected, as in ndimage.binary_fill_holes) become far.
+    background, n_bg = ndimage.label(labeled != int(np.argmax(sizes)), structure=structure)
+    open_bg = np.zeros(n_bg + 1, dtype=bool)
+    for edge in (background[0], background[-1], background[:, 0], background[:, -1]):
+        open_bg[edge] = True
+    open_bg[0] = False
+    far_clean = ~open_bg[background]
 
     height, width = shape.array_shape
     all_far = far_clean.all(axis=0)
     boundary = np.where(all_far, height, (~far_clean).argmax(axis=0)).astype(np.float64)
-    below = np.zeros(width, dtype=bool)
-    for x in range(width):
-        b = int(boundary[x])
-        if b < height and far_clean[b:, x].any():
-            below[x] = True
+    # Rows above the boundary are all far, so a column has far pixels below
+    # its boundary exactly when it holds more far pixels than that.
+    below = np.count_nonzero(far_clean, axis=0) > boundary
     if below.any():
         warnings.append(
             f"far region is not a clean upper band in {int(below.sum())} columns; "

@@ -187,8 +187,8 @@ def load_manifest(path) -> Manifest:
     return Manifest(dataset_id=str(payload.get("dataset_id", path.stem)), entries=tuple(entries))
 
 
-def _write_debug_rasters(out_dir: Path, scene_id: str, part: PartitionResult, density):
-    debug = out_dir / "debug"
+def _write_debug_rasters(out_dir, scene_id: str, part: PartitionResult, density):
+    debug = Path(out_dir) / "debug"
     debug.mkdir(parents=True, exist_ok=True)
     dio.write_pgm8(debug / f"{scene_id}_mask.pgm", np.where(part.mask.far, 255, 0))
     if part.cluster_assignments is not None:

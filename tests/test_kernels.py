@@ -30,14 +30,15 @@ def _assign_oracle(depth, feat, cpx, cpy, ratio2, win):
     return best_d2, best_id
 
 
-def _assign(depth, feat, cpx, cpy, ratio2, win):
-    d2 = np.full(depth.shape, np.inf)
-    ids = np.full(depth.shape, -1, dtype=np.int32)
-    assign_windows(depth, feat, cpx, cpy, ratio2, win, d2, ids)
-    return d2, ids
-
-
 class TestAssignWindowsOracle:
+    id_dtype = np.int32  # what tests and public callers pass
+
+    def _assign(self, depth, feat, cpx, cpy, ratio2, win):
+        d2 = np.full(depth.shape, np.inf)
+        ids = np.full(depth.shape, -1, dtype=self.id_dtype)
+        assign_windows(depth, feat, cpx, cpy, ratio2, win, d2, ids)
+        return d2, ids
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_exhaustive_loop(self, seed):
         rng = np.random.default_rng(seed)
@@ -47,7 +48,7 @@ class TestAssignWindowsOracle:
         # some centers sit off the grid, so their windows are clipped or empty
         cpx = rng.uniform(-12, 44, k)
         cpy = rng.uniform(-12, 36, k)
-        got_d2, got_id = _assign(depth, feat, cpx, cpy, 1e-3, 6.0)
+        got_d2, got_id = self._assign(depth, feat, cpx, cpy, 1e-3, 6.0)
         want_d2, want_id = _assign_oracle(depth, feat, cpx, cpy, 1e-3, 6.0)
         assert np.array_equal(got_id, want_id)
         assert np.array_equal(got_d2, want_d2)
@@ -57,11 +58,15 @@ class TestAssignWindowsOracle:
         feat = np.full(4, 0.5)
         cpx = np.array([4.0, 12.0, 4.0, 12.0])
         cpy = np.array([4.0, 4.0, 12.0, 12.0])
-        got_d2, got_id = _assign(depth, feat, cpx, cpy, 2.5e-4, 8.0)
+        got_d2, got_id = self._assign(depth, feat, cpx, cpy, 2.5e-4, 8.0)
         want_d2, want_id = _assign_oracle(depth, feat, cpx, cpy, 2.5e-4, 8.0)
         assert np.array_equal(got_id, want_id)
         assert np.array_equal(got_d2, want_d2)
         assert got_id[8, 8] == 0  # equidistant from all four centers
+
+
+class TestAssignWindowsOracleIntp(TestAssignWindowsOracle):
+    id_dtype = np.intp  # what cluster_depth passes
 
 
 def _gaussian_oracle(x, y, sigma, trunc, valid):

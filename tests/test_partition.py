@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from partition_reference import (
+    cluster_depth_reference,
+    extract_polyline_reference,
+    partition_reference,
+)
 
 from digcrowd import (
     ConfigError,
     DepthMap,
+    DigCrowdError,
     GridShape,
     PartitionError,
     SceneConfig,
@@ -258,3 +266,164 @@ class TestPartition:
         res = partition(depth, SceneConfig("roundtrip"), target_cluster_count=48)
         again = mask_from_polyline(res.polyline, depth.shape)
         assert np.array_equal(res.mask.far, again.far)
+
+    @pytest.mark.parametrize("width, height", [(400, 1), (1, 400), (2, 1), (1, 2)])
+    def test_single_row_or_column_partitions(self, width, height):
+        values = np.linspace(0.0, 1.0, width * height)
+        if height > 1:
+            values = values[::-1]  # far on top, so the band is clean
+        depth = DepthMap(GridShape(width, height), values.reshape(height, width))
+        res = partition(depth, SceneConfig("line"), target_cluster_count=2)
+        assert res.threshold_used is not None
+        assert np.array_equal(res.mask.far, mask_from_polyline(res.polyline, depth.shape).far)
+
+
+# -- bit-for-bit agreement with the reference implementations ---------------
+
+_COMPACTNESS = st.sampled_from([0.001, 0.1, 1.0, 10.0])
+
+
+@st.composite
+def _depth_grids(draw):
+    """Random, constant, few-level, step and holed-band grids, at least 2x2."""
+    width = draw(st.integers(2, 40))
+    height = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["random", "constant", "levels", "step", "holes"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        vals = rng.random((height, width))
+    elif kind == "constant":
+        vals = np.full((height, width), draw(st.sampled_from([0.0, 0.5, 1.0])))
+    elif kind == "levels":  # few distinct values, so distances tie
+        vals = rng.integers(0, 3, (height, width)) / 2.0
+    elif kind == "step":
+        boundary = int(rng.integers(1, height))
+        return generate_step_depth(GridShape(width, height), boundary, seed=int(rng.integers(99)))
+    else:  # far band over near ground, with near blocks inside and on its edges
+        vals = np.full((height, width), 0.1)
+        vals[: int(rng.integers(1, height + 1))] = 0.9
+        for _ in range(int(rng.integers(1, 4))):
+            r, c = int(rng.integers(0, height)), int(rng.integers(0, width))
+            vals[r : r + int(rng.integers(1, 6)), c : c + int(rng.integers(1, 6))] = 0.1
+    return DepthMap(GridShape(width, height), vals)
+
+
+@st.composite
+def _far_masks(draw):
+    """Per-pixel far masks: a band with holes, some touching the image edge."""
+    width = draw(st.integers(1, 24))
+    height = draw(st.integers(1, 18))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.random((height, width)) < draw(st.sampled_from([0.5, 0.7, 0.9]))
+    far = np.zeros((height, width), dtype=bool)
+    far[: int(rng.integers(0, height + 1))] = True
+    for _ in range(int(rng.integers(0, 5))):
+        r, c = int(rng.integers(0, height)), int(rng.integers(0, width))
+        far[r : r + int(rng.integers(1, 4)), c : c + int(rng.integers(1, 4))] ^= True
+    return far
+
+
+_SKINNY = DepthMap(GridShape(2, 30), np.random.default_rng(7).random((30, 2)))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except DigCrowdError as exc:
+        return type(exc), str(exc)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_same_state(got, want):
+    assert got.assignments.dtype == want.assignments.dtype == np.int32
+    assert np.array_equal(got.assignments, want.assignments)
+    for name in ("feature", "px", "py"):
+        assert _hex(getattr(got, name)) == _hex(getattr(want, name)), name
+    assert _hex(got.energy_history) == _hex(want.energy_history)
+
+
+def _assert_same_polyline(got, want):
+    assert [_hex((s.x_start, s.x_end, s.k, s.b)) for s in got.segments] == [
+        _hex((s.x_start, s.x_end, s.k, s.b)) for s in want.segments
+    ]
+
+
+def _assert_same_partition(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    _assert_same_polyline(got.polyline, want.polyline)
+    assert float(got.threshold_used).hex() == float(want.threshold_used).hex()
+    assert got.warnings == want.warnings
+    assert np.array_equal(got.mask.far, want.mask.far)
+    assert np.array_equal(got.cluster_assignments, want.cluster_assignments)
+    assert _hex(got.energy_history) == _hex(want.energy_history)
+
+
+class TestReferenceOracle:
+    """cluster_depth / extract_polyline / partition against the versions they replaced."""
+
+    @given(_depth_grids(), _COMPACTNESS, st.integers(2, 40), st.sampled_from([0, 1, 3, 10]))
+    @example(_SKINNY, 0.001, 2, 10)  # rows 0, 14, 15 and 29 lie outside both windows
+    @example(_SKINNY, 10.0, 2, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_cluster_depth_matches_reference(self, depth, compactness, target, max_iters):
+        target = min(target, depth.values.size)
+        got = cluster_depth(depth, target, compactness, max_iters)
+        want = cluster_depth_reference(depth, target, compactness, max_iters)
+        _assert_same_state(got, want)
+
+    @given(_depth_grids(), _COMPACTNESS, st.integers(2, 40), st.sampled_from([0, 10]))
+    @settings(max_examples=150, deadline=None)
+    def test_partition_matches_reference(self, depth, compactness, target, max_iters):
+        kwargs = dict(
+            target_cluster_count=min(target, depth.values.size),
+            compactness=compactness,
+            max_iters=max_iters,
+        )
+        cfg = SceneConfig("oracle")
+        got = _outcome(partition, depth, cfg, **kwargs)
+        want = _outcome(partition_reference, depth, cfg, **kwargs)
+        _assert_same_partition(got, want)
+
+    @given(_far_masks())
+    @example(  # a hole that touches the edge-connected background only diagonally
+        np.array(
+            [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0]], dtype=bool
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_extract_polyline_fills_holes_like_reference(self, far_px):
+        height, width = far_px.shape
+        state = ClusterState(
+            assignments=far_px.astype(np.int32),
+            feature=np.array([0.1, 0.9]),
+            px=np.array([0.0, 0.0]),
+            py=np.array([0.0, 0.0]),
+            grid_step=1.0,
+            compactness=0.1,
+        )
+        labels = np.array([False, True])
+        shape = GridShape(width, height)
+        got = _outcome(extract_polyline, labels, state, shape)
+        want = _outcome(extract_polyline_reference, labels, state, shape)
+        if isinstance(want[0], type):  # both raised
+            assert got == want
+        else:
+            _assert_same_polyline(got[0], want[0])
+            assert got[1] == want[1]
+
+    def test_step_depths_of_criterion_8_match_reference(self):
+        rng = np.random.default_rng(88)
+        for seed in range(50):
+            boundary = int(rng.integers(30, 91))
+            depth = generate_step_depth(GridShape(160, 120), boundary_row=boundary, seed=seed)
+            cfg = SceneConfig(f"step-{seed}")
+            got = partition(depth, cfg, target_cluster_count=64)
+            want = partition_reference(depth, cfg, target_cluster_count=64)
+            _assert_same_partition(got, want)

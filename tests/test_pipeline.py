@@ -12,6 +12,7 @@ import pytest
 import digcrowd
 from digcrowd import (
     ConfigError,
+    DepthMap,
     DetectorGridSpec,
     FormatError,
     GridPrediction,
@@ -191,6 +192,35 @@ class TestRunDataset:
         assert str(tmp_path / "scene2.digy") in error
         assert "GridShape(width=3200, height=2400)" in error
         assert "GridShape(width=320, height=240)" in error
+
+    @pytest.mark.parametrize("width, height", [(400, 1), (1, 400)])
+    def test_single_row_or_column_depth_fails_only_its_scene(self, tmp_path, width, height):
+        spec = _write_spec(tmp_path / "spec.json", count=3)
+        manifest_path, _ = bench_generate(spec, tmp_path / "bench")
+        manifest = load_manifest(manifest_path)
+        for entry in manifest.entries:  # automatic partition everywhere
+            cfg = json.loads(entry.config.read_text())
+            cfg["polyline"] = None
+            cfg["depth_threshold"] = "auto"
+            entry.config.write_text(json.dumps(cfg))
+        values = np.linspace(1.0, 0.0, width * height).reshape(height, width)
+        victim = manifest.entries[1].depth
+        dio.write_depth_digd(victim, DepthMap(GridShape(width, height), values))
+
+        report = run_dataset(manifest, PipelineParams())
+        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok"]
+        # the line grid partitions; its predictions are for another grid
+        assert report.outcomes[1].threshold_used is not None
+        assert "does not match" in report.outcomes[1].error
+
+    def test_render_debug_accepts_str_out_dir(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        report = run_dataset(manifest, PipelineParams(render_debug=True), str(tmp_path / "r"))
+        assert report.n_succeeded == len(manifest.entries)
+        for entry in manifest.entries:
+            for kind in ("mask", "density"):
+                assert (tmp_path / "r" / "debug" / f"{entry.scene_id}_{kind}.pgm").exists()
 
     @pytest.mark.parametrize(
         "kwargs",
