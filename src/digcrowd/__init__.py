@@ -58,7 +58,6 @@ from .pipeline import (
     run_scene,
 )
 from .scene import (
-    BoundingBox,
     DepthMap,
     GridShape,
     HeadPoint,
@@ -70,7 +69,7 @@ from .scene import (
     SceneRecord,
     mask_from_polyline,
 )
-from .spatial import FilterReport, apply_spatial_constraint, box_center
+from .spatial import FilterReport, apply_spatial_constraint
 from .synth import (
     NoiseSpec,
     OraclePredictions,

@@ -46,8 +46,6 @@ def _setup_logging():
 def _add_common_detector_flags(p: argparse.ArgumentParser):
     p.add_argument("--score-threshold", type=float, default=DEFAULT_SCORE_THRESHOLD)
     p.add_argument("--nms-iou", type=float, default=DEFAULT_NMS_IOU)
-    p.add_argument("--beta", type=float, default=None, help="override config beta")
-    p.add_argument("--knn-k", type=int, default=None, help="override config knn k")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,8 +132,6 @@ def _cmd_count(args) -> int:
     params = PipelineParams(
         score_threshold=args.score_threshold,
         nms_iou=args.nms_iou,
-        beta=args.beta,
-        knn_k=args.knn_k,
     )
     optional = {
         name: Path(getattr(args, name)) if getattr(args, name) else None
@@ -168,8 +164,6 @@ def _cmd_evaluate(args) -> int:
     params = PipelineParams(
         score_threshold=args.score_threshold,
         nms_iou=args.nms_iou,
-        beta=args.beta,
-        knn_k=args.knn_k,
         workers=args.workers,
         deterministic=args.deterministic,
         render_debug=args.render_debug,

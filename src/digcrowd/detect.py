@@ -5,6 +5,10 @@ this module only turns them into boxes. Per cell there are B tuples
 (x, y, w, h, c) followed by C class probabilities: x, y are offsets within
 the cell, w, h are fractions of the image, and the final score of a box is
 the product of its confidence c with the largest class probability.
+
+A set of boxes is one (N, 5) float64 array of rows
+``[x_min, y_min, x_max, y_max, score]``; every layer from the readers to
+the spatial filter works on that array.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .scene import BoundingBox, GridShape
+from .scene import GridShape
 
 __all__ = [
     "DetectorGridSpec",
@@ -23,6 +27,7 @@ __all__ = [
     "DetectionSet",
     "combine_confidence",
     "decode",
+    "first_invalid_row",
     "iou",
     "nms",
 ]
@@ -86,19 +91,55 @@ class GridPrediction:
         return cls(spec, shape, flat.reshape(spec.s, spec.s, spec.cell_values))
 
 
-@dataclass(frozen=True)
-class DetectionSet:
-    """Scored boxes for one scene, tagged with their provenance."""
+def first_invalid_row(rows: np.ndarray) -> tuple[int, str] | None:
+    """Index of the first row breaking a box rule, with the rule it breaks.
 
-    boxes: tuple[BoundingBox, ...] = ()
-    source: str = "external"
+    Coordinates must be finite, ``x_min < x_max`` and ``y_min < y_max``, and
+    the score must lie in [0, 1] (NaN rejected); a row breaking several
+    rules is reported under the first of them.
+    """
+    finite = np.isfinite(rows[:, :4]).all(axis=1)
+    ordered = (rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3])
+    scored = (rows[:, 4] >= 0.0) & (rows[:, 4] <= 1.0)
+    bad = ~(finite & ordered & scored)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    x_min, y_min, x_max, y_max, score = rows[i].tolist()
+    if not finite[i]:
+        return i, f"non-finite box ({x_min}, {y_min}, {x_max}, {y_max})"
+    if not ordered[i]:
+        return i, f"degenerate box ({x_min}, {y_min}, {x_max}, {y_max})"
+    return i, f"box score {score} outside [0, 1]"
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionSet:
+    """Scored boxes for one scene as read-only (N, 5) float64 ``rows``.
+
+    Columns are ``[x_min, y_min, x_max, y_max, score]``. Anything
+    ``np.asarray`` turns into (N, 5) is accepted, a tuple of 5-tuples
+    included; every row is checked by ``first_invalid_row``.
+    """
+
+    rows: np.ndarray = ()
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        rows = np.asarray(self.rows, dtype=np.float64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 5)
+        if rows.ndim != 2 or rows.shape[1] != 5:
+            raise ConfigError(f"detection rows must be (N, 5), got {rows.shape}")
+        bad = first_invalid_row(rows)
+        if bad is not None:
+            raise ConfigError(f"row {bad[0]}: {bad[1]}")
+        rows = np.ascontiguousarray(rows)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.rows)
 
 
 def combine_confidence(class_prob: float, box_conf: float) -> float:
@@ -160,15 +201,7 @@ def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOL
     y_max = np.minimum(cy + half_h, height)
     keep = (score >= score_threshold) & (x_max > x_min) & (y_max > y_min)
     rows = np.stack([x_min, y_min, x_max, y_max, score], axis=-1)[keep]
-    boxes = tuple(BoundingBox(*r) for r in rows.tolist())
-    return DetectionSet(boxes, source="external", warnings=tuple(warnings))
-
-
-def _box_array(boxes) -> np.ndarray:
-    """(N, 5) float64 rows of [x_min, y_min, x_max, y_max, score]."""
-    return np.array(
-        [(b.x_min, b.y_min, b.x_max, b.y_max, b.score) for b in boxes], dtype=np.float64
-    ).reshape(-1, 5)
+    return DetectionSet(rows, warnings=tuple(warnings))
 
 
 def _iou_one_to_many(box: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -185,9 +218,11 @@ def _iou_one_to_many(box: np.ndarray, others: np.ndarray) -> np.ndarray:
     return inter / ((x1 - x0) * (y1 - y0) + area_b - inter)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area; 0 for disjoint boxes."""
-    return float(_iou_one_to_many(_box_array((a,))[0], _box_array((b,)))[0])
+def iou(a, b) -> float:
+    """Intersection area over union area of two box rows; 0 when disjoint."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(_iou_one_to_many(a, b[None, :])[0])
 
 
 def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> DetectionSet:
@@ -200,7 +235,7 @@ def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> Detection
     and memory O(n).
     """
     check_nms_iou(iou_threshold)
-    arr = _box_array(dets.boxes)
+    arr = dets.rows
     order = np.lexsort((arr[:, 1], arr[:, 0], -arr[:, 4]))
     ranked = arr[order]
     kept: list[int] = []
@@ -209,6 +244,4 @@ def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> Detection
         first, rest = remaining[0], remaining[1:]
         kept.append(int(order[first]))
         remaining = rest[_iou_one_to_many(ranked[first], ranked[rest]) < iou_threshold]
-    return DetectionSet(
-        tuple(dets.boxes[i] for i in kept), source=dets.source, warnings=dets.warnings
-    )
+    return DetectionSet(arr[np.array(kept, dtype=np.intp)], warnings=dets.warnings)

@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .density import DensityField
-from .detect import DetectorGridSpec, GridPrediction, DetectionSet
+from .detect import DetectorGridSpec, GridPrediction, DetectionSet, first_invalid_row
 from .errors import ConfigError, FormatError
 from .scene import (
-    BoundingBox,
     DepthMap,
     GridShape,
     HeadPoint,
@@ -197,52 +196,66 @@ def read_density_field(path) -> DensityField:
     _, width, height, _ = struct.unpack("<4sIIQ", data[:20])
     shape = GridShape(width, height)
     values = _payload_f32(data, 20, shape.pixel_count, path)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: density file contains non-finite values")
-    negatives = int((values < 0).sum())
-    if negatives:
-        # external predictors sometimes emit slightly negative densities
-        log.warning("%s: clamped %d negative density values to 0", path, negatives)
-        values = np.clip(values, 0.0, None)
-    return DensityField(shape, values.reshape(height, width))
+    negative = values < 0.0
+    if negative.any():
+        # external predictors sometimes emit slightly negative densities;
+        # -inf is no such value and is left for DensityField to reject
+        negative &= values > -np.inf
+        log.warning("%s: clamped %d negative density values to 0", path, int(negative.sum()))
+        values[negative] = 0.0
+    try:
+        return DensityField(shape, values.reshape(height, width))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # -- text detections --------------------------------------------------------
 
 def write_detections_text(path, dets: DetectionSet) -> None:
-    lines = [
-        f"{b.x_min!r} {b.y_min!r} {b.x_max!r} {b.y_max!r} {b.score!r}"
-        for b in dets.boxes
-    ]
+    lines = [" ".join(repr(v) for v in row) for row in dets.rows.tolist()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_detections_text(path, source: str = "external") -> DetectionSet:
-    boxes = []
-    warnings = []
+def read_detections_text(path) -> DetectionSet:
+    """One row per ``x_min y_min x_max y_max score`` line; ``#`` lines skipped.
+
+    Scores outside [0, 1] are clamped with a warning. The first bad line in
+    file order, unparsable or breaking a box rule, raises ``FormatError``
+    naming it.
+    """
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    warnings: list[str] = []
+    parse_error = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 5:
-            raise FormatError(
-                f"{path}:{lineno}: expected 'x_min y_min x_max y_max score'"
-            )
         try:
-            x0, y0, x1, y1, score = (float(p) for p in parts)
+            if len(parts) != 5:
+                raise ValueError("expected 'x_min y_min x_max y_max score'")
+            row = [float(p) for p in parts]
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            parse_error = FormatError(f"{path}:{lineno}: {exc}")
+            break
+        score = row[4]
         if not (0.0 <= score <= 1.0):
             warnings.append(f"line {lineno}: score {score} clamped to [0, 1]")
-            score = min(max(score, 0.0), 1.0)
-        try:
-            boxes.append(BoundingBox(x0, y0, x1, y1, score))
-        except ConfigError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            row[4] = min(max(score, 0.0), 1.0)
+        rows.append(row)
+        linenos.append(lineno)
+    # lines before an unparsable one are checked first: file order decides
+    try:
+        dets = DetectionSet(rows, warnings=tuple(warnings))
+    except ConfigError as exc:
+        i, reason = first_invalid_row(np.array(rows, dtype=np.float64))
+        raise FormatError(f"{path}:{linenos[i]}: {reason}") from exc
+    if parse_error is not None:
+        raise parse_error
     for msg in warnings:
         log.warning("%s: %s", path, msg)
-    return DetectionSet(tuple(boxes), source=source, warnings=tuple(warnings))
+    return dets
 
 
 # -- annotations ------------------------------------------------------------

@@ -38,7 +38,7 @@ from .detect import (
 from .errors import ConfigError, DigCrowdError, FormatError
 from .metrics import EvaluationRecord, SceneEstimate, evaluate_pairs, fuse
 from .partition import PartitionResult, partition
-from .scene import GridShape, SceneConfig, SceneRecord
+from .scene import GridShape, SceneRecord
 from .spatial import apply_spatial_constraint
 from .synth import NoiseSpec, SynthSpec, generate_scene, oracle_predictions
 
@@ -81,12 +81,10 @@ class Manifest:
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Run-wide knobs; flags override scene-config values where both exist."""
+    """Run-wide knobs for the detector stages and the batch runner."""
 
     score_threshold: float = DEFAULT_SCORE_THRESHOLD
     nms_iou: float = DEFAULT_NMS_IOU
-    beta: float | None = None
-    knn_k: int | None = None
     workers: int = 1
     deterministic: bool = False
     render_debug: bool = False
@@ -94,14 +92,6 @@ class PipelineParams:
     def __post_init__(self):
         check_score_threshold(self.score_threshold)
         check_nms_iou(self.nms_iou)
-
-    def apply_overrides(self, cfg: SceneConfig) -> SceneConfig:
-        updates = {}
-        if self.beta is not None:
-            updates["beta"] = self.beta
-        if self.knn_k is not None:
-            updates["knn_k"] = self.knn_k
-        return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 @dataclass(frozen=True)
@@ -150,8 +140,12 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise TypeError("manifest must be a JSON object")
         scenes = payload["scenes"]
-    except (KeyError, json.JSONDecodeError) as exc:
+        if not isinstance(scenes, list):
+            raise TypeError(f"'scenes' must be a list, got {scenes!r}")
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad manifest: {exc}") from exc
     base = path.parent
     entries = []
@@ -170,7 +164,7 @@ def load_manifest(path) -> Manifest:
                 tensor=_resolve(base, preds.get("tensor")),
                 density=_resolve(base, preds.get("density")),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"{path}: bad scene entry: {exc}") from exc
         if scene_id in seen:
             raise FormatError(f"{path}: duplicate scene_id {scene_id!r}")
@@ -245,7 +239,7 @@ def count_scene(
     part = stages = estimate = error = None
     warnings: list[str] = []
     try:
-        cfg = params.apply_overrides(dio.read_scene_config(entry.config))
+        cfg = dio.read_scene_config(entry.config)
         # No reference to the depth map outlives the partition: malloc then
         # reuses its pages for the density read instead of faulting in new ones.
         part = partition(dio.read_depth(entry.depth), cfg)
@@ -371,8 +365,6 @@ def write_report(report: RunReport, out_dir: Path) -> None:
         "config": {
             "score_threshold": report.params.score_threshold,
             "nms_iou": report.params.nms_iou,
-            "beta": report.params.beta,
-            "knn_k": report.params.knn_k,
             "workers": report.params.workers,
             "deterministic": report.params.deterministic,
         },
@@ -446,16 +438,18 @@ def bench_generate(
     out_dir = Path(out_dir)
     try:
         payload = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as exc:
+        if not isinstance(payload, dict):
+            raise TypeError("benchmark spec must be a JSON object")
+        defaults = dict(payload.get("defaults", {}))
+        noise = NoiseSpec(**payload.get("noise", {}))
+        if "scenes" in payload:
+            scene_specs = [dict(overrides) for overrides in payload["scenes"]]
+        else:
+            count = int(payload.get("count", 10))
+            start = int(payload.get("seed_start", 0))
+            scene_specs = [{"seed": start + i} for i in range(count)]
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise FormatError(f"{spec_path}: bad benchmark spec: {exc}") from exc
-    defaults = payload.get("defaults", {})
-    noise = NoiseSpec(**payload.get("noise", {}))
-    if "scenes" in payload:
-        scene_specs = payload["scenes"]
-    else:
-        count = int(payload.get("count", 10))
-        start = int(payload.get("seed_start", 0))
-        scene_specs = [{"seed": start + i} for i in range(count)]
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -465,7 +459,6 @@ def bench_generate(
     entries = []
     errors: list[str] = []
     for i, overrides in enumerate(scene_specs):
-        overrides = dict(overrides)
         scene_id = str(overrides.pop("scene_id", f"scene-{i:04d}"))
         try:
             spec = _spec_from_dict(defaults, overrides)

@@ -1,4 +1,4 @@
-"""Core scene types: grids, depth maps, head points, boxes, polylines, masks.
+"""Core scene types: grids, depth maps, head points, polylines, masks.
 
 Coordinate convention: image coordinates, x to the right, y increasing
 downward. The far-view region sits at the top of the frame, so a pixel is
@@ -8,7 +8,6 @@ centers: pixel (ix, iy) is tested at (ix + 0.5, iy + 0.5).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -23,7 +22,6 @@ __all__ = [
     "GridShape",
     "DepthMap",
     "HeadPoint",
-    "BoundingBox",
     "PolySegment",
     "Polyline",
     "RegionMask",
@@ -74,13 +72,11 @@ class DepthMap:
     """Per-pixel relative depth in [0, 1]; 0 = nearest, 1 = farthest.
 
     Depth is consumed, never estimated: it arrives from files or the
-    synthetic generator. ``metric_scale`` optionally records meters per
-    depth unit and plays no role in any computation.
+    synthetic generator.
     """
 
     shape: GridShape
     values: np.ndarray
-    metric_scale: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -111,41 +107,6 @@ def as_xy_array(heads: Iterable[HeadPoint] | np.ndarray) -> np.ndarray:
             raise ConfigError(f"head array must be (N, 2), got {arr.shape}")
         return arr.reshape(-1, 2)
     return np.array([(h.x, h.y) for h in heads], dtype=np.float64).reshape(-1, 2)
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned detection box with a confidence score in [0, 1]."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-    score: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x_min, self.y_min, self.x_max, self.y_max)):
-            raise ConfigError(
-                f"non-finite box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
-            )
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ConfigError(
-                f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
-            )
-        if not (0.0 <= self.score <= 1.0):
-            raise ConfigError(f"box score {self.score} outside [0, 1]")
-
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
 
 @dataclass(frozen=True)
@@ -346,7 +307,6 @@ class SceneRecord:
     depth: DepthMap
     heads: tuple[HeadPoint, ...] = ()
     ground_truth_count: float = 0.0
-    external_predictions: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "heads", tuple(self.heads))

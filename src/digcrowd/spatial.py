@@ -12,19 +12,11 @@ import logging
 from dataclasses import dataclass
 
 from .detect import DetectionSet
-from .errors import PolylineDomainError
-from .scene import BoundingBox, Polyline
+from .scene import Polyline
 
-__all__ = ["DeletedBox", "FilterReport", "box_center", "apply_spatial_constraint"]
+__all__ = ["FilterReport", "apply_spatial_constraint"]
 
 log = logging.getLogger("digcrowd.spatial")
-
-
-@dataclass(frozen=True)
-class DeletedBox:
-    box: BoundingBox
-    center: tuple[float, float]
-    segment_index: int
 
 
 @dataclass(frozen=True)
@@ -32,13 +24,9 @@ class FilterReport:
     """Kept/deleted split of one scene's detections."""
 
     kept: DetectionSet
-    deleted: tuple[DeletedBox, ...]
+    deleted: DetectionSet
     scene_id: str = ""
     warnings: tuple[str, ...] = ()
-
-
-def box_center(b: BoundingBox) -> tuple[float, float]:
-    return ((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
 
 
 def apply_spatial_constraint(
@@ -48,31 +36,24 @@ def apply_spatial_constraint(
 
     Centers outside the polyline's x-domain are kept and flagged rather
     than deleted: dropping a detection on missing information would
-    undercount.
+    undercount. Kept and deleted rows keep their input order.
     """
-    kept: list[BoundingBox] = []
-    deleted: list[DeletedBox] = []
-    warnings: list[str] = []
-    for box in dets.boxes:
-        xc, yc = box_center(box)
-        try:
-            seg = p.segment_index(xc)
-        except PolylineDomainError:
-            warnings.append(
-                f"box center x={xc:.2f} outside polyline domain; box kept"
-            )
-            kept.append(box)
-            continue
-        line_y = p.segments[seg].k * xc + p.segments[seg].b
-        if yc < line_y:
-            deleted.append(DeletedBox(box, (xc, yc), seg))
-        else:
-            kept.append(box)
+    rows = dets.rows
+    xc = (rows[:, 0] + rows[:, 2]) / 2.0
+    yc = (rows[:, 1] + rows[:, 3]) / 2.0
+    lo, hi = p.domain
+    inside = (xc >= lo) & (xc <= hi)
+    delete = inside.copy()
+    delete[inside] = yc[inside] < p.eval_array(xc[inside])
+    warnings = tuple(
+        f"box center x={x:.2f} outside polyline domain; box kept"
+        for x in xc[~inside].tolist()
+    )
     for msg in warnings:
         log.warning("spatial filter (%s): %s", scene_id or "scene", msg)
     return FilterReport(
-        kept=DetectionSet(tuple(kept), source=dets.source, warnings=dets.warnings),
-        deleted=tuple(deleted),
+        kept=DetectionSet(rows[~delete], warnings=dets.warnings),
+        deleted=DetectionSet(rows[delete]),
         scene_id=scene_id,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )

@@ -26,7 +26,6 @@ from .detect import DetectionSet
 from .errors import ConfigError, SynthError
 from .partition import PartitionResult
 from .scene import (
-    BoundingBox,
     DepthMap,
     GridShape,
     HeadPoint,
@@ -239,7 +238,7 @@ def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
 
 def _oracle_box(
     x: float, y: float, size: float, width: int, height: int, score: float
-) -> BoundingBox | None:
+) -> tuple[float, float, float, float, float] | None:
     half = size / 2.0
     x_min = max(0.0, x - half)
     y_min = max(0.0, y - half)
@@ -247,7 +246,7 @@ def _oracle_box(
     y_max = min(float(height), y + half)
     if x_max <= x_min or y_max <= y_min:
         return None
-    return BoundingBox(x_min, y_min, x_max, y_max, score)
+    return (x_min, y_min, x_max, y_max, score)
 
 
 def oracle_predictions(
@@ -279,7 +278,7 @@ def oracle_predictions(
         else:
             near_heads.append(h)
 
-    boxes: list[BoundingBox] = []
+    boxes: list[tuple[float, float, float, float, float]] = []
     for h in near_heads:
         if noise.p_miss > 0.0 and rng.random() < noise.p_miss:
             continue
@@ -303,7 +302,7 @@ def oracle_predictions(
             box = _oracle_box(x, y, size, width, height, float(rng.uniform(0.25, 1.0)))
             if box is not None:
                 boxes.append(box)
-    detections = DetectionSet(tuple(boxes), source="oracle")
+    detections = DetectionSet(boxes)
 
     if far_heads:
         stats = knn_mean_distance(far_heads, rec.config.knn_k)

@@ -1,13 +1,14 @@
 """Scalar reference implementations of grid decode, IoU and greedy NMS.
 
-These are the loop versions that ``digcrowd.detect`` replaced with numpy.
-The oracle tests in ``test_detect.py`` require the library to return
-exactly what these return: the same boxes, scores and order.
+These are the loop versions that ``digcrowd.detect`` replaced with numpy,
+written over box rows ``(x_min, y_min, x_max, y_max, score)``. The oracle
+tests in ``test_detect.py`` require the library to return exactly what
+these return: the same rows, bit for bit, in the same order.
 """
 
 import numpy as np
 
-from digcrowd import BoundingBox, DetectionSet, GridPrediction, combine_confidence
+from digcrowd import DetectionSet, GridPrediction, combine_confidence
 
 
 def decode_reference(pred: GridPrediction, score_threshold: float) -> DetectionSet:
@@ -44,23 +45,25 @@ def decode_reference(pred: GridPrediction, score_threshold: float) -> DetectionS
                 y_max = min(height, cy + half_h)
                 if x_max <= x_min or y_max <= y_min:
                     continue
-                boxes.append(BoundingBox(x_min, y_min, x_max, y_max, score))
-    return DetectionSet(tuple(boxes), source="external", warnings=tuple(warnings))
+                boxes.append((x_min, y_min, x_max, y_max, score))
+    return DetectionSet(boxes, warnings=tuple(warnings))
 
 
-def iou_reference(a: BoundingBox, b: BoundingBox) -> float:
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+def iou_reference(a, b) -> float:
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[1], b[1])
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
 
 
 def nms_reference(dets: DetectionSet, iou_threshold: float) -> DetectionSet:
-    order = sorted(dets.boxes, key=lambda bb: (-bb.score, bb.x_min, bb.y_min))
+    order = sorted(dets.rows.tolist(), key=lambda bb: (-bb[4], bb[0], bb[1]))
     kept = []
     for box in order:
         if all(iou_reference(box, other) < iou_threshold for other in kept):
             kept.append(box)
-    return DetectionSet(tuple(kept), source=dets.source, warnings=dets.warnings)
+    return DetectionSet(kept, warnings=dets.warnings)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from digcrowd import (
-    BoundingBox,
     DetectionSet,
     DetectorGridSpec,
     GridPrediction,
@@ -117,12 +116,12 @@ def test_criterion_3_spatial_constraint_oracle():
         xc = float(rng.uniform(3.0, shape.width - 3.0))
         yc = float(rng.uniform(3.0, shape.height - 3.0))
         size = float(rng.uniform(2.0, 12.0))
-        box = BoundingBox(xc - size / 2, yc - size / 2, xc + size / 2, yc + size / 2, 0.8)
+        box = (xc - size / 2, yc - size / 2, xc + size / 2, yc + size / 2, 0.8)
         dets = DetectionSet((box,))
         report = apply_spatial_constraint(dets, poly)
         # idempotence on every instance
         again = apply_spatial_constraint(report.kept, poly)
-        assert again.kept.boxes == report.kept.boxes and not again.deleted
+        assert np.array_equal(again.kept.rows, report.kept.rows) and not len(again.deleted)
         assert len(report.kept) + len(report.deleted) == 1
         ix = int(np.clip(math.floor(xc), 0, shape.width - 1))
         iy = int(np.clip(math.floor(yc), 0, shape.height - 1))
@@ -156,9 +155,7 @@ def test_criterion_4_decode_golden_fixture(tmp_path):
     write_prediction_tensor(path, GridPrediction(spec, shape, vals))
     dets = decode(read_prediction_tensor(path), score_threshold=0.1)
     assert len(dets) == 5
-    got = {
-        round(b.score, 6): (b.x_min, b.y_min, b.x_max, b.y_max) for b in dets.boxes
-    }
+    got = {round(b[4], 6): tuple(b[:4]) for b in dets.rows.tolist()}
     expected = {
         0.6: (15.0, 0.0, 85.0, 120.0),
         1.0: (300.0, 300.0, 400.0, 400.0),
@@ -169,23 +166,23 @@ def test_criterion_4_decode_golden_fixture(tmp_path):
     assert set(got) == set(expected)
     for score, coords in expected.items():
         assert got[score] == pytest.approx(coords, abs=1e-3)
-    scores = sorted(b.score for b in dets.boxes)
+    scores = sorted(dets.rows[:, 4].tolist())
     for got_s, want_s in zip(scores, sorted(expected)):
         assert abs(got_s - want_s) <= 1e-6
 
     # hand-derived NMS survivor sets on overlapping triples
-    a = BoundingBox(0, 0, 10, 10, 0.9)
-    b = BoundingBox(4, 0, 14, 10, 0.8)   # iou(a,b) = 60/140 < 0.5
-    c = BoundingBox(0, 0, 10, 10, 0.7)   # iou(a,c) = 1.0
-    assert nms(DetectionSet((c, b, a)), 0.5).boxes == (a, b)
+    a = (0, 0, 10, 10, 0.9)
+    b = (4, 0, 14, 10, 0.8)   # iou(a,b) = 60/140 < 0.5
+    c = (0, 0, 10, 10, 0.7)   # iou(a,c) = 1.0
+    assert np.array_equal(nms(DetectionSet((c, b, a)), 0.5).rows, (a, b))
 
-    b2 = BoundingBox(2, 0, 12, 10, 0.8)  # iou(a,b2) = 80/120 >= 0.5 -> out
-    c2 = BoundingBox(6, 0, 16, 10, 0.7)  # iou(c2,a) = 40/160 < 0.5 -> kept
-    assert nms(DetectionSet((a, b2, c2)), 0.5).boxes == (a, c2)
+    b2 = (2, 0, 12, 10, 0.8)  # iou(a,b2) = 80/120 >= 0.5 -> out
+    c2 = (6, 0, 16, 10, 0.7)  # iou(c2,a) = 40/160 < 0.5 -> kept
+    assert np.array_equal(nms(DetectionSet((a, b2, c2)), 0.5).rows, (a, c2))
 
-    d1 = BoundingBox(0, 0, 5, 5, 0.3)
-    d2 = BoundingBox(10, 0, 15, 5, 0.9)
-    d3 = BoundingBox(0, 10, 5, 15, 0.6)
+    d1 = (0, 0, 5, 5, 0.3)
+    d2 = (10, 0, 15, 5, 0.9)
+    d3 = (0, 10, 5, 15, 0.6)
     assert len(nms(DetectionSet((d1, d2, d3)), 0.5)) == 3
     _ok(4, "decode golden fixture and NMS survivor sets")
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digcrowd import (
-    BoundingBox,
     ConfigError,
     DetectionSet,
     DetectorGridSpec,
@@ -27,6 +26,47 @@ def _set_box(vals, row, col, slot, x, y, w, h, c, class_prob=None):
     vals[row, col, slot * 5 : slot * 5 + 5] = (x, y, w, h, c)
     if class_prob is not None:
         vals[row, col, -1] = class_prob
+
+
+def _rows(dets):
+    """The rows of a detection set as a list of 5-tuples of floats."""
+    return [tuple(r) for r in dets.rows.tolist()]
+
+
+class TestDetectionSet:
+    def test_tuple_rows_become_read_only_array(self):
+        dets = DetectionSet(((1, 2, 3, 4, 0.5), (5.5, 6, 7, 8.25, 1.0)))
+        assert dets.rows.dtype == np.float64 and dets.rows.shape == (2, 5)
+        assert len(dets) == 2
+        with pytest.raises(ValueError):
+            dets.rows[0, 0] = 0.0
+
+    def test_empty(self):
+        for empty in ((), [], np.zeros((0, 5))):
+            assert DetectionSet(empty).rows.shape == (0, 5)
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 4)), np.zeros(5), np.zeros((1, 5, 1))])
+    def test_rejects_other_shapes(self, rows):
+        with pytest.raises(ConfigError, match="must be"):
+            DetectionSet(rows)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ((0, 0, float("nan"), 1, 0.5), r"non-finite box \(0\.0, 0\.0, nan, 1\.0\)"),
+            ((0, 0, 1, float("inf"), 0.5), r"non-finite box"),
+            ((1, 0, 1, 1, 0.5), r"degenerate box \(1\.0, 0\.0, 1\.0, 1\.0\)"),
+            ((0, 2, 1, 1, 0.5), r"degenerate box"),
+            ((0, 0, 1, 1, 1.5), r"box score 1\.5 outside \[0, 1\]"),
+            ((0, 0, 1, 1, -0.1), r"box score -0\.1 outside"),
+            ((0, 0, 1, 1, float("nan")), r"box score nan outside"),
+            ((float("nan"), 0, 0, 1, 2.0), r"non-finite box"),  # first rule wins
+        ],
+    )
+    def test_names_first_bad_row(self, bad, reason):
+        good = (0, 0, 1, 1, 0.5)
+        with pytest.raises(ConfigError, match=r"^row 2: " + reason):
+            DetectionSet((good, good, bad, bad))
 
 
 class TestCombineConfidence:
@@ -55,11 +95,11 @@ class TestDecode:
         pred = GridPrediction(DetectorGridSpec(), GridShape(700, 700), vals)
         dets = decode(pred, 0.2)
         assert len(dets) == 1
-        b = dets.boxes[0]
-        assert (b.x_min, b.y_min, b.x_max, b.y_max) == pytest.approx(
+        x_min, y_min, x_max, y_max, score = _rows(dets)[0]
+        assert (x_min, y_min, x_max, y_max) == pytest.approx(
             (300.0, 300.0, 400.0, 400.0), abs=1e-9
         )
-        assert b.score == 1.0
+        assert score == 1.0
 
     def test_threshold_zero_emits_only_real_box(self):
         # zero cells decode to zero-extent boxes and are dropped even at
@@ -69,7 +109,7 @@ class TestDecode:
         pred = GridPrediction(DetectorGridSpec(), GridShape(700, 700), vals)
         dets = decode(pred, 0.0)
         assert len(dets) == 1
-        assert dets.boxes[0].score == pytest.approx(0.1)
+        assert dets.rows[0, 4] == pytest.approx(0.1)
 
     def test_emits_at_most_ssb_and_scores_above_threshold(self):
         rng = np.random.default_rng(0)
@@ -79,7 +119,7 @@ class TestDecode:
         )
         dets = decode(pred, 0.3)
         assert len(dets) <= spec.s * spec.s * spec.b
-        assert all(b.score >= 0.3 for b in dets.boxes)
+        assert all(b[4] >= 0.3 for b in _rows(dets))
 
     def test_out_of_range_values_clamped_with_warning(self):
         vals = _empty_tensor()
@@ -87,7 +127,7 @@ class TestDecode:
         pred = GridPrediction(DetectorGridSpec(), GridShape(700, 700), vals)
         dets = decode(pred, 0.2)
         assert dets.warnings
-        assert dets.boxes[0].score == 1.0
+        assert dets.rows[0, 4] == 1.0
 
     def test_flat_length_mismatch(self):
         with pytest.raises(FormatError):
@@ -104,9 +144,9 @@ class TestDecode:
             x, y = rng.uniform(0.05, 0.95, 2)
             _set_box(vals, row, col, 0, x, y, 0.05, 0.05, 1.0, class_prob=1.0)
         pred = GridPrediction(spec, shape, vals)
-        for b in decode(pred, 0.5).boxes:
-            cx = (b.x_min + b.x_max) / 2
-            cy = (b.y_min + b.y_max) / 2
+        for x_min, y_min, x_max, y_max, _ in _rows(decode(pred, 0.5)):
+            cx = (x_min + x_max) / 2
+            cy = (y_min + y_max) / 2
             col = int(cx * spec.s / shape.width)
             row = int(cy * spec.s / shape.height)
             x_off = cx * spec.s / shape.width - col
@@ -117,15 +157,15 @@ class TestDecode:
 
 class TestIou:
     def test_identical(self):
-        b = BoundingBox(3, 4, 10, 12, 0.5)
+        b = (3, 4, 10, 12, 0.5)
         assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(BoundingBox(0, 0, 1, 1, 0.5), BoundingBox(5, 5, 6, 6, 0.5)) == 0.0
+        assert iou((0, 0, 1, 1, 0.5), (5, 5, 6, 6, 0.5)) == 0.0
 
     def test_unit_squares_third(self):
-        a = BoundingBox(0, 0, 1, 1, 0.5)
-        b = BoundingBox(0.5, 0, 1.5, 1, 0.5)
+        a = (0, 0, 1, 1, 0.5)
+        b = (0.5, 0, 1.5, 1, 0.5)
         assert iou(a, b) == pytest.approx(1 / 3)
 
     @given(
@@ -138,8 +178,8 @@ class TestIou:
     )
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, ta, tb):
-        a = BoundingBox(ta[0], ta[1], ta[0] + ta[2], ta[1] + ta[3], 0.5)
-        b = BoundingBox(tb[0], tb[1], tb[0] + tb[2], tb[1] + tb[3], 0.5)
+        a = (ta[0], ta[1], ta[0] + ta[2], ta[1] + ta[3], 0.5)
+        b = (tb[0], tb[1], tb[0] + tb[2], tb[1] + tb[3], 0.5)
         assert iou(a, b) == iou(b, a)
         assert 0.0 <= iou(a, b) <= 1.0
 
@@ -147,48 +187,46 @@ class TestIou:
 def _boxes_strategy():
     def build(t):
         x, y, w, h, s = t
-        return BoundingBox(x, y, x + w, y + h, s)
+        return (x, y, x + w, y + h, s)
 
     one = st.tuples(
         st.floats(0, 80), st.floats(0, 80), st.floats(1, 30), st.floats(1, 30), st.floats(0, 1)
     ).map(build)
-    return st.lists(one, min_size=0, max_size=12).map(
-        lambda bs: DetectionSet(tuple(bs))
-    )
+    return st.lists(one, min_size=0, max_size=12).map(DetectionSet)
 
 
 class TestNms:
     def test_single_box_unchanged(self):
-        d = DetectionSet((BoundingBox(0, 0, 5, 5, 0.7),))
-        assert nms(d, 0.5).boxes == d.boxes
+        d = DetectionSet(((0, 0, 5, 5, 0.7),))
+        assert _rows(nms(d, 0.5)) == _rows(d)
 
     def test_duplicate_suppressed(self):
-        a = BoundingBox(0, 0, 10, 10, 0.9)
-        b = BoundingBox(0, 0, 10, 10, 0.8)
-        kept = nms(DetectionSet((b, a)), 0.5).boxes
-        assert kept == (a,)
+        a = (0, 0, 10, 10, 0.9)
+        b = (0, 0, 10, 10, 0.8)
+        kept = _rows(nms(DetectionSet((b, a)), 0.5))
+        assert kept == [a]
 
     def test_disjoint_all_kept(self):
         boxes = (
-            BoundingBox(0, 0, 5, 5, 0.3),
-            BoundingBox(10, 0, 15, 5, 0.9),
-            BoundingBox(0, 10, 5, 15, 0.6),
+            (0, 0, 5, 5, 0.3),
+            (10, 0, 15, 5, 0.9),
+            (0, 10, 5, 15, 0.6),
         )
         assert len(nms(DetectionSet(boxes), 0.5)) == 3
 
     def test_score_tie_broken_by_x_min(self):
-        a = BoundingBox(0, 0, 10, 10, 0.8)
-        b = BoundingBox(0.5, 0, 10.5, 10, 0.8)
-        assert nms(DetectionSet((b, a)), 0.5).boxes == (a,)
+        a = (0, 0, 10, 10, 0.8)
+        b = (0.5, 0, 10.5, 10, 0.8)
+        assert _rows(nms(DetectionSet((b, a)), 0.5)) == [a]
 
     @given(_boxes_strategy(), st.floats(0.1, 0.9))
     @settings(max_examples=60, deadline=None)
     def test_idempotent_subset_pairwise(self, dets, thr):
         once = nms(dets, thr)
         twice = nms(once, thr)
-        assert twice.boxes == once.boxes
-        assert set(once.boxes) <= set(dets.boxes)
-        kept = once.boxes
+        assert _rows(twice) == _rows(once)
+        assert set(_rows(once)) <= set(_rows(dets))
+        kept = _rows(once)
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert iou(kept[i], kept[j]) < thr
@@ -196,10 +234,7 @@ class TestNms:
 
 def _bits(dets):
     """Every box as the exact bit patterns of its five floats, in order."""
-    return [
-        tuple(float.hex(v) for v in (b.x_min, b.y_min, b.x_max, b.y_max, b.score))
-        for b in dets.boxes
-    ]
+    return [tuple(float.hex(v) for v in row) for row in dets.rows.tolist()]
 
 
 _TENSOR_VALUES = st.one_of(
@@ -231,17 +266,17 @@ def _box_sets(draw):
 
     def build(t):
         x, y, w, h, s = t
-        return BoundingBox(x, y, x + w, y + h, s)
+        return (x, y, x + w, y + h, s)
 
     boxes = draw(st.lists(st.tuples(coord, coord, extent, extent, score).map(build), max_size=25))
     if boxes:
         # exact duplicates and (score, x_min, y_min) ties with other extents
         for i in draw(st.lists(st.integers(0, len(boxes) - 1), max_size=5)):
             b = boxes[i]
-            boxes.append(b if draw(st.booleans()) else BoundingBox(
-                b.x_min, b.y_min, b.x_max + 1.0, b.y_max + 0.5, b.score))
+            boxes.append(b if draw(st.booleans()) else (
+                b[0], b[1], b[2] + 1.0, b[3] + 0.5, b[4]))
         boxes = draw(st.permutations(boxes))
-    return DetectionSet(tuple(boxes))
+    return DetectionSet(boxes)
 
 
 class TestReferenceOracle:
@@ -251,41 +286,40 @@ class TestReferenceOracle:
     @settings(max_examples=150, deadline=None)
     def test_decode_matches_reference(self, pred, thr):
         got, want = decode(pred, thr), decode_reference(pred, thr)
-        assert got == want
+        assert got.warnings == want.warnings
         assert _bits(got) == _bits(want)
 
     def test_decode_score_exactly_at_threshold_kept(self):
         vals = _empty_tensor()
         _set_box(vals, 2, 4, 1, 0.5, 0.5, 0.1, 0.1, 0.25, class_prob=1.0)
         pred = GridPrediction(DetectorGridSpec(), GridShape(700, 700), vals)
-        assert decode(pred, 0.25) == decode_reference(pred, 0.25)
+        assert _bits(decode(pred, 0.25)) == _bits(decode_reference(pred, 0.25))
         assert len(decode(pred, 0.25)) == 1
 
     @given(_box_sets(), st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1)))
     @settings(max_examples=200, deadline=None)
     def test_nms_matches_reference(self, dets, thr):
         got, want = nms(dets, thr), nms_reference(dets, thr)
-        assert got.boxes == want.boxes
-        assert [id(b) for b in got.boxes] == [id(b) for b in want.boxes]
+        assert _bits(got) == _bits(want)
 
     def test_full_tie_keeps_input_order(self):
-        a = BoundingBox(0, 0, 10, 10, 0.8)
-        b = BoundingBox(0, 0, 10, 9, 0.8)
-        assert nms(DetectionSet((b, a)), 0.5).boxes == (b,)
-        assert nms(DetectionSet((a, b)), 0.5).boxes == (a,)
+        a = (0, 0, 10, 10, 0.8)
+        b = (0, 0, 10, 9, 0.8)
+        assert _rows(nms(DetectionSet((b, a)), 0.5)) == [b]
+        assert _rows(nms(DetectionSet((a, b)), 0.5)) == [a]
 
     def test_iou_exactly_at_threshold_suppressed(self):
-        a = BoundingBox(0, 0, 10, 10, 0.9)
-        b = BoundingBox(0, 0, 10, 5, 0.8)
+        a = (0, 0, 10, 10, 0.9)
+        b = (0, 0, 10, 5, 0.8)
         assert iou(a, b) == iou_reference(a, b) == 0.5
-        assert nms(DetectionSet((a, b)), 0.5).boxes == (a,)
-        assert nms_reference(DetectionSet((a, b)), 0.5).boxes == (a,)
+        assert _rows(nms(DetectionSet((a, b)), 0.5)) == [a]
+        assert _rows(nms_reference(DetectionSet((a, b)), 0.5)) == [a]
 
     @given(_box_sets())
     @settings(max_examples=60, deadline=None)
     def test_iou_matches_reference(self, dets):
-        for a in dets.boxes[:6]:
-            for b in dets.boxes[:6]:
+        for a in _rows(dets)[:6]:
+            for b in _rows(dets)[:6]:
                 assert float.hex(iou(a, b)) == float.hex(iou_reference(a, b))
 
 
@@ -298,12 +332,12 @@ class TestThresholdValidation:
 
     @pytest.mark.parametrize("thr", [float("nan"), 0.0, -0.5, 1.0 + 1e-9])
     def test_nms_rejects(self, thr):
-        disjoint = DetectionSet((BoundingBox(0, 0, 1, 1, 0.5), BoundingBox(5, 5, 6, 6, 0.4)))
+        disjoint = DetectionSet(((0, 0, 1, 1, 0.5), (5, 5, 6, 6, 0.4)))
         with pytest.raises(ConfigError):
             nms(disjoint, thr)
 
     def test_bounds_accepted(self):
         pred = GridPrediction(DetectorGridSpec(), GridShape(70, 70), _empty_tensor())
         assert len(decode(pred, 0.0)) == len(decode(pred, 1.0)) == 0
-        disjoint = DetectionSet((BoundingBox(0, 0, 1, 1, 0.5), BoundingBox(5, 5, 6, 6, 0.4)))
+        disjoint = DetectionSet(((0, 0, 1, 1, 0.5), (5, 5, 6, 6, 0.4)))
         assert len(nms(disjoint, 1.0)) == 2

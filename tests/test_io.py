@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from digcrowd import (
-    BoundingBox,
     DensityField,
     DepthMap,
     DetectionSet,
@@ -61,6 +60,15 @@ class TestDepthFiles:
         path = tmp_path / "bad.digd"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            read_depth_digd(path)
+
+    def test_digd_nan_names_file(self, tmp_path):
+        import struct
+
+        path = tmp_path / "nan.digd"
+        values = np.array([0.5, np.nan, 0.25, 1.0], dtype="<f4")
+        path.write_bytes(struct.pack("<4sIII", b"DIGD", 2, 2, 0) + values.tobytes())
+        with pytest.raises(FormatError, match=r"nan\.digd: depth values must be finite"):
             read_depth_digd(path)
 
     def test_digd_truncated_payload(self, tmp_path):
@@ -137,6 +145,18 @@ class TestDensityFiles:
         back = read_density_field(path)
         assert back.values.tolist() == [[0.0, 0.5]]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_file(self, tmp_path, bad):
+        import struct
+
+        payload = struct.pack("<4sIIQ", b"DIGF", 3, 1, 0) + np.array(
+            [0.5, bad, -0.25], dtype="<f4"
+        ).tobytes()
+        path = tmp_path / "bad.digf"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError, match=r"bad\.digf: density values must be finite"):
+            read_density_field(path)
+
     def test_wrong_size(self, tmp_path):
         import struct
 
@@ -149,13 +169,13 @@ class TestDensityFiles:
 class TestDetectionText:
     def test_roundtrip_exact(self, tmp_path):
         boxes = (
-            BoundingBox(1.25, 2.5, 10.75, 12.125, 0.875),
-            BoundingBox(0.1, 0.2, 5.3, 7.4, 0.33),
+            (1.25, 2.5, 10.75, 12.125, 0.875),
+            (0.1, 0.2, 5.3, 7.4, 0.33),
         )
         path = tmp_path / "dets.txt"
         write_detections_text(path, DetectionSet(boxes))
         back = read_detections_text(path)
-        assert back.boxes == boxes
+        assert [tuple(r) for r in back.rows.tolist()] == list(boxes)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -179,11 +199,28 @@ class TestDetectionText:
         with pytest.raises(FormatError, match=r"inf\.txt:2: non-finite box"):
             read_detections_text(path)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("# c\n\n1 2 3 4 0.5\n1 2 x 4 0.5\n", r":4: could not convert"),
+            ("1 2 3 4 0.5\n1 2 3\n", r":2: expected 'x_min"),
+            ("1 2 3 4 0.5\n5 2 5 4 0.5\n1 2 3\n", r":2: degenerate box \(5\.0, 2\.0"),
+            ("1 2 3 4 0.5\n1 2 3\n5 2 5 4 0.5\n", r":2: expected 'x_min"),
+            ("1 2 3 4 0.5\n1 2 3 4 nan\n", r":2: box score nan outside"),
+        ],
+        ids=["parse", "columns", "box-before-parse", "parse-before-box", "nan-score"],
+    )
+    def test_first_bad_line_in_file_order(self, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=r"bad\.txt" + where):
+            read_detections_text(path)
+
     def test_score_clamped_with_warning(self, tmp_path):
         path = tmp_path / "hot.txt"
         path.write_text("0 0 5 5 1.7\n")
         dets = read_detections_text(path)
-        assert dets.boxes[0].score == 1.0
+        assert dets.rows[0, 4] == 1.0
         assert dets.warnings
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digcrowd import (
-    BoundingBox,
     ConfigError,
     DetectionSet,
     evaluate_pairs,
@@ -17,7 +16,7 @@ from digcrowd import (
 
 def _dets(n):
     return DetectionSet(
-        tuple(BoundingBox(i * 12.0, 0.0, i * 12.0 + 10.0, 10.0, 0.9) for i in range(n))
+        tuple((i * 12.0, 0.0, i * 12.0 + 10.0, 10.0, 0.9) for i in range(n))
     )
 
 

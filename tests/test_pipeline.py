@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -153,8 +155,15 @@ class TestRunDataset:
             ("annotations", b'{"heads": [], "count": "nan"}'),
             ("annotations", b'{"heads": [], "count": -5}'),
             ("config", None),  # knn_k 2.5
+            ("density", struct.pack("<4sIIQ", b"DIGF", 320, 240, 0)
+             + np.full(320 * 240, np.nan, dtype="<f4").tobytes()),
+            ("density", struct.pack("<4sIIQ", b"DIGF", 320, 240, 0)
+             + np.full(320 * 240, np.inf, dtype="<f4").tobytes()),
+            ("depth", struct.pack("<4sIII", b"DIGD", 320, 240, 0)
+             + np.full(320 * 240, np.nan, dtype="<f4").tobytes()),
         ],
-        ids=["pgm-header", "config-list", "nan-count", "negative-count", "fractional-knn-k"],
+        ids=["pgm-header", "config-list", "nan-count", "negative-count", "fractional-knn-k",
+             "density-nan", "density-inf", "depth-nan"],
     )
     def test_input_defect_fails_only_its_scene(self, bench_dir, tmp_path, victim, content):
         out, manifest_path = bench_dir
@@ -421,27 +430,38 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "h.pgm").read_bytes().startswith(b"P5")
 
-    def test_beta_flag_overrides_config(self, tmp_path, capsys):
-        spec = _write_spec(tmp_path / "spec.json", count=1)
-        out = tmp_path / "bench"
-        cli_main(["bench-gen", "--spec", str(spec), "--out-dir", str(out)])
-        rc = cli_main(
-            [
-                "evaluate",
-                "--manifest",
-                str(out / "manifest.json"),
-                "--out-dir",
-                str(tmp_path / "r"),
-                "--beta",
-                "0.5",
-                "--knn-k",
-                "4",
-            ]
-        )
-        assert rc == 0
-        payload = json.loads((tmp_path / "r" / "report.json").read_text())
-        assert payload["config"]["beta"] == 0.5
-        assert payload["config"]["knn_k"] == 4
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("manifest", [{"scene_id": "a"}]),
+            ("manifest", {"scenes": [
+                {"scene_id": "a", "depth": "d", "config": "c", "predictions": "x"}]}),
+            ("manifest", {"scenes": None}),
+            ("spec", [{"count": 1}]),
+            ("spec", {"noise": {"p_mis": 0.1}}),
+            ("spec", {"count": "x"}),
+        ],
+        ids=["manifest-list", "manifest-predictions-str", "manifest-scenes-null",
+             "spec-list", "spec-noise-key", "spec-count-str"],
+    )
+    def test_malformed_json_is_a_format_error(self, tmp_path, capsys, kind, payload):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(payload))
+        if kind == "manifest":
+            def call():
+                return load_manifest(path)
+            argv = ["evaluate", "--manifest", str(path), "--out-dir", str(tmp_path / "r")]
+        else:
+            def call():
+                return bench_generate(path, tmp_path / "out")
+            argv = ["bench-gen", "--spec", str(path), "--out-dir", str(tmp_path / "out")]
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            call()
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: bad ")
 
     def test_numpy_fallback_subprocess(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json", count=1, n_people=25)

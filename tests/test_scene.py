@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from digcrowd import (
-    BoundingBox,
     ConfigError,
     DepthMap,
+    DetectionSet,
     GridShape,
     HeadPoint,
     Polyline,
@@ -146,14 +146,14 @@ class TestTypes:
 
     def test_bounding_box_validation(self):
         with pytest.raises(ConfigError):
-            BoundingBox(5, 0, 5, 10, 0.5)
+            DetectionSet(((5, 0, 5, 10, 0.5),))
         with pytest.raises(ConfigError):
-            BoundingBox(0, 0, 5, 10, 1.5)
+            DetectionSet(((0, 0, 5, 10, 1.5),))
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ConfigError):
-                BoundingBox(0, 0, bad, 10, 0.5)
+                DetectionSet(((0, 0, bad, 10, 0.5),))
             with pytest.raises(ConfigError):
-                BoundingBox(bad, 0, 5, 10, 0.5)
+                DetectionSet(((bad, 0, 5, 10, 0.5),))
 
     def test_scene_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,31 +1,20 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from spatial_reference import apply_spatial_constraint_reference
 
 from digcrowd import (
-    BoundingBox,
     DetectionSet,
     GridShape,
     Polyline,
     apply_spatial_constraint,
-    box_center,
     mask_from_polyline,
 )
 
 
 def _box_at(xc, yc, size=10.0, score=0.8):
     h = size / 2
-    return BoundingBox(xc - h, yc - h, xc + h, yc + h, score)
-
-
-class TestBoxCenter:
-    def test_symmetric(self):
-        assert box_center(BoundingBox(0, 0, 10, 10, 0.5)) == (5.0, 5.0)
-
-    def test_hand_arithmetic(self):
-        assert box_center(BoundingBox(2, 4, 6, 8, 0.5)) == (4.0, 6.0)
-
-    def test_algebraic_identity(self):
-        a, b, w, h = 13.0, 7.0, 9.0, 5.0
-        assert box_center(BoundingBox(a, b, a + w, b + h, 0.5)) == (a + w / 2, b + h / 2)
+    return (xc - h, yc - h, xc + h, yc + h, score)
 
 
 class TestApplySpatialConstraint:
@@ -34,19 +23,18 @@ class TestApplySpatialConstraint:
         rep = apply_spatial_constraint(DetectionSet((_box_at(50, 65),)), p)
         assert len(rep.kept) == 0
         assert len(rep.deleted) == 1
-        assert rep.deleted[0].center == (50.0, 65.0)
-        assert rep.deleted[0].segment_index == 0
+        assert rep.deleted.rows.tolist() == [list(_box_at(50, 65))]
 
     def test_center_on_line_kept(self):
         p = Polyline.constant(100.0, x_end=200.0)
         rep = apply_spatial_constraint(DetectionSet((_box_at(50, 100),)), p)
         assert len(rep.kept) == 1
-        assert not rep.deleted
+        assert not len(rep.deleted)
 
     def test_empty_set(self):
         p = Polyline.constant(100.0, x_end=200.0)
         rep = apply_spatial_constraint(DetectionSet(()), p)
-        assert not rep.kept.boxes and not rep.deleted
+        assert not len(rep.kept) and not len(rep.deleted)
 
     def test_out_of_domain_kept_and_flagged(self):
         p = Polyline.constant(50.0, x_end=100.0)
@@ -66,8 +54,8 @@ class TestApplySpatialConstraint:
         rep = apply_spatial_constraint(dets, p, scene_id="prop")
         assert len(rep.kept) + len(rep.deleted) == len(dets)
         again = apply_spatial_constraint(rep.kept, p, scene_id="prop")
-        assert again.kept.boxes == rep.kept.boxes
-        assert not again.deleted
+        assert np.array_equal(again.kept.rows, rep.kept.rows)
+        assert not len(again.deleted)
 
     def test_matches_mask_oracle_away_from_line(self):
         # rasterized-region oracle: the label of the sample point nearest
@@ -97,3 +85,78 @@ class TestApplySpatialConstraint:
             deleted = len(rep.deleted) == 1
             assert deleted == bool(mask.far[iy, ix])
         assert checked > 100
+
+
+def _bits(dets):
+    """Every row as the exact bit patterns of its five floats, in order."""
+    return [tuple(float.hex(v) for v in row) for row in dets.rows.tolist()]
+
+
+@st.composite
+def _scenes(draw):
+    """A multi-segment line plus boxes centered on, near and off it.
+
+    Knots are integers and line values stay inside [128, 256), so a box
+    spanning +-0.5 around a knot and a line value has exactly that center:
+    centers land on the line, on knots and on both domain ends.
+    """
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.integers(1, 80), min_size=n - 1, max_size=n - 1))
+    xs = np.cumsum([draw(st.integers(-40, 40))] + steps).astype(np.float64)
+    ys = draw(st.lists(st.floats(130.0, 250.0), min_size=n, max_size=n))
+    p = Polyline.from_points(xs, ys)
+    lo, hi = p.domain
+
+    on_grid = st.one_of(st.sampled_from(xs.tolist()), st.integers(int(lo), int(hi)).map(float))
+    outside = st.one_of(
+        st.floats(lo - 60.0, lo, exclude_max=True), st.floats(hi, hi + 60.0, exclude_min=True)
+    )
+    center_x = st.one_of(on_grid, st.floats(lo, hi), outside)
+    rows = []
+    for kind, xc, dy in draw(
+        st.lists(
+            st.tuples(st.sampled_from(["on", "near", "free"]), center_x, st.floats(-3.0, 3.0)),
+            max_size=20,
+        )
+    ):
+        if lo <= xc <= hi and kind != "free":
+            yc = p.eval(xc) + (dy if kind == "near" else 0.0)
+        else:
+            yc = draw(st.floats(100.0, 280.0))
+        rows.append((xc - 0.5, yc - 0.5, xc + 0.5, yc + 0.5, draw(st.floats(0.0, 1.0))))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+            rows.append(rows[i])
+        rows = draw(st.permutations(rows))
+    return DetectionSet(rows, warnings=("upstream",)), p
+
+
+class TestReferenceOracle:
+    """The vectorized spatial filter against the per-box loop it replaced."""
+
+    @given(_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, scene):
+        dets, p = scene
+        got = apply_spatial_constraint(dets, p, scene_id="s")
+        want = apply_spatial_constraint_reference(dets, p, scene_id="s")
+        assert _bits(got.kept) == _bits(want.kept)
+        assert _bits(got.deleted) == _bits(want.deleted)
+        assert got.warnings == want.warnings
+        assert got.kept.warnings == want.kept.warnings == ("upstream",)
+        assert got.scene_id == want.scene_id
+
+    def test_knot_rounding_follows_segment_index(self):
+        # at an interior knot the two segments meeting there can round to
+        # different y; the filter must use the segment segment_index picks
+        p = Polyline.from_points([0.0, 3.0, 10.0], [130.1, 233.9, 160.4])
+        left = p.segments[0].k * 3.0 + p.segments[0].b
+        right = p.segments[1].k * 3.0 + p.segments[1].b
+        assert left != right
+        for yc in (left, right):
+            dets = DetectionSet(((2.5, yc - 0.5, 3.5, yc + 0.5, 0.5),))
+            got = apply_spatial_constraint(dets, p)
+            want = apply_spatial_constraint_reference(dets, p)
+            assert _bits(got.deleted) == _bits(want.deleted)
+        assert len(apply_spatial_constraint(
+            DetectionSet(((2.5, right - 0.5, 3.5, right + 0.5, 0.5),)), p).deleted) == 0
