@@ -37,7 +37,6 @@ from .errors import (
 )
 from .metrics import EvaluationRecord, SceneEstimate, evaluate_pairs, fuse, mae, mse
 from .partition import (
-    ClusterFeature,
     ClusterState,
     PartitionResult,
     classify_clusters,

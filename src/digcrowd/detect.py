@@ -36,6 +36,7 @@ log = logging.getLogger("digcrowd.detect")
 
 DEFAULT_SCORE_THRESHOLD = 0.2
 DEFAULT_NMS_IOU = 0.5
+NMS_BLOCK = 64  # ranked candidates per IoU block of nms
 
 
 @dataclass(frozen=True)
@@ -204,25 +205,31 @@ def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOL
     return DetectionSet(rows, warnings=tuple(warnings))
 
 
-def _iou_one_to_many(box: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """IoU of one box row against each row of ``others``; 0 where disjoint.
+def _box_columns(rows: np.ndarray) -> np.ndarray:
+    """(5, N) columns ``x0, y0, x1, y1, area`` of (N, >=4) box rows."""
+    x0, y0, x1, y1 = rows[:, :4].T
+    return np.stack([x0, y0, x1, y1, (x1 - x0) * (y1 - y0)])
 
-    Computes inter / (area_a + area_b - inter). Clamping a negative or zero
-    overlap extent to 0 makes the IoU of disjoint boxes exactly 0.
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every box of ``a`` against every box of ``b``; 0 where disjoint.
+
+    Both are ``_box_columns`` arrays; the result is (len(a), len(b)) of
+    inter / (area_a + area_b - inter). Clamping a negative or zero overlap
+    extent to 0 makes the IoU of disjoint boxes exactly 0.
     """
-    x0, y0, x1, y1 = box[:4].tolist()
-    ix = np.maximum(np.minimum(x1, others[:, 2]) - np.maximum(x0, others[:, 0]), 0.0)
-    iy = np.maximum(np.minimum(y1, others[:, 3]) - np.maximum(y0, others[:, 1]), 0.0)
+    x0, y0, x1, y1, area = a[:, :, None]
+    ix = np.maximum(np.minimum(x1, b[2]) - np.maximum(x0, b[0]), 0.0)
+    iy = np.maximum(np.minimum(y1, b[3]) - np.maximum(y0, b[1]), 0.0)
     inter = ix * iy
-    area_b = (others[:, 2] - others[:, 0]) * (others[:, 3] - others[:, 1])
-    return inter / ((x1 - x0) * (y1 - y0) + area_b - inter)
+    return inter / (area + b[4] - inter)
 
 
 def iou(a, b) -> float:
     """Intersection area over union area of two box rows; 0 when disjoint."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(_iou_one_to_many(a, b[None, :])[0])
+    a = _box_columns(np.asarray(a, dtype=np.float64)[None, :])
+    b = _box_columns(np.asarray(b, dtype=np.float64)[None, :])
+    return float(_iou_matrix(a, b)[0, 0])
 
 
 def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> DetectionSet:
@@ -231,17 +238,27 @@ def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> Detection
     Candidates are visited by descending score, ties broken by smaller
     x_min then y_min so repeated runs produce identical counts; boxes tied
     on all three keep their input order. Each kept box removes every later
-    candidate it overlaps at IoU >= threshold, so the work is O(n * kept)
-    and memory O(n).
+    candidate it overlaps at IoU >= threshold (a NaN IoU suppresses too).
+
+    The ranked candidates are swept in blocks of ``NMS_BLOCK``: one IoU
+    matrix per block, from its live candidates to every live candidate
+    from the block start on, then one Python step per candidate of the
+    block. The work is n / NMS_BLOCK vectorized rounds of O(NMS_BLOCK * n),
+    O(n^2) element operations in all, and extra memory is O(NMS_BLOCK * n).
     """
     check_nms_iou(iou_threshold)
     arr = dets.rows
     order = np.lexsort((arr[:, 1], arr[:, 0], -arr[:, 4]))
-    ranked = arr[order]
-    kept: list[int] = []
-    remaining = np.arange(len(order))
-    while remaining.size:
-        first, rest = remaining[0], remaining[1:]
-        kept.append(int(order[first]))
-        remaining = rest[_iou_one_to_many(ranked[first], ranked[rest]) < iou_threshold]
-    return DetectionSet(arr[np.array(kept, dtype=np.intp)], warnings=dets.warnings)
+    cols = _box_columns(arr[order])
+    alive = np.ones(len(order), dtype=bool)
+    for start in range(0, len(order), NMS_BLOCK):
+        sources = np.flatnonzero(alive[start : start + NMS_BLOCK]) + start
+        if not sources.size:
+            continue
+        targets = np.flatnonzero(alive[start:]) + start
+        hit = ~(_iou_matrix(cols[:, sources], cols[:, targets]) < iou_threshold)
+        hit &= targets > sources[:, None]
+        for row, source in enumerate(sources.tolist()):
+            if alive[source]:
+                alive[targets[hit[row]]] = False
+    return DetectionSet(arr[order[alive]], warnings=dets.warnings)

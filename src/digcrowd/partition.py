@@ -21,7 +21,6 @@ from .errors import ConfigError, DigCrowdError, PartitionError
 from .scene import DepthMap, GridShape, Polyline, RegionMask, SceneConfig, mask_from_polyline
 
 __all__ = [
-    "ClusterFeature",
     "ClusterState",
     "ClusterLabels",
     "PartitionResult",
@@ -33,15 +32,6 @@ __all__ = [
 
 CENTER_RESIDUAL_TOL = 1e-4
 DISTANCE_BLOCK = 1 << 15  # pixels per block of _current_distance
-
-
-@dataclass(frozen=True)
-class ClusterFeature:
-    """Cluster center: depth value plus spatial position in pixels."""
-
-    feature: float
-    px: float
-    py: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +57,6 @@ class ClusterState:
     @property
     def cluster_count(self) -> int:
         return int(self.feature.shape[0])
-
-    @property
-    def centers(self) -> tuple[ClusterFeature, ...]:
-        return tuple(
-            ClusterFeature(float(f), float(x), float(y))
-            for f, x, y in zip(self.feature, self.px, self.py)
-        )
 
 
 class ClusterLabels(NamedTuple):

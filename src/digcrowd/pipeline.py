@@ -400,24 +400,20 @@ def write_report(report: RunReport, out_dir: Path) -> None:
 # -- benchmark generation ----------------------------------------------------
 
 def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
+    """One scene's ``SynthSpec``; a field of the wrong type is a ``ConfigError``."""
     merged = dict(defaults)
     merged.update(overrides)
     shape = merged.pop("shape", None)
-    kwargs = {}
-    if shape is not None:
-        kwargs["shape"] = GridShape(int(shape[0]), int(shape[1]))
-    for key in (
-        "n_people",
-        "horizon_y",
-        "near_head_size",
-        "far_head_size",
-        "clustering_intensity",
-        "seed",
-        "exclusion_margin",
-    ):
-        if key in merged:
-            kwargs[key] = merged[key]
-    return SynthSpec(**kwargs)
+    keys = ("n_people", "horizon_y", "near_head_size", "far_head_size",
+            "clustering_intensity", "seed", "exclusion_margin")
+    kwargs = {key: merged[key] for key in keys if key in merged}
+    try:
+        if shape is not None:
+            width, height = shape
+            kwargs["shape"] = GridShape(int(width), int(height))
+        return SynthSpec(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scene spec: {exc}") from exc
 
 
 def bench_generate(

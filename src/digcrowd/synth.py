@@ -74,6 +74,8 @@ class SynthSpec:
             raise ConfigError("clustering_intensity must be >= 0")
         if self.exclusion_margin < 0.0:
             raise ConfigError("exclusion_margin must be >= 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
-"""Scalar reference implementations of grid decode, IoU and greedy NMS.
+"""Reference implementations of grid decode, IoU and greedy NMS.
 
-These are the loop versions that ``digcrowd.detect`` replaced with numpy,
-written over box rows ``(x_min, y_min, x_max, y_max, score)``. The oracle
-tests in ``test_detect.py`` require the library to return exactly what
-these return: the same rows, bit for bit, in the same order.
+The scalar versions are the loops that ``digcrowd.detect`` replaced with
+numpy, written over box rows ``(x_min, y_min, x_max, y_max, score)``.
+``nms_loop_reference`` is the per-kept-box numpy loop that the rank-blocked
+``detect.nms`` replaced. The oracle tests in ``test_detect.py`` require the
+library to return exactly what these return: the same rows, bit for bit,
+in the same order.
 """
 
 import numpy as np
 
 from digcrowd import DetectionSet, GridPrediction, combine_confidence
+from digcrowd.detect import check_nms_iou
 
 
 def decode_reference(pred: GridPrediction, score_threshold: float) -> DetectionSet:
@@ -67,3 +70,39 @@ def nms_reference(dets: DetectionSet, iou_threshold: float) -> DetectionSet:
         if all(iou_reference(box, other) < iou_threshold for other in kept):
             kept.append(box)
     return DetectionSet(kept, warnings=dets.warnings)
+
+
+def _iou_one_to_many(box: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """IoU of one box row against each row of ``others``; 0 where disjoint.
+
+    Computes inter / (area_a + area_b - inter). Clamping a negative or zero
+    overlap extent to 0 makes the IoU of disjoint boxes exactly 0.
+    """
+    x0, y0, x1, y1 = box[:4].tolist()
+    ix = np.maximum(np.minimum(x1, others[:, 2]) - np.maximum(x0, others[:, 0]), 0.0)
+    iy = np.maximum(np.minimum(y1, others[:, 3]) - np.maximum(y0, others[:, 1]), 0.0)
+    inter = ix * iy
+    area_b = (others[:, 2] - others[:, 0]) * (others[:, 3] - others[:, 1])
+    return inter / ((x1 - x0) * (y1 - y0) + area_b - inter)
+
+
+def nms_loop_reference(dets: DetectionSet, iou_threshold: float) -> DetectionSet:
+    """Greedy suppression: keep a box iff it overlaps no kept box >= threshold.
+
+    Candidates are visited by descending score, ties broken by smaller
+    x_min then y_min so repeated runs produce identical counts; boxes tied
+    on all three keep their input order. Each kept box removes every later
+    candidate it overlaps at IoU >= threshold, so the work is O(n * kept)
+    and memory O(n).
+    """
+    check_nms_iou(iou_threshold)
+    arr = dets.rows
+    order = np.lexsort((arr[:, 1], arr[:, 0], -arr[:, 4]))
+    ranked = arr[order]
+    kept: list[int] = []
+    remaining = np.arange(len(order))
+    while remaining.size:
+        first, rest = remaining[0], remaining[1:]
+        kept.append(int(order[first]))
+        remaining = rest[_iou_one_to_many(ranked[first], ranked[rest]) < iou_threshold]
+    return DetectionSet(arr[np.array(kept, dtype=np.intp)], warnings=dets.warnings)

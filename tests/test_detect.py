@@ -1,6 +1,9 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
-from detect_reference import decode_reference, iou_reference, nms_reference
+from detect_reference import decode_reference, iou_reference, nms_loop_reference, nms_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from digcrowd import (
     iou,
     nms,
 )
+from digcrowd.detect import NMS_BLOCK
 
 
 def _empty_tensor(spec=DetectorGridSpec()):
@@ -321,6 +325,118 @@ class TestReferenceOracle:
         for a in _rows(dets)[:6]:
             for b in _rows(dets)[:6]:
                 assert float.hex(iou(a, b)) == float.hex(iou_reference(a, b))
+
+
+def _clustered_rows(rng, n, *, ties=False):
+    """``n`` boxes on a 1080 x 720 frame in jittered duplicate clusters, near_tensor style.
+
+    Each cluster has a source box and up to three copies shifted by up to
+    a tenth of its size with lower scores. With ``ties`` every coordinate
+    is rounded to a whole pixel and scores come from three levels, so full
+    (score, x_min, y_min) ties and touching edges are common.
+    """
+    width, height = 1080.0, 720.0
+    rows = []
+    while len(rows) < n:
+        size = rng.uniform(8.0, 60.0)
+        x0, y0 = rng.uniform(0.0, width - size), rng.uniform(0.0, height - size)
+        score = rng.uniform(0.5, 1.0)
+        for _ in range(min(int(rng.integers(1, 5)), n - len(rows))):
+            dx, dy = rng.uniform(-0.1, 0.1, 2) * size
+            box = np.array([x0 + dx, y0 + dy, x0 + dx + size, y0 + dy + size])
+            if ties:
+                box = np.round(box)
+            rows.append((*np.clip(box, 0.0, [width, height, width, height]), score))
+            score = rng.choice([0.5, 0.75, 1.0]) if ties else score * rng.uniform(0.5, 1.0)
+    return np.array(rows)[rng.permutation(n)]
+
+
+def _assert_matches_both_oracles(dets, thr):
+    got = _bits(nms(dets, thr))
+    assert got == _bits(nms_loop_reference(dets, thr))
+    assert got == _bits(nms_reference(dets, thr))
+
+
+class TestRankBlockedNms:
+    """The blocked sweep against the per-kept-box loop and the scalar loop."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.booleans(),
+        st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 1)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_clustered_sets_cross_blocks(self, seed, n, ties, thr):
+        rows = _clustered_rows(np.random.default_rng(seed), n, ties=ties)
+        _assert_matches_both_oracles(DetectionSet(rows), thr)
+
+    @pytest.mark.parametrize("n", [NMS_BLOCK - 1, NMS_BLOCK, NMS_BLOCK + 1,
+                                   2 * NMS_BLOCK, 2 * NMS_BLOCK + 1])
+    @pytest.mark.parametrize("thr", [0.5, 1.0])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_block_edge_sizes(self, n, thr, ties):
+        for seed in range(3):
+            rows = _clustered_rows(np.random.default_rng(seed), n, ties=ties)
+            _assert_matches_both_oracles(DetectionSet(rows), thr)
+
+    @pytest.mark.parametrize("thr", [0.5, 1.0])
+    def test_full_ties_across_blocks(self, thr):
+        # one (score, x_min, y_min) for all; extents differ, so input order decides
+        rng = np.random.default_rng(7)
+        ext = rng.integers(1, 4, size=(2 * NMS_BLOCK + 3, 2)).astype(float)
+        rows = np.column_stack([np.full(len(ext), 5.0), np.full(len(ext), 5.0),
+                                5.0 + ext[:, 0], 5.0 + ext[:, 1], np.full(len(ext), 0.5)])
+        _assert_matches_both_oracles(DetectionSet(rows), thr)
+
+    @pytest.mark.parametrize("thr", [0.5, 1.0])
+    def test_touching_boxes_all_kept(self, thr):
+        # a 12 x 12 grid of unit cells sharing edges: ix or iy is exactly 0
+        xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0))
+        rows = np.column_stack([xs.ravel(), ys.ravel(), xs.ravel() + 1, ys.ravel() + 1,
+                                np.linspace(0.1, 0.9, xs.size)])
+        dets = DetectionSet(rows[::-1])
+        _assert_matches_both_oracles(dets, thr)
+        assert len(nms(dets, thr)) == len(rows)
+
+    def test_threshold_one_drops_only_exact_duplicates(self):
+        rows = _clustered_rows(np.random.default_rng(3), 150)
+        dets = DetectionSet(np.concatenate([rows, rows[:40]]))
+        _assert_matches_both_oracles(dets, 1.0)
+        assert len(nms(dets, 1.0)) == len(rows)
+
+
+_MAX_CANDIDATES = 32 * 32 * 4  # every slot of an S=32, B=4 tensor
+
+
+def _identical_boxes():
+    return np.tile([100.0, 100.0, 140.0, 150.0, 0.8], (_MAX_CANDIDATES, 1))
+
+
+def _thin_full_width_boxes():
+    rng = np.random.default_rng(11)
+    y0 = np.sort(rng.uniform(0.0, 700.0, _MAX_CANDIDATES))
+    return np.column_stack([np.zeros_like(y0), y0, np.full_like(y0, 1080.0), y0 + 1.0,
+                            rng.uniform(0.2, 1.0, y0.size)])
+
+
+@pytest.mark.parametrize("make", [_identical_boxes, _thin_full_width_boxes],
+                         ids=["identical", "thin-full-width"])
+def test_nms_bounded_cost_at_most_candidates(make):
+    """No O(n^2) memory: the largest decodable set stays under 16 MB and 1 s."""
+    dets = DetectionSet(make())
+    want = _bits(nms_loop_reference(dets, 0.5))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        got = nms(dets, 0.5)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _bits(got) == want
+    assert peak < 16 * 2**20
+    assert elapsed < 1.0
 
 
 class TestThresholdValidation:

@@ -96,6 +96,31 @@ class TestBenchGenerate:
         manifest = load_manifest(manifest_path)
         assert [e.scene_id for e in manifest.entries] == ["ok"]
 
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ({"scenes": [{"seed": 1, "n_people": "x"}]}, "'<' not supported"),
+            ({"defaults": {"shape": "ab"}, "count": 1}, "invalid literal for int()"),
+            ({"defaults": {"shape": []}, "count": 1}, "not enough values to unpack"),
+            ({"scenes": [{"seed": "x"}]}, "seed must be an integer >= 0, got 'x'"),
+            ({"scenes": [{"seed": 1.5}]}, "seed must be an integer >= 0, got 1.5"),
+        ],
+        ids=["override-type", "default-value", "shape-empty", "seed-str", "seed-float"],
+    )
+    def test_wrong_field_type_is_a_scene_error(self, tmp_path, capsys, payload, reason):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        manifest_path, errors = bench_generate(spec_path, tmp_path / "out")
+        assert len(errors) == 1
+        assert errors[0].startswith("scene-0000: ") and reason in errors[0]
+        assert json.loads(manifest_path.read_text())["scenes"] == []
+        capsys.readouterr()
+        argv = ["bench-gen", "--spec", str(spec_path), "--out-dir", str(tmp_path / "cli")]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["errors"] == errors
+        assert "Traceback" not in captured.err
+
 
 class TestRunDataset:
     def test_zero_noise_near_exact_through_files(self, bench_dir, tmp_path):

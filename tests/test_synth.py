@@ -50,6 +50,11 @@ class TestGenerateScene:
         with pytest.raises(ConfigError):
             SynthSpec(n_people=0)
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            SynthSpec(seed=seed)
+
     def test_capacity_error(self):
         with pytest.raises(SynthError):
             generate_scene(
