@@ -10,8 +10,6 @@ predictors so the whole pipeline verifies at desk scale.
 
 from .density import (
     DensityField,
-    KernelParams,
-    NeighborStats,
     adaptive_sigma,
     far_count_from_external,
     integrate,
@@ -59,7 +57,6 @@ from .pipeline import (
 from .scene import (
     DepthMap,
     GridShape,
-    HeadPoint,
     Polyline,
     PolySegment,
     Region,

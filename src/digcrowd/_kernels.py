@@ -91,14 +91,17 @@ def _nearest_valid(x, y, valid):
     return flat // width, flat % width
 
 
-def deposit_gaussians(field, xs, ys, sigmas, truncs, valid):
-    """Accumulate one exactly-unit-mass truncated Gaussian per head."""
+def deposit_gaussians(field, xs, ys, sigmas, trunc, valid):
+    """Accumulate one exactly-unit-mass truncated Gaussian per head.
+
+    Head i's support reaches ``trunc * sigmas[i]`` from its center.
+    """
     height, width = field.shape
     for i in range(xs.shape[0]):
         x = xs[i]
         y = ys[i]
         sig = sigmas[i]
-        radius = truncs[i] * sig
+        radius = trunc * sig
         r2 = radius * radius
         inv2s = 1.0 / (2.0 * sig * sig)
         c_lo, c_hi, r_lo, r_hi = _window_bounds(x, y, radius, width, height)

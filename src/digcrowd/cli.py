@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--render-debug", action="store_true")
     _add_common_detector_flags(p)
 
@@ -87,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0, help="offset added to every scene seed")
-    p.add_argument("--deterministic", action="store_true")
 
     p = sub.add_parser("render", help="render a depth/density file as 8-bit PGM")
     p.add_argument("--input", required=True)
@@ -165,7 +163,6 @@ def _cmd_evaluate(args) -> int:
         score_threshold=args.score_threshold,
         nms_iou=args.nms_iou,
         workers=args.workers,
-        deterministic=args.deterministic,
         render_debug=args.render_debug,
     )
     report = run_dataset(manifest, params, Path(args.out_dir))
@@ -185,9 +182,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench_gen(args) -> int:
-    manifest_path, errors = bench_generate(
-        args.spec, args.out_dir, seed_offset=args.seed, deterministic=args.deterministic
-    )
+    manifest_path, errors = bench_generate(args.spec, args.out_dir, seed_offset=args.seed)
     print(json.dumps({"manifest": str(manifest_path), "errors": errors}))
     return 0 if not errors else 1
 

@@ -215,14 +215,23 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every box of ``a`` against every box of ``b``; 0 where disjoint.
 
     Both are ``_box_columns`` arrays; the result is (len(a), len(b)) of
-    inter / (area_a + area_b - inter). Clamping a negative or zero overlap
-    extent to 0 makes the IoU of disjoint boxes exactly 0.
+    inter / ((area_a + area_b) - inter). Clamping a negative or zero overlap
+    extent to 0 makes the IoU of disjoint boxes exactly 0. Every step writes
+    into one of three (len(a), len(b)) buffers, so no more are alive at once.
     """
     x0, y0, x1, y1, area = a[:, :, None]
-    ix = np.maximum(np.minimum(x1, b[2]) - np.maximum(x0, b[0]), 0.0)
-    iy = np.maximum(np.minimum(y1, b[3]) - np.maximum(y0, b[1]), 0.0)
-    inter = ix * iy
-    return inter / (area + b[4] - inter)
+    ix = np.minimum(x1, b[2])
+    lo = np.maximum(x0, b[0])
+    np.subtract(ix, lo, out=ix)
+    np.maximum(ix, 0.0, out=ix)
+    iy = np.minimum(y1, b[3])
+    np.maximum(y0, b[1], out=lo)
+    np.subtract(iy, lo, out=iy)
+    np.maximum(iy, 0.0, out=iy)
+    np.multiply(ix, iy, out=ix)  # ix is now the intersection area
+    np.add(area, b[4], out=iy)
+    np.subtract(iy, ix, out=iy)
+    return np.divide(ix, iy, out=ix)
 
 
 def iou(a, b) -> float:

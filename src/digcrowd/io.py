@@ -33,10 +33,10 @@ from .errors import ConfigError, FormatError
 from .scene import (
     DepthMap,
     GridShape,
-    HeadPoint,
     Polyline,
     PolySegment,
     SceneConfig,
+    check_heads,
 )
 
 __all__ = [
@@ -73,12 +73,13 @@ def _read_bytes(path) -> bytes:
 
 
 def _payload_f32(data: bytes, offset: int, count: int, path) -> np.ndarray:
+    """The float32 payload as a read-only view of ``data``."""
     expected = offset + 4 * count
     if len(data) != expected:
         raise FormatError(
             f"{path}: payload is {len(data) - offset} bytes, expected {4 * count}"
         )
-    return np.frombuffer(data, dtype="<f4", offset=offset).astype(np.float64)
+    return np.frombuffer(data, dtype="<f4", offset=offset)
 
 
 # -- depth ------------------------------------------------------------------
@@ -102,7 +103,8 @@ def read_depth_digd(path) -> DepthMap:
 
 
 def write_depth_pgm16(path, depth: DepthMap) -> None:
-    quantized = np.round(depth.values * 65535.0).astype(">u2")
+    # widen first: a float32 product with 65535.0 rounds differently
+    quantized = np.round(depth.values.astype(np.float64, copy=False) * 65535.0).astype(">u2")
     header = f"P5\n{depth.shape.width} {depth.shape.height}\n65535\n".encode()
     Path(path).write_bytes(header + quantized.tobytes())
 
@@ -195,7 +197,7 @@ def read_density_field(path) -> DensityField:
         raise FormatError(f"{path}: not a DIGF density file")
     _, width, height, _ = struct.unpack("<4sIIQ", data[:20])
     shape = GridShape(width, height)
-    values = _payload_f32(data, 20, shape.pixel_count, path)
+    values = _payload_f32(data, 20, shape.pixel_count, path).astype(np.float64)
     negative = values < 0.0
     if negative.any():
         # external predictors sometimes emit slightly negative densities;
@@ -260,24 +262,26 @@ def read_detections_text(path) -> DetectionSet:
 
 # -- annotations ------------------------------------------------------------
 
-def write_annotations(path, heads, count: float) -> None:
+def write_annotations(path, heads: np.ndarray, count: float) -> None:
     payload = {
-        "heads": [{"x": h.x, "y": h.y} for h in heads],
+        "heads": [{"x": x, "y": y} for x, y in check_heads(heads).tolist()],
         "count": count,
     }
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def read_annotations(path) -> tuple[tuple[HeadPoint, ...], float]:
+def read_annotations(path) -> tuple[np.ndarray, float]:
+    """Head positions as a read-only (N, 2) float64 array, plus the count."""
     try:
         payload = json.loads(Path(path).read_text())
-        heads = tuple(HeadPoint(float(h["x"]), float(h["y"])) for h in payload["heads"])
+        heads = check_heads([(float(h["x"]), float(h["y"])) for h in payload["heads"]])
+        heads.flags.writeable = False
         count = float(payload["count"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad annotation file: {exc}") from exc
     if not (math.isfinite(count) and count >= 0.0):
         raise FormatError(f"{path}: count must be finite and >= 0, got {count}")
-    if heads and count != len(heads):
+    if len(heads) and count != len(heads):
         raise FormatError(f"{path}: count {count} != {len(heads)} heads")
     return heads, count
 

@@ -43,7 +43,6 @@ class ClusterState:
     px: np.ndarray
     py: np.ndarray
     grid_step: float
-    compactness: float
     energy_history: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -262,7 +261,6 @@ def cluster_depth(
         px=cpx,
         py=cpy,
         grid_step=step,
-        compactness=compactness,
         energy_history=tuple(energies),
     )
 

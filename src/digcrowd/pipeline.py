@@ -86,12 +86,13 @@ class PipelineParams:
     score_threshold: float = DEFAULT_SCORE_THRESHOLD
     nms_iou: float = DEFAULT_NMS_IOU
     workers: int = 1
-    deterministic: bool = False
     render_debug: bool = False
 
     def __post_init__(self):
         check_score_threshold(self.score_threshold)
         check_nms_iou(self.nms_iou)
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -319,9 +320,8 @@ def run_dataset(
     Failed scenes are excluded from the metrics and reported separately.
     Outcomes are reduced in manifest order regardless of worker count.
     """
-    workers = 1 if params.deterministic else max(1, params.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if params.workers > 1:
+        with ThreadPoolExecutor(max_workers=params.workers) as pool:
             outcomes = list(
                 pool.map(lambda e: run_scene(e, params, out_dir), manifest.entries)
             )
@@ -366,7 +366,6 @@ def write_report(report: RunReport, out_dir: Path) -> None:
             "score_threshold": report.params.score_threshold,
             "nms_iou": report.params.nms_iou,
             "workers": report.params.workers,
-            "deterministic": report.params.deterministic,
         },
         "n_scenes": len(report.outcomes),
         "n_succeeded": report.n_succeeded,
@@ -416,12 +415,7 @@ def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
         raise ConfigError(f"bad scene spec: {exc}") from exc
 
 
-def bench_generate(
-    spec_path,
-    out_dir,
-    seed_offset: int = 0,
-    deterministic: bool = False,
-) -> tuple[Path, list[str]]:
+def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list[str]]:
     """Materialize a self-contained synthetic benchmark directory.
 
     The spec file is JSON: ``dataset_id``, optional ``defaults`` (synthetic
@@ -491,7 +485,6 @@ def bench_generate(
             {
                 "dataset_id": str(payload.get("dataset_id", spec_path.stem)),
                 "tool_version": TOOL_VERSION,
-                "deterministic": deterministic,
                 "scenes": entries,
             },
             indent=1,

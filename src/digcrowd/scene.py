@@ -1,4 +1,4 @@
-"""Core scene types: grids, depth maps, head points, polylines, masks.
+"""Core scene types: grids, depth maps, head arrays, polylines, masks.
 
 Coordinate convention: image coordinates, x to the right, y increasing
 downward. The far-view region sits at the top of the frame, so a pixel is
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,13 +21,12 @@ __all__ = [
     "Region",
     "GridShape",
     "DepthMap",
-    "HeadPoint",
     "PolySegment",
     "Polyline",
     "RegionMask",
     "SceneConfig",
     "SceneRecord",
-    "as_xy_array",
+    "check_heads",
     "mask_from_polyline",
 ]
 
@@ -72,14 +71,18 @@ class DepthMap:
     """Per-pixel relative depth in [0, 1]; 0 = nearest, 1 = farthest.
 
     Depth is consumed, never estimated: it arrives from files or the
-    synthetic generator.
+    synthetic generator. float32 values (a DIGD payload) are kept as they
+    are and widened, exactly, only where clustering needs float64; any
+    other type is stored as float64.
     """
 
     shape: GridShape
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.float32:
+            vals = vals.astype(np.float64, copy=False)
         if vals.shape != self.shape.array_shape:
             raise ConfigError(
                 f"depth grid {vals.shape} does not match shape {self.shape.array_shape}"
@@ -91,22 +94,18 @@ class DepthMap:
         object.__setattr__(self, "values", _frozen(vals))
 
 
-@dataclass(frozen=True)
-class HeadPoint:
-    """Annotated head position in pixels (continuous coordinates)."""
+def check_heads(heads) -> np.ndarray:
+    """Head positions as an (N, 2) float64 array of (x, y) pixel coordinates.
 
-    x: float
-    y: float
-
-
-def as_xy_array(heads: Iterable[HeadPoint] | np.ndarray) -> np.ndarray:
-    """Head points as an (N, 2) float64 array of (x, y)."""
-    if isinstance(heads, np.ndarray):
-        arr = np.asarray(heads, dtype=np.float64)
-        if arr.ndim != 2 or (arr.size and arr.shape[1] != 2):
-            raise ConfigError(f"head array must be (N, 2), got {arr.shape}")
-        return arr.reshape(-1, 2)
-    return np.array([(h.x, h.y) for h in heads], dtype=np.float64).reshape(-1, 2)
+    Heads take no other form: annotations, the generator, the oracle and
+    the density kernels all pass this array.
+    """
+    arr = np.asarray(heads, dtype=np.float64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ConfigError(f"head array must be (N, 2), got {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -301,16 +300,19 @@ class SceneConfig:
 
 @dataclass(frozen=True, eq=False)
 class SceneRecord:
-    """One scene's inputs plus ground truth; the unit of evaluation."""
+    """One scene's inputs plus ground truth; the unit of evaluation.
+
+    ``heads`` is a read-only (N, 2) float64 array of annotated positions.
+    """
 
     config: SceneConfig
     depth: DepthMap
-    heads: tuple[HeadPoint, ...] = ()
+    heads: np.ndarray = ()
     ground_truth_count: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "heads", tuple(self.heads))
-        if self.heads and self.ground_truth_count != len(self.heads):
+        object.__setattr__(self, "heads", _frozen(check_heads(self.heads)))
+        if len(self.heads) and self.ground_truth_count != len(self.heads):
             raise ConfigError(
                 f"ground truth {self.ground_truth_count} != {len(self.heads)} annotated heads"
             )

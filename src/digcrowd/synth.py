@@ -28,7 +28,6 @@ from .partition import PartitionResult
 from .scene import (
     DepthMap,
     GridShape,
-    HeadPoint,
     Polyline,
     SceneConfig,
     SceneRecord,
@@ -92,15 +91,6 @@ class NoiseSpec:
             raise ConfigError(f"p_miss {self.p_miss} outside [0, 1]")
         if self.fp_rate < 0.0 or self.box_jitter < 0.0 or self.density_noise_sigma < 0.0:
             raise ConfigError("noise magnitudes must be >= 0")
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.p_miss == 0.0
-            and self.fp_rate == 0.0
-            and self.box_jitter == 0.0
-            and self.density_noise_sigma == 0.0
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +219,10 @@ def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
             f"could only place {count}/{spec.n_people} heads at the minimum "
             f"spacing; reduce n_people or head sizes"
         )
-    heads = tuple(HeadPoint(float(x), float(y)) for x, y in placed)
     return SceneRecord(
         config=config,
         depth=depth,
-        heads=heads,
+        heads=placed,
         ground_truth_count=float(spec.n_people),
     )
 
@@ -272,23 +261,19 @@ def oracle_predictions(
     sizing = spec or SynthSpec(shape=rec.depth.shape)
     poly = part.polyline
 
-    near_heads: list[HeadPoint] = []
-    far_heads: list[HeadPoint] = []
-    for h in rec.heads:
-        if h.y < poly.eval(h.x):
-            far_heads.append(h)
-        else:
-            near_heads.append(h)
+    heads = rec.heads
+    is_far = heads[:, 1] < poly.eval_array(heads[:, 0])
+    far_heads = heads[is_far]
 
     boxes: list[tuple[float, float, float, float, float]] = []
-    for h in near_heads:
+    for hx, hy in heads[~is_far].tolist():
         if noise.p_miss > 0.0 and rng.random() < noise.p_miss:
             continue
-        x, y = h.x, h.y
+        x, y = hx, hy
         if noise.box_jitter > 0.0:
             x += rng.normal(0.0, noise.box_jitter)
             y += rng.normal(0.0, noise.box_jitter)
-        d = float(rec.depth.values[min(int(h.y), height - 1), min(int(h.x), width - 1)])
+        d = float(rec.depth.values[min(int(hy), height - 1), min(int(hx), width - 1)])
         box = _oracle_box(x, y, head_size_at(sizing, d), width, height, 1.0)
         if box is not None:
             boxes.append(box)
@@ -306,18 +291,16 @@ def oracle_predictions(
                 boxes.append(box)
     detections = DetectionSet(boxes)
 
-    if far_heads:
-        stats = knn_mean_distance(far_heads, rec.config.knn_k)
-        params = [
-            adaptive_sigma(
-                s,
-                rec.config.beta,
-                truncation_radius=rec.config.kernel_truncation_radius,
-            )
-            for s in stats
-        ]
+    if len(far_heads):
+        sigmas = adaptive_sigma(
+            knn_mean_distance(far_heads, rec.config.knn_k), rec.config.beta
+        )
         density = rasterize_density(
-            far_heads, params, rec.depth.shape, support_mask=part.mask.far
+            far_heads,
+            sigmas,
+            rec.depth.shape,
+            support_mask=part.mask.far,
+            truncation_radius=rec.config.kernel_truncation_radius,
         )
     else:
         density = DensityField.zeros(rec.depth.shape)
@@ -330,6 +313,6 @@ def oracle_predictions(
     return OraclePredictions(
         detections=detections,
         density=density,
-        near_head_count=len(near_heads),
+        near_head_count=len(heads) - len(far_heads),
         far_head_count=len(far_heads),
     )

@@ -156,7 +156,6 @@ def cluster_depth_reference(depth, target_cluster_count=256, compactness=0.1, ma
         px=cpx,
         py=cpy,
         grid_step=step,
-        compactness=compactness,
         energy_history=tuple(energies),
     )
 

@@ -15,7 +15,6 @@ from digcrowd import (
     DetectorGridSpec,
     GridPrediction,
     GridShape,
-    HeadPoint,
     NoiseSpec,
     Region,
     SceneConfig,
@@ -59,9 +58,8 @@ def test_criterion_1_mass_conservation():
             seed=int(rng.integers(0, 2**32)),
         )
         rec = generate_scene(spec)
-        stats = knn_mean_distance(rec.heads, rec.config.knn_k)
-        params = [adaptive_sigma(s, rec.config.beta) for s in stats]
-        field = rasterize_density(rec.heads, params, shape)
+        sigmas = adaptive_sigma(knn_mean_distance(rec.heads, rec.config.knn_k), rec.config.beta)
+        field = rasterize_density(rec.heads, sigmas, shape)
         full = mask_from_polyline(Polyline.constant(0.0, x_end=float(shape.width)), shape)
         assert abs(integrate(field, full, Region.ALL) - n) <= 1e-6
     elapsed = time.perf_counter() - t0
@@ -71,11 +69,9 @@ def test_criterion_1_mass_conservation():
 
 def test_criterion_2_geometry_adaptive_sigma():
     # worked example: heads (0,0),(3,0),(0,4), k=2, beta=0.3 -> sigma 1.05
-    stats = knn_mean_distance(
-        [HeadPoint(0, 0), HeadPoint(3, 0), HeadPoint(0, 4)], k=2
-    )
-    assert abs(stats[0].mean - 3.5) <= 1e-9
-    assert abs(adaptive_sigma(stats[0], 0.3).sigma - 1.05) <= 1e-9
+    means = knn_mean_distance(np.array([[0, 0], [3, 0], [0, 4]]), k=2)
+    assert abs(means[0] - 3.5) <= 1e-9
+    assert abs(adaptive_sigma(means, 0.3)[0] - 1.05) <= 1e-9
 
     rng = np.random.default_rng(42)
     for _ in range(100):
@@ -83,7 +79,7 @@ def test_criterion_2_geometry_adaptive_sigma():
         k = int(rng.integers(1, 8))
         beta = float(rng.uniform(0.1, 0.6))
         pts = rng.uniform(0, 1000, (n, 2))
-        got = knn_mean_distance(pts, k)
+        got_mean = knn_mean_distance(pts, k)
         # independent oracle: full all-pairs distance matrix
         diff = pts[:, None, :] - pts[None, :, :]
         dmat = np.sqrt((diff**2).sum(axis=2))
@@ -91,11 +87,10 @@ def test_criterion_2_geometry_adaptive_sigma():
         dmat.sort(axis=1)
         m = min(k, n - 1)
         want_mean = dmat[:, :m].mean(axis=1)
-        got_mean = np.array([s.mean for s in got])
         assert np.abs(got_mean - want_mean).max() <= 1e-9
         sig_floor = 1.0
         want_sigma = np.maximum(beta * want_mean, sig_floor)
-        got_sigma = np.array([adaptive_sigma(s, beta, sig_floor).sigma for s in got])
+        got_sigma = adaptive_sigma(got_mean, beta, sig_floor)
         assert np.abs(got_sigma - want_sigma).max() <= 1e-9
     _ok(2, "geometry-adaptive sigma vs brute-force oracle")
 

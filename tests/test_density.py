@@ -1,29 +1,36 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from density_reference import sigmas_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from digcrowd import (
     ConfigError,
     DensityField,
     DigCrowdError,
     GridShape,
-    HeadPoint,
-    KernelParams,
     Polyline,
     Region,
+    SynthSpec,
     adaptive_sigma,
     far_count_from_external,
+    generate_scene,
     integrate,
     knn_mean_distance,
     mask_from_polyline,
+    oracle_predictions,
+    partition,
     rasterize_density,
 )
+from digcrowd._kernels import deposit_gaussians
 from digcrowd.io import read_density_field, write_density_field
 
 
-def _uniform_params(n, sigma=2.0, trunc=3.0):
-    return [KernelParams(sigma=sigma, beta=0.3, truncation_radius=trunc)] * n
+def _uniform_sigmas(n, sigma=2.0):
+    return np.full(n, sigma)
 
 
 def _full_mask(shape, far=True):
@@ -33,26 +40,23 @@ def _full_mask(shape, far=True):
 
 class TestKnnMeanDistance:
     def test_worked_triangle(self):
-        heads = [HeadPoint(0, 0), HeadPoint(3, 0), HeadPoint(0, 4)]
-        stats = knn_mean_distance(heads, k=2)
-        assert stats[0].mean == pytest.approx(3.5, abs=1e-12)
-        assert stats[0].k_used == 2
-        assert stats[0].distances.tolist() == pytest.approx([3.0, 4.0])
+        heads = np.array([[0, 0], [3, 0], [0, 4]])
+        means = knn_mean_distance(heads, k=2)
+        assert means[0] == pytest.approx(3.5, abs=1e-12)
 
     def test_k_clamped_to_available_neighbors(self):
-        heads = [HeadPoint(0, 0), HeadPoint(10, 0)]
-        stats = knn_mean_distance(heads, k=3)
-        assert all(s.mean == pytest.approx(10.0) and s.k_used == 1 for s in stats)
+        heads = np.array([[0, 0], [10, 0]])
+        means = knn_mean_distance(heads, k=3)
+        assert all(m == pytest.approx(10.0) for m in means)
 
     def test_single_head_undefined(self):
-        stats = knn_mean_distance([HeadPoint(5, 5)], k=3)
-        assert stats[0].k_used == 0
-        assert math.isnan(stats[0].mean)
-        assert not stats[0].is_defined
+        means = knn_mean_distance(np.array([[5, 5]]), k=3)
+        assert means.shape == (1,)
+        assert math.isnan(means[0])
 
     def test_empty_errors(self):
         with pytest.raises(ConfigError):
-            knn_mean_distance([], k=2)
+            knn_mean_distance(np.empty((0, 2)), k=2)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(31)
@@ -60,7 +64,7 @@ class TestKnnMeanDistance:
             n = int(rng.integers(2, 120))
             k = int(rng.integers(1, 6))
             pts = rng.uniform(0, 300, (n, 2))
-            stats = knn_mean_distance(pts, k)
+            got = knn_mean_distance(pts, k)
             m = min(k, n - 1)
             # independent oracle: full pairwise distance matrix
             diff = pts[:, None, :] - pts[None, :, :]
@@ -68,26 +72,25 @@ class TestKnnMeanDistance:
             np.fill_diagonal(dmat, np.inf)
             dmat.sort(axis=1)
             want = dmat[:, :m].mean(axis=1)
-            got = np.array([s.mean for s in stats])
             assert np.abs(got - want).max() < 1e-9
 
 
 class TestAdaptiveSigma:
     def test_worked_value(self):
-        stats = knn_mean_distance([HeadPoint(0, 0), HeadPoint(3, 0), HeadPoint(0, 4)], 2)
-        assert adaptive_sigma(stats[0], 0.3).sigma == pytest.approx(1.05, abs=1e-12)
+        means = knn_mean_distance(np.array([[0, 0], [3, 0], [0, 4]]), 2)
+        assert adaptive_sigma(means, 0.3)[0] == pytest.approx(1.05, abs=1e-12)
 
     def test_floor_for_lone_head(self):
-        stats = knn_mean_distance([HeadPoint(1, 1)], 3)
-        assert adaptive_sigma(stats[0], 0.3, sigma_floor=1.0).sigma == 1.0
+        means = knn_mean_distance(np.array([[1, 1]]), 3)
+        assert adaptive_sigma(means, 0.3, sigma_floor=1.0)[0] == 1.0
 
     def test_large_spacing(self):
-        stats = knn_mean_distance([HeadPoint(0, 0), HeadPoint(100, 0)], 1)
-        assert adaptive_sigma(stats[0], 0.3).sigma == pytest.approx(30.0)
+        means = knn_mean_distance(np.array([[0, 0], [100, 0]]), 1)
+        assert adaptive_sigma(means, 0.3)[0] == pytest.approx(30.0)
 
     def test_floor_clamps_small_products(self):
-        stats = knn_mean_distance([HeadPoint(0, 0), HeadPoint(0.5, 0)], 1)
-        assert adaptive_sigma(stats[0], 0.3, sigma_floor=1.0).sigma == 1.0
+        means = knn_mean_distance(np.array([[0, 0], [0.5, 0]]), 1)
+        assert adaptive_sigma(means, 0.3, sigma_floor=1.0)[0] == 1.0
 
 
 class TestRasterizeDensity:
@@ -98,17 +101,17 @@ class TestRasterizeDensity:
             pts = np.column_stack(
                 [rng.uniform(0, shape.width, n), rng.uniform(0, shape.height, n)]
             )
-            field = rasterize_density(pts, _uniform_params(n), shape)
+            field = rasterize_density(pts, _uniform_sigmas(n), shape)
             assert field.total_mass == float(n)
 
     def test_corner_head_unit_mass(self):
         shape = GridShape(64, 64)
-        field = rasterize_density([HeadPoint(0.0, 0.0)], _uniform_params(1, sigma=4.0), shape)
+        field = rasterize_density(np.array([[0.0, 0.0]]), _uniform_sigmas(1, sigma=4.0), shape)
         assert field.total_mass == 1.0
 
     def test_rotational_symmetry_about_center_head(self):
         shape = GridShape(64, 64)
-        field = rasterize_density([HeadPoint(32.0, 32.0)], _uniform_params(1, sigma=3.0), shape)
+        field = rasterize_density(np.array([[32.0, 32.0]]), _uniform_sigmas(1, sigma=3.0), shape)
         vals = field.values
         for rotated in (np.rot90(vals), np.rot90(vals, 2), np.rot90(vals, 3)):
             assert np.abs(vals - rotated).max() < 1e-9
@@ -118,7 +121,7 @@ class TestRasterizeDensity:
         peaks = []
         for sigma in (1.0, 2.0, 4.0, 8.0):
             f = rasterize_density(
-                [HeadPoint(48.0, 48.0)], _uniform_params(1, sigma=sigma), shape
+                np.array([[48.0, 48.0]]), _uniform_sigmas(1, sigma=sigma), shape
             )
             peaks.append(f.values.max())
             assert f.total_mass == 1.0
@@ -127,9 +130,9 @@ class TestRasterizeDensity:
     def test_translation_invariance(self):
         shape = GridShape(120, 100)
         base = np.array([[30.25, 40.5], [35.75, 44.25], [33.5, 52.125]])
-        params = _uniform_params(3, sigma=2.0)
-        f0 = rasterize_density(base, params, shape)
-        f1 = rasterize_density(base + np.array([17.0, 9.0]), params, shape)
+        sigmas = _uniform_sigmas(3, sigma=2.0)
+        f0 = rasterize_density(base, sigmas, shape)
+        f1 = rasterize_density(base + np.array([17.0, 9.0]), sigmas, shape)
         shifted = np.roll(np.roll(f0.values, 9, axis=0), 17, axis=1)
         assert np.abs(shifted - f1.values).max() < 1e-9
 
@@ -139,8 +142,8 @@ class TestRasterizeDensity:
         far_mask = mask_from_polyline(Polyline.constant(30.0, x_end=60.0), shape)
         # head 2 px above the line with a kernel that would spill across it
         field = rasterize_density(
-            [HeadPoint(30.0, 28.0)],
-            _uniform_params(1, sigma=4.0),
+            np.array([[30.0, 28.0]]),
+            _uniform_sigmas(1, sigma=4.0),
             shape,
             support_mask=far_mask.far,
         )
@@ -150,11 +153,20 @@ class TestRasterizeDensity:
 
     def test_head_outside_grid_rejected(self):
         with pytest.raises(ConfigError):
-            rasterize_density([HeadPoint(70.0, 5.0)], _uniform_params(1), GridShape(64, 64))
+            rasterize_density(np.array([[70.0, 5.0]]), _uniform_sigmas(1), GridShape(64, 64))
+
+    @pytest.mark.parametrize(
+        "sigma, trunc", [(0.0, 3.0), (-1.0, 3.0), (np.nan, 3.0), (np.inf, 3.0), (2.0, 0.5)]
+    )
+    def test_bad_kernel_parameters_rejected(self, sigma, trunc):
+        heads = np.array([[4.0, 4.0], [5.0, 5.0]])
+        with pytest.raises(ConfigError):
+            rasterize_density(heads, np.array([2.0, sigma]), GridShape(8, 8),
+                              truncation_radius=trunc)
 
     def test_params_length_mismatch(self):
         with pytest.raises(ConfigError):
-            rasterize_density([HeadPoint(1, 1)], _uniform_params(2), GridShape(8, 8))
+            rasterize_density(np.array([[1, 1]]), _uniform_sigmas(2), GridShape(8, 8))
 
 
 class TestIntegrate:
@@ -162,14 +174,14 @@ class TestIntegrate:
         rng = np.random.default_rng(3)
         shape = GridShape(50, 40)
         pts = np.column_stack([rng.uniform(0, 50, 9), rng.uniform(0, 40, 9)])
-        field = rasterize_density(pts, _uniform_params(9), shape)
+        field = rasterize_density(pts, _uniform_sigmas(9), shape)
         assert integrate(field, _full_mask(shape), Region.ALL) == field.total_mass
 
     def test_region_additivity_exact(self):
         rng = np.random.default_rng(13)
         shape = GridShape(80, 60)
         pts = np.column_stack([rng.uniform(0, 80, 25), rng.uniform(0, 60, 25)])
-        field = rasterize_density(pts, _uniform_params(25), shape)
+        field = rasterize_density(pts, _uniform_sigmas(25), shape)
         mask = mask_from_polyline(Polyline.constant(25.0, x_end=80.0), shape)
         near = integrate(field, mask, Region.NEAR)
         far = integrate(field, mask, Region.FAR)
@@ -179,13 +191,13 @@ class TestIntegrate:
         shape = GridShape(60, 60)
         mask = mask_from_polyline(Polyline.constant(40.0, x_end=60.0), shape)
         field = rasterize_density(
-            [HeadPoint(30.0, 15.0)], _uniform_params(1, sigma=2.0), shape
+            np.array([[30.0, 15.0]]), _uniform_sigmas(1, sigma=2.0), shape
         )
         assert integrate(field, mask, Region.FAR) == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_far_region_zero(self):
         shape = GridShape(20, 20)
-        field = rasterize_density([HeadPoint(10, 10)], _uniform_params(1), shape)
+        field = rasterize_density(np.array([[10, 10]]), _uniform_sigmas(1), shape)
         assert integrate(field, _full_mask(shape, far=False), Region.FAR) == 0.0
 
     def test_shape_mismatch_errors(self):
@@ -205,7 +217,7 @@ class TestFarCountFromExternal:
         mask = mask_from_polyline(Polyline.constant(45.0, x_end=120.0), shape)
         far_pts = np.column_stack([rng.uniform(0, 120, 30), rng.uniform(0, 43, 30)])
         field = rasterize_density(
-            far_pts, _uniform_params(30, sigma=1.5), shape, support_mask=mask.far
+            far_pts, _uniform_sigmas(30, sigma=1.5), shape, support_mask=mask.far
         )
         path = tmp_path / "far.digf"
         write_density_field(path, field)
@@ -222,7 +234,7 @@ class TestFarCountFromExternal:
         shape = GridShape(40, 40)
         mask = mask_from_polyline(Polyline.constant(20.0, x_end=40.0), shape)
         field = rasterize_density(
-            [HeadPoint(20.0, 35.0)], _uniform_params(1, sigma=1.0), shape
+            np.array([[20.0, 35.0]]), _uniform_sigmas(1, sigma=1.0), shape
         )
         path = tmp_path / "near.digf"
         write_density_field(path, field)
@@ -233,3 +245,52 @@ class TestFarCountFromExternal:
         write_density_field(path, DensityField.zeros(GridShape(8, 8)))
         with pytest.raises(DigCrowdError):
             far_count_from_external(read_density_field(path), _full_mask(GridShape(9, 8)))
+
+
+@st.composite
+def _head_sets(draw):
+    """1-40 heads on a 0.1 px lattice, with some rows repeated exactly."""
+    n = draw(st.integers(1, 40))
+    coord = st.floats(0.0, 300.0).map(lambda v: round(v, 1))
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return np.concatenate([pts, pts[repeats]])
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestHeadPathReference:
+    @given(
+        _head_sets(),
+        st.integers(1, 16),
+        st.floats(0.05, 1.0),
+        st.sampled_from([0.5, 1.0, 4.0]),
+    )
+    @example(np.array([[5.0, 5.0]]), 3, 0.3, 1.0)  # lone head: the floor
+    @example(np.array([[0.0, 0.0], [3.0, 4.0]]), 16, 0.3, 1.0)  # n = 2, k clamped
+    @example(np.zeros((6, 2)), 4, 0.3, 1.0)  # all duplicates: zero means
+    @example(np.arange(80.0).reshape(40, 2) % 7.0, 16, 0.7, 0.5)  # k = 16 > block of 8
+    @settings(max_examples=200, deadline=None)
+    def test_sigmas_match_per_head_reference(self, heads, k, beta, floor):
+        got = adaptive_sigma(knn_mean_distance(heads, k), beta, floor)
+        assert _bits(got) == _bits(sigmas_reference(heads, k, beta, floor))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_oracle_density_matches_per_head_path(self, seed):
+        """Far heads split one by one, per-head sigmas, one deposit per head."""
+        rec = generate_scene(SynthSpec(clustering_intensity=1.0, seed=seed))
+        sloped = Polyline.from_points([0.0, 500.0, 1080.0], [240.0, 330.0, 290.0])
+        part = partition(rec.depth, dataclasses.replace(rec.config, polyline=sloped))
+        got = oracle_predictions(rec, part).density.values
+        poly = part.polyline
+        far = np.array([(x, y) for x, y in rec.heads.tolist() if y < poly.eval(x)])
+        sigmas = sigmas_reference(far, rec.config.knn_k, rec.config.beta)
+        want = np.zeros(rec.depth.shape.array_shape)
+        valid = part.mask.far.astype(np.uint8)
+        for (x, y), sigma in zip(far.tolist(), sigmas.tolist()):
+            deposit_gaussians(want, np.array([x]), np.array([y]), np.array([sigma]),
+                              rec.config.kernel_truncation_radius, valid)
+        assert len(far) > 10
+        assert _bits(got) == _bits(want)

@@ -423,7 +423,7 @@ def _thin_full_width_boxes():
 @pytest.mark.parametrize("make", [_identical_boxes, _thin_full_width_boxes],
                          ids=["identical", "thin-full-width"])
 def test_nms_bounded_cost_at_most_candidates(make):
-    """No O(n^2) memory: the largest decodable set stays under 16 MB and 1 s."""
+    """No O(n^2) memory: the largest decodable set stays under 8 MB and 1 s."""
     dets = DetectionSet(make())
     want = _bits(nms_loop_reference(dets, 0.5))
     tracemalloc.start()
@@ -435,7 +435,7 @@ def test_nms_bounded_cost_at_most_candidates(make):
     finally:
         tracemalloc.stop()
     assert _bits(got) == want
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
     assert elapsed < 1.0
 
 

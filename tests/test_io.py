@@ -9,9 +9,11 @@ from digcrowd import (
     FormatError,
     GridPrediction,
     GridShape,
-    HeadPoint,
     Polyline,
     SceneConfig,
+    SynthSpec,
+    generate_scene,
+    partition,
 )
 from digcrowd.io import (
     heatmap_u8,
@@ -65,11 +67,38 @@ class TestDepthFiles:
     def test_digd_nan_names_file(self, tmp_path):
         import struct
 
-        path = tmp_path / "nan.digd"
-        values = np.array([0.5, np.nan, 0.25, 1.0], dtype="<f4")
-        path.write_bytes(struct.pack("<4sIII", b"DIGD", 2, 2, 0) + values.tobytes())
-        with pytest.raises(FormatError, match=r"nan\.digd: depth values must be finite"):
-            read_depth_digd(path)
+        bad = {
+            "nan": (np.nan, "be finite"),
+            "pinf": (np.inf, "be finite"),
+            "ninf": (-np.inf, "be finite"),
+            "above1": (np.nextafter(1, 2, dtype=np.float32), r"lie in \[0, 1\]"),
+            "negative": (-1e-7, r"lie in \[0, 1\]"),
+        }
+        for name, (value, rule) in bad.items():
+            path = tmp_path / f"{name}.digd"
+            values = np.array([0.5, value, 0.25, 1.0], dtype="<f4")
+            path.write_bytes(struct.pack("<4sIII", b"DIGD", 2, 2, 0) + values.tobytes())
+            with pytest.raises(FormatError, match=rf"{name}\.digd: depth values must {rule}"):
+                read_depth_digd(path)
+
+    def test_digd_auto_partition_matches_float64(self, tmp_path):
+        """The float32 map read from DIGD partitions as its exact float64 widening."""
+        rec = generate_scene(SynthSpec(shape=GridShape(360, 240), horizon_y=200.0, seed=5))
+        path = tmp_path / "d.digd"
+        write_depth_digd(path, rec.depth)
+        loaded = read_depth_digd(path)
+        assert loaded.values.dtype == np.float32
+        wide = DepthMap(loaded.shape, loaded.values.astype(np.float64))
+        cfg = SceneConfig("auto")
+        got, want = partition(loaded, cfg), partition(wide, cfg)
+
+        def bits(part):
+            segments = [(s.x_start, s.x_end, s.k, s.b) for s in part.polyline.segments]
+            floats = [*np.ravel(segments), part.threshold_used, *part.energy_history]
+            return np.array(floats, dtype=np.float64).view(np.uint64).tolist()
+
+        assert bits(got) == bits(want)
+        assert np.array_equal(got.mask.far, want.mask.far)
 
     def test_digd_truncated_payload(self, tmp_path):
         depth = _random_depth(w=6, h=6)
@@ -87,6 +116,14 @@ class TestDepthFiles:
         write_depth_pgm16(path, depth)
         back = read_depth_pgm16(path)
         assert np.array_equal(back.values, depth.values)
+
+    def test_pgm16_of_digd_depth_matches_float64(self, tmp_path):
+        """A float32 map quantizes to 16 bits as its float64 widening does."""
+        depth = _random_depth(w=300, h=200)
+        write_depth_digd(tmp_path / "d.digd", depth)
+        write_depth_pgm16(tmp_path / "from32.pgm", read_depth_digd(tmp_path / "d.digd"))
+        write_depth_pgm16(tmp_path / "from64.pgm", depth)
+        assert (tmp_path / "from32.pgm").read_bytes() == (tmp_path / "from64.pgm").read_bytes()
 
     def test_read_depth_sniffs_format(self, tmp_path):
         depth = _random_depth(w=8, h=8)
@@ -226,11 +263,12 @@ class TestDetectionText:
 
 class TestAnnotationAndConfig:
     def test_annotations_roundtrip(self, tmp_path):
-        heads = (HeadPoint(1.5, 2.25), HeadPoint(10.0, 20.0))
+        heads = np.array([[1.5, 2.25], [10.0, 20.0]])
         path = tmp_path / "ann.json"
         write_annotations(path, heads, 2.0)
         back_heads, count = read_annotations(path)
-        assert back_heads == heads
+        assert np.array_equal(back_heads, heads)
+        assert not back_heads.flags.writeable
         assert count == 2.0
 
     def test_annotations_count_mismatch(self, tmp_path):

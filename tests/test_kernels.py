@@ -87,7 +87,7 @@ def _gaussian_oracle(x, y, sigma, trunc, valid):
 def _heads(rng, n, width, height):
     xs = rng.uniform(0, width, n)
     ys = rng.uniform(0, height, n)
-    return xs, ys, rng.uniform(0.6, 4.0, n), rng.choice([1.0, 2.0, 3.0], n)
+    return xs, ys, rng.uniform(0.6, 4.0, n)
 
 
 class TestDepositGaussiansOracle:
@@ -98,28 +98,29 @@ class TestDepositGaussiansOracle:
         valid = np.ones((h, w), dtype=np.uint8)
         if masked:
             valid[h // 2 :] = 0
-        xs, ys, sigmas, truncs = _heads(rng, n, w, h // 2 if masked else h)
-        total = np.zeros((h, w))
-        for i in range(n):
-            field = np.zeros((h, w))
-            deposit_gaussians(field, xs[i : i + 1], ys[i : i + 1], sigmas[i : i + 1],
-                              truncs[i : i + 1], valid)
-            want, nearest = _gaussian_oracle(xs[i], ys[i], sigmas[i], truncs[i], valid)
-            assert field.sum() == 1.0
-            assert not field[valid == 0].any()
-            assert not field[want == 0.0].any()
-            err = np.abs(field - want)
-            # every rounding error lands on the nearest pixel as the residual
-            assert err[nearest] <= np.count_nonzero(want) * MASS_QUANTUM
-            err[nearest] = 0.0
-            # round to nearest quantum; the slack covers the weight sum's order
-            assert err.max() <= 0.501 * MASS_QUANTUM
-            total += field
-        # dyadic values on the 2^-40 lattice add exactly, in any order
-        together = np.zeros((h, w))
-        deposit_gaussians(together, xs, ys, sigmas, truncs, valid)
-        assert np.array_equal(together, total)
-        assert together.sum() == float(n)
+        xs, ys, sigmas = _heads(rng, n, w, h // 2 if masked else h)
+        for trunc in (1.0, 2.0, 3.0):
+            total = np.zeros((h, w))
+            for i in range(n):
+                field = np.zeros((h, w))
+                deposit_gaussians(field, xs[i : i + 1], ys[i : i + 1], sigmas[i : i + 1],
+                                  trunc, valid)
+                want, nearest = _gaussian_oracle(xs[i], ys[i], sigmas[i], trunc, valid)
+                assert field.sum() == 1.0
+                assert not field[valid == 0].any()
+                assert not field[want == 0.0].any()
+                err = np.abs(field - want)
+                # every rounding error lands on the nearest pixel as the residual
+                assert err[nearest] <= np.count_nonzero(want) * MASS_QUANTUM
+                err[nearest] = 0.0
+                # round to nearest quantum; the slack covers the weight sum's order
+                assert err.max() <= 0.501 * MASS_QUANTUM
+                total += field
+            # dyadic values on the 2^-40 lattice add exactly, in any order
+            together = np.zeros((h, w))
+            deposit_gaussians(together, xs, ys, sigmas, trunc, valid)
+            assert np.array_equal(together, total)
+            assert together.sum() == float(n)
 
     @pytest.mark.parametrize(
         "x, y, sigma, trunc, valid_side, cell",
@@ -132,7 +133,6 @@ class TestDepositGaussiansOracle:
         valid = np.zeros((8, 8), dtype=np.uint8)
         valid[:valid_side, :valid_side] = 1
         field = np.zeros((8, 8))
-        deposit_gaussians(field, np.array([x]), np.array([y]), np.array([sigma]),
-                          np.array([trunc]), valid)
+        deposit_gaussians(field, np.array([x]), np.array([y]), np.array([sigma]), trunc, valid)
         assert field.sum() == 1.0
         assert field[cell] == 1.0

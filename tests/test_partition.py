@@ -48,7 +48,6 @@ def _state_from_blocks(depth_values):
             px=np.array(px),
             py=np.array(py),
             grid_step=float(np.sqrt(vals.size / uniq.size)),
-            compactness=0.1,
         ),
         DepthMap(GridShape(vals.shape[1], vals.shape[0]), vals),
     )
@@ -186,7 +185,6 @@ class TestClassifyClusters:
             px=np.array([2.0, 5.0]),
             py=np.array([1.5, 1.5]),
             grid_step=4.0,
-            compactness=0.1,
         )
         with pytest.raises(PartitionError, match="contrast"):
             classify_clusters(fake, depth, threshold=None)
@@ -406,7 +404,6 @@ class TestReferenceOracle:
             px=np.array([0.0, 0.0]),
             py=np.array([0.0, 0.0]),
             grid_step=1.0,
-            compactness=0.1,
         )
         labels = np.array([False, True])
         shape = GridShape(width, height)

@@ -69,8 +69,8 @@ class TestBenchGenerate:
         spec = _write_spec(tmp_path / "spec.json", count=2)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        bench_generate(spec, out_a, deterministic=True)
-        bench_generate(spec, out_b, deterministic=True)
+        bench_generate(spec, out_a)
+        bench_generate(spec, out_b)
         files_a = sorted(p for p in out_a.rglob("*") if p.is_file())
         files_b = sorted(p for p in out_b.rglob("*") if p.is_file())
         assert [p.name for p in files_a] == [p.name for p in files_b]
@@ -315,6 +315,15 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "r" / "report.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_evaluate_rejects_workers_below_one(self, bench_dir, tmp_path, capsys, workers):
+        _, manifest_path = bench_dir
+        argv = ["evaluate", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "r"),
+                "--workers", workers]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "r").exists()
 
     def test_evaluate_nonzero_exit_on_failed_scene(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json", count=2)

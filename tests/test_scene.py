@@ -6,7 +6,6 @@ from digcrowd import (
     DepthMap,
     DetectionSet,
     GridShape,
-    HeadPoint,
     Polyline,
     PolylineDomainError,
     PolySegment,
@@ -168,7 +167,7 @@ class TestTypes:
     def test_scene_record_ground_truth_consistency(self):
         depth = DepthMap(GridShape(4, 4), np.zeros((4, 4)))
         cfg = SceneConfig("s")
-        heads = (HeadPoint(1, 1), HeadPoint(2, 2))
+        heads = np.array([[1, 1], [2, 2]])
         SceneRecord(cfg, depth, heads, 2.0)
         with pytest.raises(ConfigError):
             SceneRecord(cfg, depth, heads, 3.0)
