@@ -62,7 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--clusters", type=int, default=256)
     p.add_argument("--compactness", type=float, default=0.1)
-    p.add_argument("--max-iters", type=int, default=10)
+    p.add_argument(
+        "--max-iters",
+        type=int,
+        default=10,
+        help="cap on clustering iterations; clustering stops sooner once an "
+        "iteration barely lowers its energy or no center moves",
+    )
     p.add_argument("--simplify-tol", type=float, default=2.0)
     p.add_argument("--render-debug", action="store_true")
 
@@ -111,6 +117,7 @@ def _cmd_partition(args) -> int:
         "polyline": dio.polyline_to_json(result.polyline),
         "threshold_used": result.threshold_used,
         "cluster_mean_depths": list(result.cluster_mean_depths),
+        "iterations": result.iterations,
         "far_pixels": result.mask.far_count,
         "near_pixels": result.mask.near_count,
         "warnings": list(result.warnings),

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from . import _kernels
 from .errors import ConfigError, DigCrowdError, FormatError
-from .scene import GridShape, Region, RegionMask, check_heads
+from .scene import GridShape, Region, RegionMask, _frozen, check_heads
 
 __all__ = [
     "DensityField",
@@ -50,9 +50,7 @@ class DensityField:
             raise ConfigError("density values must be finite")
         if vals.size and vals.min() < 0.0:
             raise ConfigError("density values must be non-negative")
-        vals = np.ascontiguousarray(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals, self.values))
 
     @cached_property
     def total_mass(self) -> float:
@@ -60,7 +58,9 @@ class DensityField:
 
     @classmethod
     def zeros(cls, shape: GridShape) -> "DensityField":
-        return cls(shape, np.zeros(shape.array_shape, dtype=np.float64))
+        values = np.zeros(shape.array_shape, dtype=np.float64)
+        values.flags.writeable = False
+        return cls(shape, values)
 
 
 def knn_mean_distance(heads: np.ndarray, k: int) -> np.ndarray:
@@ -117,15 +117,15 @@ def rasterize_density(
     if sigmas.shape != (pts.shape[0],):
         raise ConfigError(f"{pts.shape[0]} heads but sigmas of shape {sigmas.shape}")
     height, width = shape.array_shape
-    field = np.zeros((height, width), dtype=np.float64)
     if pts.shape[0] == 0:
-        return DensityField(shape, field)
+        return DensityField.zeros(shape)
     if not np.all((sigmas > 0.0) & (sigmas < np.inf)):
         raise ConfigError("sigmas must be positive and finite")
     if not (truncation_radius >= 1.0):
         raise ConfigError(f"truncation radius must be >= 1, got {truncation_radius}")
     if not np.all((pts >= 0.0) & (pts < (width, height))):
         raise ConfigError("head positions must lie inside the grid")
+    field = np.zeros((height, width), dtype=np.float64)
     if support_mask is None:
         valid = np.ones((height, width), dtype=np.uint8)
     else:
@@ -143,6 +143,7 @@ def rasterize_density(
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    field.flags.writeable = False
     return DensityField(shape, field)
 
 

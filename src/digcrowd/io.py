@@ -139,7 +139,9 @@ def read_depth_pgm16(path) -> DepthMap:
     raw = np.frombuffer(data, dtype=">u2", offset=pos)
     if raw.size != shape.pixel_count:
         raise FormatError(f"{path}: PGM payload size mismatch")
-    return DepthMap(shape, raw.reshape(height, width).astype(np.float64) / 65535.0)
+    values = raw.reshape(height, width).astype(np.float64) / 65535.0
+    values.flags.writeable = False
+    return DepthMap(shape, values)
 
 
 def read_depth(path) -> DepthMap:
@@ -205,6 +207,7 @@ def read_density_field(path) -> DensityField:
         negative &= values > -np.inf
         log.warning("%s: clamped %d negative density values to 0", path, int(negative.sum()))
         values[negative] = 0.0
+    values.flags.writeable = False
     try:
         return DensityField(shape, values.reshape(height, width))
     except ConfigError as exc:

@@ -18,7 +18,15 @@ from scipy import ndimage
 
 from . import _kernels
 from .errors import ConfigError, DigCrowdError, PartitionError
-from .scene import DepthMap, GridShape, Polyline, RegionMask, SceneConfig, mask_from_polyline
+from .scene import (
+    DepthMap,
+    GridShape,
+    Polyline,
+    RegionMask,
+    SceneConfig,
+    _frozen,
+    mask_from_polyline,
+)
 
 __all__ = [
     "ClusterState",
@@ -31,6 +39,7 @@ __all__ = [
 ]
 
 CENTER_RESIDUAL_TOL = 1e-4
+ENERGY_RTOL = 5e-3  # stop once an iteration lowers the energy by at most this share
 DISTANCE_BLOCK = 1 << 15  # pixels per block of _current_distance
 
 
@@ -47,9 +56,8 @@ class ClusterState:
 
     def __post_init__(self):
         for name in ("assignments", "feature", "px", "py"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            given = getattr(self, name)
+            object.__setattr__(self, name, _frozen(given, given))
         if self.cluster_count < 1:
             raise ConfigError("cluster state needs at least one center")
 
@@ -75,6 +83,11 @@ class PartitionResult:
     warnings: tuple[str, ...] = ()
     cluster_assignments: np.ndarray | None = None
     energy_history: tuple[float, ...] = ()
+
+    @property
+    def iterations(self) -> int | None:
+        """Clustering iterations run; None for a manual split."""
+        return len(self.energy_history) - 1 if self.energy_history else None
 
 
 def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,6 +190,12 @@ def cluster_depth(
     squared distance non-increasing every iteration. Pixels outside all
     windows are attached to the globally nearest center. Fully
     deterministic: grid seeding, smallest-id tie-breaking.
+
+    ``max_iters`` is a cap: the iteration stops sooner once no center moves
+    by ``CENTER_RESIDUAL_TOL`` or more, or once an iteration lowers the
+    energy by at most ``ENERGY_RTOL`` of its previous value. On smooth
+    ramps later iterations gain little and move the split line away from
+    the iso-depth contour.
     """
     grid = np.asarray(depth.values, dtype=np.float64)
     height, width = grid.shape
@@ -244,7 +263,10 @@ def cluster_depth(
             sum_x += sign * np.bincount(ids, weights=cols[moved], minlength=k_count)
             sum_y += sign * np.bincount(ids, weights=rows[moved], minlength=k_count)
         energies.append(float(bd.sum()))
-        if residual < CENTER_RESIDUAL_TOL:
+        if (
+            residual < CENTER_RESIDUAL_TOL
+            or energies[-2] - energies[-1] <= ENERGY_RTOL * energies[-2]
+        ):
             break
 
     # Drop empty clusters so ids stay dense.
@@ -255,8 +277,11 @@ def cluster_depth(
         assign = remap[assign]
         feat, cpx, cpy = feat[keep], cpx[keep], cpy[keep]
 
+    assign = assign.reshape(height, width).astype(np.int32)
+    for arr in (assign, feat, cpx, cpy):
+        arr.flags.writeable = False
     return ClusterState(
-        assignments=assign.reshape(height, width).astype(np.int32),
+        assignments=assign,
         feature=feat,
         px=cpx,
         py=cpy,

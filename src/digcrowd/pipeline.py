@@ -106,6 +106,8 @@ class SceneOutcome:
     threshold_used: float | None = None
     polyline: tuple[tuple[float, float, float, float], ...] | None = None
     warnings: tuple[str, ...] = ()
+    partition_iterations: int | None = None  # both None for a manual split
+    partition_energy: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -272,6 +274,8 @@ def count_scene(
         if part is None
         else tuple((s.x_start, s.x_end, s.k, s.b) for s in part.polyline.segments),
         warnings=tuple(warnings),
+        partition_iterations=None if part is None else part.iterations,
+        partition_energy=part.energy_history[-1] if part and part.energy_history else None,
     )
 
 
@@ -389,6 +393,8 @@ def write_report(report: RunReport, out_dir: Path) -> None:
                 if o.polyline is None
                 else [list(seg) for seg in o.polyline],
                 "warnings": list(o.warnings),
+                "partition_iterations": o.partition_iterations,
+                "partition_energy": o.partition_energy,
             }
             for o in report.outcomes
         ],

@@ -37,8 +37,17 @@ class Region(Enum):
     ALL = "all"
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, the checked form of the caller's ``given``, made read-only.
+
+    A writeable array that is still the caller's memory (``given`` itself or
+    a view) is copied, so freezing it never reaches the caller. A read-only
+    array is taken as it is: the readers and producers hand over arrays they
+    have already frozen, and those pass without a copy.
+    """
     arr = np.ascontiguousarray(arr)
+    if arr.flags.writeable and (arr is given or arr.base is not None):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -91,7 +100,7 @@ class DepthMap:
             raise ConfigError("depth values must be finite")
         if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
             raise ConfigError("depth values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(vals))
+        object.__setattr__(self, "values", _frozen(vals, self.values))
 
 
 def check_heads(heads) -> np.ndarray:
@@ -227,7 +236,7 @@ class RegionMask:
         far = np.asarray(self.far, dtype=bool)
         if far.shape != self.shape.array_shape:
             raise ConfigError(f"mask grid {far.shape} does not match {self.shape.array_shape}")
-        object.__setattr__(self, "far", _frozen(far))
+        object.__setattr__(self, "far", _frozen(far, self.far))
 
     @property
     def far_count(self) -> int:
@@ -266,6 +275,7 @@ def mask_from_polyline(p: Polyline, shape: GridShape) -> RegionMask:
     line = p.eval_array(np.arange(shape.width, dtype=np.float64) + 0.5)
     centers_y = np.arange(shape.height, dtype=np.float64)[:, None] + 0.5
     far = centers_y < line[None, :]
+    far.flags.writeable = False
     return RegionMask(shape, far)
 
 
@@ -311,7 +321,7 @@ class SceneRecord:
     ground_truth_count: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "heads", _frozen(check_heads(self.heads)))
+        object.__setattr__(self, "heads", _frozen(check_heads(self.heads), self.heads))
         if len(self.heads) and self.ground_truth_count != len(self.heads):
             raise ConfigError(
                 f"ground truth {self.ground_truth_count} != {len(self.heads)} annotated heads"

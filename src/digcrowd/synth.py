@@ -119,6 +119,7 @@ def _build_depth(spec: SynthSpec, rng: np.random.Generator) -> DepthMap:
         phase = rng.uniform(0.0, 2.0 * math.pi)
         ripple += rng.uniform(0.005, 0.02) * np.sin(2.0 * math.pi * freq * xs + phase)
     values = np.clip(base + ripple[None, :], 0.0, 1.0)
+    values.flags.writeable = False
     return DepthMap(spec.shape, values)
 
 
@@ -140,6 +141,7 @@ def generate_step_depth(
         xs = np.arange(shape.width, dtype=np.float64) / max(shape.width, 1)
         wobble = ripple * np.sin(2.0 * math.pi * rng.uniform(1.0, 2.0) * xs + rng.uniform(0, 6.28))
         values = np.clip(values + wobble[None, :], 0.0, 1.0)
+    values.flags.writeable = False
     return DepthMap(shape, values)
 
 
@@ -219,6 +221,7 @@ def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
             f"could only place {count}/{spec.n_people} heads at the minimum "
             f"spacing; reduce n_people or head sizes"
         )
+    placed.flags.writeable = False
     return SceneRecord(
         config=config,
         depth=depth,
@@ -308,7 +311,9 @@ def oracle_predictions(
         noisy = density.values + rng.normal(
             0.0, noise.density_noise_sigma, rec.depth.shape.array_shape
         )
-        density = DensityField(rec.depth.shape, np.clip(noisy, 0.0, None))
+        np.clip(noisy, 0.0, None, out=noisy)
+        noisy.flags.writeable = False
+        density = DensityField(rec.depth.shape, noisy)
 
     return OraclePredictions(
         detections=detections,

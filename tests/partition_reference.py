@@ -15,6 +15,7 @@ from scipy import ndimage
 from digcrowd import ConfigError, DigCrowdError, PartitionError, Polyline, mask_from_polyline
 from digcrowd.partition import (
     CENTER_RESIDUAL_TOL,
+    ENERGY_RTOL,
     ClusterState,
     PartitionResult,
     _attach_orphans,
@@ -139,7 +140,10 @@ def cluster_depth_reference(depth, target_cluster_count=256, compactness=0.1, ma
         assign_windows_reference(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
         assign = best_id.ravel().copy()
         energies.append(float(best_d2.sum()))
-        if residual < CENTER_RESIDUAL_TOL:
+        if (
+            residual < CENTER_RESIDUAL_TOL
+            or energies[-2] - energies[-1] <= ENERGY_RTOL * energies[-2]
+        ):
             break
 
     counts = np.bincount(assign, minlength=k_count)

@@ -429,8 +429,8 @@ class TestCli:
         assert sorted(reads) == sorted(out.rglob("density.digf"))
         assert len(list((tmp_path / "r" / "debug").glob("*_density.pgm"))) == 2
 
-    def test_partition_subcommand(self, tmp_path):
-        from digcrowd import GridShape, SceneConfig, generate_step_depth
+    def test_partition_subcommand(self, tmp_path, capsys):
+        from digcrowd import GridShape, SceneConfig, generate_step_depth, partition
         from digcrowd.io import write_depth_digd, write_scene_config
 
         depth = generate_step_depth(GridShape(120, 90), boundary_row=36, seed=4)
@@ -454,6 +454,9 @@ class TestCli:
         assert (tmp_path / "p" / "auto-scene_partition.json").exists()
         assert (tmp_path / "p" / "auto-scene_mask.pgm").exists()
         assert (tmp_path / "p" / "auto-scene_clusters.pgm").exists()
+        printed = json.loads(capsys.readouterr().out)
+        want = partition(depth, SceneConfig("auto-scene"), target_cluster_count=48)
+        assert printed["iterations"] == len(want.energy_history) - 1 > 0
 
     def test_render_subcommand(self, tmp_path, bench_dir):
         out, _ = bench_dir
@@ -538,3 +541,21 @@ class TestDiagnostics:
         run_dataset(manifest, PipelineParams(), tmp_path / "r")
         payload = json.loads((tmp_path / "r" / "report.json").read_text())
         assert payload["scenes"][0]["polyline"] is not None
+
+    def test_partition_diagnostics_in_report(self, bench_dir, tmp_path):
+        from digcrowd import SceneConfig, partition
+
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        auto = manifest.entries[1]
+        cfg = json.loads(auto.config.read_text())
+        cfg["polyline"] = None
+        auto.config.write_text(json.dumps(cfg))
+        run_dataset(manifest, PipelineParams(), tmp_path / "r")
+        scenes = json.loads((tmp_path / "r" / "report.json").read_text())["scenes"]
+        want = partition(dio.read_depth(auto.depth), SceneConfig(auto.scene_id))
+        assert scenes[1]["partition_iterations"] == len(want.energy_history) - 1
+        assert scenes[1]["partition_energy"] == want.energy_history[-1]
+        for manual in (scenes[0], scenes[2], scenes[3]):
+            assert manual["partition_iterations"] is None
+            assert manual["partition_energy"] is None

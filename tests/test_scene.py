@@ -3,6 +3,7 @@ import pytest
 
 from digcrowd import (
     ConfigError,
+    DensityField,
     DepthMap,
     DetectionSet,
     GridShape,
@@ -13,6 +14,7 @@ from digcrowd import (
     SceneRecord,
     mask_from_polyline,
 )
+from digcrowd.partition import ClusterState
 
 
 class TestPolylineEval:
@@ -171,3 +173,50 @@ class TestTypes:
         SceneRecord(cfg, depth, heads, 2.0)
         with pytest.raises(ConfigError):
             SceneRecord(cfg, depth, heads, 3.0)
+
+
+_SHAPE = GridShape(4, 4)
+# type -> (build the object around the caller's (4, 4) array as passed by
+# ``hand``, read the array back)
+_HOLDERS = {
+    "DepthMap": (lambda a, hand: DepthMap(_SHAPE, hand(a)), lambda obj: obj.values),
+    "DensityField": (lambda a, hand: DensityField(_SHAPE, hand(a)), lambda obj: obj.values),
+    "SceneRecord.heads": (
+        lambda a, hand: SceneRecord(
+            SceneConfig("s"), DepthMap(_SHAPE, np.zeros((4, 4))), hand(a.reshape(8, 2)), 8.0
+        ),
+        lambda obj: obj.heads,
+    ),
+    "ClusterState": (
+        lambda a, hand: ClusterState(
+            assignments=np.zeros((4, 4), dtype=np.int32),
+            feature=hand(a.ravel()),
+            px=np.zeros(16),
+            py=np.zeros(16),
+            grid_step=1.0,
+        ),
+        lambda obj: obj.feature,
+    ),
+}
+
+
+class TestCallerArrays:
+    """The read-only types never freeze the caller's own writeable array."""
+
+    @pytest.mark.parametrize("name", sorted(_HOLDERS))
+    @pytest.mark.parametrize("hand", [lambda a: a, memoryview], ids=["array", "memoryview"])
+    def test_caller_array_stays_writeable_and_detached(self, name, hand):
+        build, read = _HOLDERS[name]
+        given = np.full((4, 4), 0.25)
+        obj = build(given, hand)
+        assert given.flags.writeable
+        given[...] = 0.75  # a later write reaches the caller's array only
+        held = read(obj)
+        assert not held.flags.writeable
+        assert np.all(held == 0.25)
+
+    def test_read_only_array_is_taken_without_copy(self):
+        given = np.full((4, 4), 0.25)
+        given.flags.writeable = False
+        assert DepthMap(_SHAPE, given).values is given
+        assert DensityField(_SHAPE, given).values is given
