@@ -116,7 +116,9 @@ def _cmd_partition(args) -> int:
         "scene_id": cfg.scene_id,
         "polyline": dio.polyline_to_json(result.polyline),
         "threshold_used": result.threshold_used,
-        "cluster_mean_depths": list(result.cluster_mean_depths),
+        "cluster_mean_depths": []
+        if result.cluster_mean_depths is None
+        else result.cluster_mean_depths.tolist(),
         "iterations": result.iterations,
         "far_pixels": result.mask.far_count,
         "near_pixels": result.mask.near_count,

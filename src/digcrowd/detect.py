@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .scene import GridShape
+from .scene import GridShape, _frozen
 
 __all__ = [
     "DetectorGridSpec",
@@ -75,20 +75,19 @@ class GridPrediction:
             raise FormatError(
                 f"prediction tensor shape {vals.shape} does not match {expected}"
             )
-        vals = np.ascontiguousarray(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals, self.values))
 
     @classmethod
     def from_flat(
         cls, spec: DetectorGridSpec, shape: GridShape, flat: np.ndarray
     ) -> "GridPrediction":
-        flat = np.asarray(flat, dtype=np.float64).ravel()
+        flat = np.array(flat, dtype=np.float64).ravel()
         expected = spec.s * spec.s * spec.cell_values
         if flat.size != expected:
             raise FormatError(
                 f"prediction tensor has {flat.size} values, expected {expected}"
             )
+        flat.flags.writeable = False
         return cls(spec, shape, flat.reshape(spec.s, spec.s, spec.cell_values))
 
 
@@ -135,9 +134,7 @@ class DetectionSet:
         bad = first_invalid_row(rows)
         if bad is not None:
             raise ConfigError(f"row {bad[0]}: {bad[1]}")
-        rows = np.ascontiguousarray(rows)
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _frozen(rows, self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -202,6 +199,7 @@ def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOL
     y_max = np.minimum(cy + half_h, height)
     keep = (score >= score_threshold) & (x_max > x_min) & (y_max > y_min)
     rows = np.stack([x_min, y_min, x_max, y_max, score], axis=-1)[keep]
+    rows.flags.writeable = False
     return DetectionSet(rows, warnings=tuple(warnings))
 
 
@@ -270,4 +268,6 @@ def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> Detection
         for row, source in enumerate(sources.tolist()):
             if alive[source]:
                 alive[targets[hit[row]]] = False
-    return DetectionSet(arr[order[alive]], warnings=dets.warnings)
+    kept = arr[order[alive]]
+    kept.flags.writeable = False
+    return DetectionSet(kept, warnings=dets.warnings)

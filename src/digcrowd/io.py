@@ -34,7 +34,6 @@ from .scene import (
     DepthMap,
     GridShape,
     Polyline,
-    PolySegment,
     SceneConfig,
     check_heads,
 )
@@ -291,19 +290,17 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
 
 # -- scene config -----------------------------------------------------------
 
+_SEGMENT_KEYS = ("x_start", "x_end", "k", "b")
+
+
 def polyline_to_json(p: Polyline) -> list[dict]:
-    """One ``{x_start, x_end, k, b}`` object per segment."""
-    return [{"x_start": s.x_start, "x_end": s.x_end, "k": s.k, "b": s.b} for s in p.segments]
+    """One ``{x_start, x_end, k, b}`` object per segment row."""
+    return [dict(zip(_SEGMENT_KEYS, row)) for row in p.segments.tolist()]
 
 
 def polyline_from_json(raw) -> Polyline:
     """Inverse of ``polyline_to_json``."""
-    return Polyline(
-        tuple(
-            PolySegment(float(s["x_start"]), float(s["x_end"]), float(s["k"]), float(s["b"]))
-            for s in raw
-        )
-    )
+    return Polyline([[float(s[key]) for key in _SEGMENT_KEYS] for s in raw])
 
 
 def write_scene_config(path, cfg: SceneConfig) -> None:

@@ -45,21 +45,24 @@ DISTANCE_BLOCK = 1 << 15  # pixels per block of _current_distance
 
 @dataclass(frozen=True, eq=False)
 class ClusterState:
-    """Result of clustering: dense per-pixel ids plus center coordinates."""
+    """Result of clustering: dense per-pixel ids, center coordinates, mean depths."""
 
     assignments: np.ndarray
     feature: np.ndarray
     px: np.ndarray
     py: np.ndarray
+    mean_depths: np.ndarray
     grid_step: float
     energy_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("assignments", "feature", "px", "py"):
+        for name in ("assignments", "feature", "px", "py", "mean_depths"):
             given = getattr(self, name)
             object.__setattr__(self, name, _frozen(given, given))
         if self.cluster_count < 1:
             raise ConfigError("cluster state needs at least one center")
+        if self.mean_depths.shape != self.feature.shape:
+            raise ConfigError("cluster state needs one mean depth per center")
 
     @property
     def cluster_count(self) -> int:
@@ -69,7 +72,6 @@ class ClusterState:
 class ClusterLabels(NamedTuple):
     far: np.ndarray  # bool per cluster
     threshold: float
-    mean_depths: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +80,7 @@ class PartitionResult:
 
     mask: RegionMask
     polyline: Polyline
-    cluster_mean_depths: tuple[float, ...] = ()
+    cluster_mean_depths: np.ndarray | None = None
     threshold_used: float | None = None
     warnings: tuple[str, ...] = ()
     cluster_assignments: np.ndarray | None = None
@@ -269,8 +271,10 @@ def cluster_depth(
         ):
             break
 
-    # Drop empty clusters so ids stay dense.
+    # Drop empty clusters so ids stay dense. Mean depths are summed in pixel
+    # order over the final labels and divided by the exact counts.
     keep = counts > 0
+    means = np.bincount(assign, weights=flat_depth, minlength=k_count)[keep] / counts[keep]
     if not keep.all():
         remap = np.full(k_count, -1, dtype=np.int32)
         remap[keep] = np.arange(int(keep.sum()), dtype=np.int32)
@@ -278,34 +282,27 @@ def cluster_depth(
         feat, cpx, cpy = feat[keep], cpx[keep], cpy[keep]
 
     assign = assign.reshape(height, width).astype(np.int32)
-    for arr in (assign, feat, cpx, cpy):
+    for arr in (assign, feat, cpx, cpy, means):
         arr.flags.writeable = False
     return ClusterState(
         assignments=assign,
         feature=feat,
         px=cpx,
         py=cpy,
+        mean_depths=means,
         grid_step=step,
         energy_history=tuple(energies),
     )
 
 
-def classify_clusters(
-    state: ClusterState, depth: DepthMap, threshold: float | None = None
-) -> ClusterLabels:
-    """Label clusters far/near by mean depth.
+def classify_clusters(state: ClusterState, threshold: float | None = None) -> ClusterLabels:
+    """Label clusters far/near by the clustering's mean depths.
 
     With ``threshold=None`` the split maximizes the between-class variance
     of the cluster mean depths, scanning the midpoints between consecutive
     sorted means. A cluster is far iff its mean depth >= threshold.
     """
-    if state.assignments.shape != depth.shape.array_shape:
-        raise ConfigError("cluster state does not match depth grid")
-    flat = state.assignments.ravel()
-    k_count = state.cluster_count
-    counts = np.bincount(flat, minlength=k_count).astype(np.float64)
-    sums = np.bincount(flat, weights=depth.values.ravel(), minlength=k_count)
-    means = sums / np.maximum(counts, 1.0)
+    means = state.mean_depths
 
     if threshold is None:
         uniq = np.unique(means)
@@ -331,7 +328,7 @@ def classify_clusters(
     elif not (0.0 <= threshold <= 1.0):
         raise ConfigError(f"depth threshold {threshold} outside [0, 1]")
 
-    return ClusterLabels(far=means >= threshold, threshold=float(threshold), mean_depths=means)
+    return ClusterLabels(far=means >= threshold, threshold=float(threshold))
 
 
 def _douglas_peucker(xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
@@ -450,7 +447,7 @@ def partition(
             compactness=compactness,
             max_iters=max_iters,
         )
-        labels = classify_clusters(state, depth, cfg.depth_threshold)
+        labels = classify_clusters(state, cfg.depth_threshold)
         poly, warnings = extract_polyline(labels.far, state, depth.shape, simplify_tol)
     except DigCrowdError as exc:
         raise PartitionError(f"scene {cfg.scene_id!r}: {exc}") from exc
@@ -458,7 +455,7 @@ def partition(
     return PartitionResult(
         mask=mask,
         polyline=poly,
-        cluster_mean_depths=tuple(float(m) for m in labels.mean_depths),
+        cluster_mean_depths=state.mean_depths,
         threshold_used=labels.threshold,
         warnings=warnings,
         cluster_assignments=state.assignments,

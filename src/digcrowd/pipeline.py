@@ -38,7 +38,7 @@ from .detect import (
 from .errors import ConfigError, DigCrowdError, FormatError
 from .metrics import EvaluationRecord, SceneEstimate, evaluate_pairs, fuse
 from .partition import PartitionResult, partition
-from .scene import GridShape, SceneRecord
+from .scene import GridShape, Polyline, SceneRecord
 from .spatial import apply_spatial_constraint
 from .synth import NoiseSpec, SynthSpec, generate_scene, oracle_predictions
 
@@ -104,7 +104,7 @@ class SceneOutcome:
     near_count: int | None = None
     deleted_count: int | None = None
     threshold_used: float | None = None
-    polyline: tuple[tuple[float, float, float, float], ...] | None = None
+    polyline: Polyline | None = None
     warnings: tuple[str, ...] = ()
     partition_iterations: int | None = None  # both None for a manual split
     partition_energy: float | None = None
@@ -139,7 +139,7 @@ def _resolve(base: Path, value) -> Path | None:
 
 
 def load_manifest(path) -> Manifest:
-    """Parse and validate a manifest; every referenced file must exist."""
+    """Parse and validate a manifest; a missing scene file fails only its scene."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -153,7 +153,6 @@ def load_manifest(path) -> Manifest:
     base = path.parent
     entries = []
     seen: set[str] = set()
-    missing: list[str] = []
     for raw in scenes:
         try:
             scene_id = str(raw["scene_id"])
@@ -172,13 +171,7 @@ def load_manifest(path) -> Manifest:
         if scene_id in seen:
             raise FormatError(f"{path}: duplicate scene_id {scene_id!r}")
         seen.add(scene_id)
-        for p in (entry.depth, entry.config, entry.annotations, entry.detections,
-                  entry.tensor, entry.density):
-            if p is not None and not p.exists():
-                missing.append(f"{scene_id}: {p}")
         entries.append(entry)
-    if missing:
-        raise FormatError(f"{path}: missing referenced files: {missing}")
     if not entries:
         raise FormatError(f"{path}: manifest lists no scenes")
     return Manifest(dataset_id=str(payload.get("dataset_id", path.stem)), entries=tuple(entries))
@@ -270,9 +263,7 @@ def count_scene(
         near_count=None if stages is None else len(stages.report.kept),
         deleted_count=None if stages is None else len(stages.report.deleted),
         threshold_used=None if part is None else part.threshold_used,
-        polyline=None
-        if part is None
-        else tuple((s.x_start, s.x_end, s.k, s.b) for s in part.polyline.segments),
+        polyline=None if part is None else part.polyline,
         warnings=tuple(warnings),
         partition_iterations=None if part is None else part.iterations,
         partition_energy=part.energy_history[-1] if part and part.energy_history else None,
@@ -389,9 +380,7 @@ def write_report(report: RunReport, out_dir: Path) -> None:
                 "ground_truth": None if o.estimate is None else o.estimate.ground_truth,
                 "abs_error": None if o.estimate is None else o.estimate.abs_error,
                 "threshold_used": o.threshold_used,
-                "polyline": None
-                if o.polyline is None
-                else [list(seg) for seg in o.polyline],
+                "polyline": None if o.polyline is None else o.polyline.segments.tolist(),
                 "warnings": list(o.warnings),
                 "partition_iterations": o.partition_iterations,
                 "partition_energy": o.partition_energy,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "Region",
     "GridShape",
     "DepthMap",
-    "PolySegment",
     "Polyline",
     "RegionMask",
     "SceneConfig",
@@ -117,96 +115,82 @@ def check_heads(heads) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PolySegment:
-    """One straight piece y = k*x + b on [x_start, x_end)."""
-
-    x_start: float
-    x_end: float
-    k: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.x_end > self.x_start):
-            raise ConfigError(f"segment needs x_end > x_start, got [{self.x_start}, {self.x_end}]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polyline:
     """Piecewise-linear split boundary over a contiguous x-domain.
 
-    Segment i covers the half-open interval [x_{i-1}, x_i); the final
-    segment also owns its right endpoint. Adjacent segments must meet at
-    the shared knot (continuity).
+    ``segments`` is a read-only (M, 4) float64 array of rows
+    ``[x_start, x_end, k, b]``, one straight piece y = k*x + b each; anything
+    ``np.asarray`` turns into that shape is accepted. Row i covers the
+    half-open interval [x_start, x_end); the final row also owns its right
+    endpoint. Adjacent rows must meet at the shared knot (continuity).
+    Polylines compare equal when their rows do.
     """
 
-    segments: tuple[PolySegment, ...]
+    segments: np.ndarray
 
     _CONTIGUITY_TOL = 1e-9
     _CONTINUITY_TOL = 1e-6
 
     def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
+        segs = np.asarray(self.segments, dtype=np.float64)
+        if segs.size == 0:
             raise ConfigError("polyline needs at least one segment")
-        for a, b in zip(segs, segs[1:]):
-            gap = abs(a.x_end - b.x_start)
-            if gap > self._CONTIGUITY_TOL * max(1.0, abs(a.x_end)):
-                raise ConfigError(
-                    f"segments not contiguous: [{a.x_start}, {a.x_end}] then [{b.x_start}, {b.x_end}]"
-                )
-            ya = a.k * a.x_end + a.b
-            yb = b.k * b.x_start + b.b
-            if abs(ya - yb) > self._CONTINUITY_TOL * max(1.0, abs(ya)):
-                raise ConfigError(
-                    f"polyline discontinuous at x={a.x_end}: {ya} vs {yb}"
-                )
-        object.__setattr__(self, "segments", segs)
+        if segs.ndim != 2 or segs.shape[1] != 4:
+            raise ConfigError(f"polyline segments must be (M, 4), got {segs.shape}")
+        x0, x1, k, b = segs.T
+        bad = np.flatnonzero(~(x1 > x0))
+        if bad.size:
+            lo, hi = segs[bad[0], :2].tolist()
+            raise ConfigError(f"segment needs x_end > x_start, got [{lo}, {hi}]")
+        gap = np.abs(x1[:-1] - x0[1:]) > self._CONTIGUITY_TOL * np.maximum(1.0, np.abs(x1[:-1]))
+        ya = k[:-1] * x1[:-1] + b[:-1]
+        yb = k[1:] * x0[1:] + b[1:]
+        jump = np.abs(ya - yb) > self._CONTINUITY_TOL * np.maximum(1.0, np.abs(ya))
+        bad = np.flatnonzero(gap | jump)
+        if bad.size:
+            i = bad[0]
+            if gap[i]:
+                (a0, a1), (b0, b1) = segs[i : i + 2, :2].tolist()
+                raise ConfigError(f"segments not contiguous: [{a0}, {a1}] then [{b0}, {b1}]")
+            raise ConfigError(
+                f"polyline discontinuous at x={float(x1[i])}: {float(ya[i])} vs {float(yb[i])}"
+            )
+        object.__setattr__(self, "segments", _frozen(segs, self.segments))
 
-    @cached_property
-    def _knots(self) -> np.ndarray:
-        xs = [s.x_start for s in self.segments]
-        xs.append(self.segments[-1].x_end)
-        return np.asarray(xs, dtype=np.float64)
+    def __eq__(self, other):
+        if not isinstance(other, Polyline):
+            return NotImplemented
+        return np.array_equal(self.segments, other.segments)
 
-    @cached_property
-    def _ks(self) -> np.ndarray:
-        return np.asarray([s.k for s in self.segments], dtype=np.float64)
-
-    @cached_property
-    def _bs(self) -> np.ndarray:
-        return np.asarray([s.b for s in self.segments], dtype=np.float64)
+    __hash__ = None
 
     @property
     def domain(self) -> tuple[float, float]:
-        return (float(self._knots[0]), float(self._knots[-1]))
-
-    def segment_index(self, x: float) -> int:
-        """Index of the segment owning x (half-open intervals, last closed)."""
-        lo, hi = self.domain
-        if x < lo or x > hi:
-            raise PolylineDomainError(f"x={x} outside polyline domain [{lo}, {hi}]")
-        idx = int(np.searchsorted(self._knots, x, side="right")) - 1
-        return min(max(idx, 0), len(self.segments) - 1)
+        return (float(self.segments[0, 0]), float(self.segments[-1, 1]))
 
     def eval(self, x: float) -> float:
         """y of the split line at x. Errors when x is outside the domain."""
-        i = self.segment_index(x)
-        return float(self._ks[i] * x + self._bs[i])
+        lo, hi = self.domain
+        if x < lo or x > hi:
+            raise PolylineDomainError(f"x={x} outside polyline domain [{lo}, {hi}]")
+        return float(self.eval_array(x))
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """y of the split line at each x; the row owning x is found on the starts."""
         xs = np.asarray(xs, dtype=np.float64)
         lo, hi = self.domain
         if xs.size and (xs.min() < lo or xs.max() > hi):
             raise PolylineDomainError(
                 f"x values outside polyline domain [{lo}, {hi}]"
             )
-        idx = np.clip(np.searchsorted(self._knots, xs, side="right") - 1, 0, len(self.segments) - 1)
-        return self._ks[idx] * xs + self._bs[idx]
+        segs = self.segments
+        idx = np.clip(np.searchsorted(segs[:, 0], xs, side="right") - 1, 0, len(segs) - 1)
+        return segs[idx, 2] * xs + segs[idx, 3]
 
     @classmethod
     def constant(cls, y: float, x_end: float, x_start: float = 0.0) -> "Polyline":
-        return cls((PolySegment(x_start, x_end, 0.0, float(y)),))
+        return cls([[x_start, x_end, 0.0, y]])
 
     @classmethod
     def from_points(cls, xs: Sequence[float], ys: Sequence[float]) -> "Polyline":
@@ -217,12 +201,11 @@ class Polyline:
             raise ConfigError("from_points needs >= 2 matching vertices")
         if np.any(np.diff(xs) <= 0):
             raise ConfigError("vertex x coordinates must strictly increase")
-        segs = []
-        for i in range(xs.size - 1):
-            k = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-            b = ys[i] - k * xs[i]
-            segs.append(PolySegment(float(xs[i]), float(xs[i + 1]), float(k), float(b)))
-        return cls(tuple(segs))
+        k = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+        b = ys[:-1] - k * xs[:-1]
+        segs = np.column_stack([xs[:-1], xs[1:], k, b])
+        segs.flags.writeable = False
+        return cls(segs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,9 +51,11 @@ def apply_spatial_constraint(
     )
     for msg in warnings:
         log.warning("spatial filter (%s): %s", scene_id or "scene", msg)
+    kept, deleted = rows[~delete], rows[delete]
+    kept.flags.writeable = deleted.flags.writeable = False
     return FilterReport(
-        kept=DetectionSet(rows[~delete], warnings=dets.warnings),
-        deleted=DetectionSet(rows[delete]),
+        kept=DetectionSet(kept, warnings=dets.warnings),
+        deleted=DetectionSet(deleted),
         scene_id=scene_id,
         warnings=warnings,
     )

@@ -4,7 +4,9 @@ These are the straightforward versions that ``digcrowd.partition`` and
 ``digcrowd._kernels.assign_windows`` replaced with in-place, incremental
 numpy. The oracle tests in ``test_partition.py`` require the library to
 return exactly what these return: the same labels, centres, energies,
-threshold, polyline segments, warnings and mask, bit for bit.
+threshold, polyline segments, warnings and mask, bit for bit. Cluster mean
+depths are computed as ``classify_clusters`` once computed them: fresh
+pixel counts and depth sums over the final labels.
 """
 
 import math
@@ -154,11 +156,15 @@ def cluster_depth_reference(depth, target_cluster_count=256, compactness=0.1, ma
         assign = remap[assign]
         feat, cpx, cpy = feat[keep], cpx[keep], cpy[keep]
 
+    k_kept = feat.shape[0]
+    pixel_counts = np.bincount(assign, minlength=k_kept).astype(np.float64)
+    depth_sums = np.bincount(assign, weights=depth.values.ravel(), minlength=k_kept)
     return ClusterState(
         assignments=assign.reshape(height, width).astype(np.int32),
         feature=feat,
         px=cpx,
         py=cpy,
+        mean_depths=depth_sums / np.maximum(pixel_counts, 1.0),
         grid_step=step,
         energy_history=tuple(energies),
     )
@@ -220,14 +226,14 @@ def partition_reference(depth, cfg, *, target_cluster_count=256, compactness=0.1
     """``partition`` for an automatic config, built from the references above."""
     try:
         state = cluster_depth_reference(depth, target_cluster_count, compactness, max_iters)
-        labels = classify_clusters(state, depth, cfg.depth_threshold)
+        labels = classify_clusters(state, cfg.depth_threshold)
         poly, warnings = extract_polyline_reference(labels.far, state, depth.shape, simplify_tol)
     except DigCrowdError as exc:
         raise PartitionError(f"scene {cfg.scene_id!r}: {exc}") from exc
     return PartitionResult(
         mask=mask_from_polyline(poly, depth.shape),
         polyline=poly,
-        cluster_mean_depths=tuple(float(m) for m in labels.mean_depths),
+        cluster_mean_depths=state.mean_depths,
         threshold_used=labels.threshold,
         warnings=warnings,
         cluster_assignments=state.assignments,

@@ -93,8 +93,7 @@ class TestDepthFiles:
         got, want = partition(loaded, cfg), partition(wide, cfg)
 
         def bits(part):
-            segments = [(s.x_start, s.x_end, s.k, s.b) for s in part.polyline.segments]
-            floats = [*np.ravel(segments), part.threshold_used, *part.energy_history]
+            floats = [*part.polyline.segments.ravel(), part.threshold_used, *part.energy_history]
             return np.array(floats, dtype=np.float64).view(np.uint64).tolist()
 
         assert bits(got) == bits(want)

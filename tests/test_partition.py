@@ -50,6 +50,7 @@ def _state_from_blocks(depth_values):
             feature=np.array(feat),
             px=np.array(px),
             py=np.array(py),
+            mean_depths=np.array(feat),
             grid_step=float(np.sqrt(vals.size / uniq.size)),
         ),
         DepthMap(GridShape(vals.shape[1], vals.shape[0]), vals),
@@ -186,13 +187,13 @@ class TestClassifyClusters:
         state, depth = _state_from_blocks(
             np.repeat([[0.1], [0.9]], 8, axis=1).repeat(4, axis=0)
         )
-        labels = classify_clusters(state, depth, threshold=0.5)
+        labels = classify_clusters(state, threshold=0.5)
         assert labels.far.tolist() == [False, True]
 
     def test_boundary_inclusive_on_far(self):
         # dyadic depth so the cluster mean equals the threshold exactly
         state, depth = _state_from_blocks(np.full((4, 4), 0.625))
-        labels = classify_clusters(state, depth, threshold=0.625)
+        labels = classify_clusters(state, threshold=0.625)
         assert labels.far.tolist() == [True]
 
     def test_auto_matches_midpoint_scan_example(self):
@@ -203,7 +204,7 @@ class TestClassifyClusters:
             ]
         )
         state, depth = _state_from_blocks(blocks)
-        labels = classify_clusters(state, depth, threshold=None)
+        labels = classify_clusters(state, threshold=None)
         assert 0.21 < labels.threshold < 0.8
         assert labels.far.tolist() == [False, False, True, True]
 
@@ -216,7 +217,7 @@ class TestClassifyClusters:
                 continue
             rows = np.repeat(means[None, :], 3, axis=0)
             state, depth = _state_from_blocks(rows)
-            got = classify_clusters(state, depth, threshold=None)
+            got = classify_clusters(state, threshold=None)
             # independent oracle: plain scan over midpoints of sorted means
             allm = [
                 depth.values[state.assignments == k].mean()
@@ -234,16 +235,16 @@ class TestClassifyClusters:
             assert got.threshold == pytest.approx(best_t, abs=1e-12)
 
     def test_no_contrast_errors(self):
-        state, depth = _state_from_blocks(np.full((4, 8), 0.4))
         fake = ClusterState(
             assignments=np.tile(np.array([[0, 1]], dtype=np.int32), (4, 4)),
             feature=np.array([0.4, 0.4]),
             px=np.array([2.0, 5.0]),
             py=np.array([1.5, 1.5]),
+            mean_depths=np.array([0.4, 0.4]),
             grid_step=4.0,
         )
         with pytest.raises(PartitionError, match="contrast"):
-            classify_clusters(fake, depth, threshold=None)
+            classify_clusters(fake, threshold=None)
 
 
 class TestExtractPolyline:
@@ -256,7 +257,7 @@ class TestExtractPolyline:
         )
         assert not warnings
         assert len(poly.segments) == 1
-        assert poly.segments[0].k == 0.0
+        assert poly.segments[0, 2] == 0.0
         assert poly.eval(50.0) == pytest.approx(10.0)
 
     def test_staircase_single_sloped_segment(self):
@@ -396,15 +397,14 @@ def _hex(values):
 def _assert_same_state(got, want):
     assert got.assignments.dtype == want.assignments.dtype == np.int32
     assert np.array_equal(got.assignments, want.assignments)
-    for name in ("feature", "px", "py"):
+    for name in ("feature", "px", "py", "mean_depths"):
         assert _hex(getattr(got, name)) == _hex(getattr(want, name)), name
     assert _hex(got.energy_history) == _hex(want.energy_history)
 
 
 def _assert_same_polyline(got, want):
-    assert [_hex((s.x_start, s.x_end, s.k, s.b)) for s in got.segments] == [
-        _hex((s.x_start, s.x_end, s.k, s.b)) for s in want.segments
-    ]
+    assert got.segments.shape == want.segments.shape
+    assert _hex(got.segments.ravel()) == _hex(want.segments.ravel())
 
 
 def _assert_same_partition(got, want):
@@ -416,6 +416,7 @@ def _assert_same_partition(got, want):
     assert got.warnings == want.warnings
     assert np.array_equal(got.mask.far, want.mask.far)
     assert np.array_equal(got.cluster_assignments, want.cluster_assignments)
+    assert _hex(got.cluster_mean_depths) == _hex(want.cluster_mean_depths)
     assert _hex(got.energy_history) == _hex(want.energy_history)
 
 
@@ -459,6 +460,7 @@ class TestReferenceOracle:
             feature=np.array([0.1, 0.9]),
             px=np.array([0.0, 0.0]),
             py=np.array([0.0, 0.0]),
+            mean_depths=np.array([0.1, 0.9]),
             grid_step=1.0,
         )
         labels = np.array([False, True])

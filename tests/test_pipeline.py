@@ -147,15 +147,29 @@ class TestRunDataset:
     def test_missing_density_fails_scene_but_keeps_near(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
         manifest = load_manifest(manifest_path)
-        (manifest.entries[0].density).unlink()
-        with pytest.raises(FormatError):
-            load_manifest(manifest_path)  # manifest validation catches it
+        missing = manifest.entries[0].density
+        missing.unlink()
+        outcome = run_scene(load_manifest(manifest_path).entries[0], PipelineParams())
+        assert outcome.status == "failed"
+        assert str(missing) in outcome.error
+        assert outcome.near_count is not None and outcome.near_count > 0
         # entry without any density path exercises the per-scene failure path
         entry = dataclasses.replace(manifest.entries[0], density=None)
         outcome = run_scene(entry, PipelineParams())
         assert outcome.status == "failed"
         assert "far predictions absent" in outcome.error
         assert outcome.near_count is not None and outcome.near_count > 0
+
+    def test_missing_file_fails_only_its_scene(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        missing = load_manifest(manifest_path).entries[2].depth
+        missing.unlink()
+        report = run_dataset(load_manifest(manifest_path), PipelineParams(), tmp_path / "r")
+        assert [o.status for o in report.outcomes] == ["ok", "ok", "failed", "ok"]
+        assert str(missing) in report.outcomes[2].error
+        assert report.evaluation is not None and report.evaluation.mae < 1e-4
+        payload = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert (payload["n_succeeded"], payload["n_failed"]) == (3, 1)
 
     def test_non_finite_detection_fails_only_its_scene(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
@@ -536,8 +550,8 @@ class TestDiagnostics:
         assert outcome.ok
         # synthetic configs carry a manual flat split line; it must be echoed
         assert outcome.polyline is not None
-        assert len(outcome.polyline) == 1
-        assert outcome.polyline[0][2] == 0.0  # flat: k == 0
+        assert outcome.polyline.segments.shape == (1, 4)
+        assert outcome.polyline.segments[0, 2] == 0.0  # flat: k == 0
         run_dataset(manifest, PipelineParams(), tmp_path / "r")
         payload = json.loads((tmp_path / "r" / "report.json").read_text())
         assert payload["scenes"][0]["polyline"] is not None

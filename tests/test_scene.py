@@ -6,10 +6,11 @@ from digcrowd import (
     DensityField,
     DepthMap,
     DetectionSet,
+    DetectorGridSpec,
+    GridPrediction,
     GridShape,
     Polyline,
     PolylineDomainError,
-    PolySegment,
     SceneConfig,
     SceneRecord,
     mask_from_polyline,
@@ -23,25 +24,20 @@ class TestPolylineEval:
         assert p.eval(20.0) == 100.0
 
     def test_boundary_belongs_to_second_segment(self):
-        p = Polyline(
-            (
-                PolySegment(0.0, 10.0, 1.0, 0.0),
-                PolySegment(10.0, 20.0, -1.0, 20.0),
-            )
-        )
+        p = Polyline([[0.0, 10.0, 1.0, 0.0], [10.0, 20.0, -1.0, 20.0]])
         assert p.eval(10.0) == 10.0
 
     def test_hand_arithmetic(self):
-        p = Polyline((PolySegment(0.0, 5.0, 2.0, 3.0),))
+        p = Polyline([[0.0, 5.0, 2.0, 3.0]])
         assert p.eval(4.0) == 11.0
 
     def test_last_interval_closed(self):
-        p = Polyline((PolySegment(0.0, 5.0, 2.0, 3.0),))
+        p = Polyline([[0.0, 5.0, 2.0, 3.0]])
         assert p.eval(5.0) == 13.0
 
     @pytest.mark.parametrize("x", [-0.5, 20.01])
     def test_outside_domain(self, x):
-        p = Polyline((PolySegment(0.0, 20.0, 0.0, 1.0),))
+        p = Polyline([[0.0, 20.0, 0.0, 1.0]])
         with pytest.raises(PolylineDomainError):
             p.eval(x)
 
@@ -59,11 +55,11 @@ class TestPolylineValidation:
 
     def test_gap_rejected(self):
         with pytest.raises(ConfigError, match="contiguous"):
-            Polyline((PolySegment(0, 10, 0, 1), PolySegment(11, 20, 0, 1)))
+            Polyline([[0, 10, 0, 1], [11, 20, 0, 1]])
 
     def test_discontinuity_rejected(self):
         with pytest.raises(ConfigError, match="discontinuous"):
-            Polyline((PolySegment(0, 10, 0, 1), PolySegment(10, 20, 0, 5)))
+            Polyline([[0, 10, 0, 1], [10, 20, 0, 5]])
 
     def test_continuity_at_every_knot(self):
         rng = np.random.default_rng(5)
@@ -75,10 +71,39 @@ class TestPolylineValidation:
                 continue
             ys = rng.uniform(0, 100, n + 1)
             p = Polyline.from_points(xs, ys)
-            for seg_a, seg_b in zip(p.segments, p.segments[1:]):
-                left = seg_a.k * seg_a.x_end + seg_a.b
-                right = seg_b.k * seg_b.x_start + seg_b.b
-                assert abs(left - right) < 1e-9
+            for (_, a_end, a_k, a_b), (b_start, _, b_k, b_b) in zip(p.segments, p.segments[1:]):
+                assert abs((a_k * a_end + a_b) - (b_k * b_start + b_b)) < 1e-9
+
+    def test_segments_are_one_read_only_array(self):
+        p = Polyline([[0, 10, 0, 1], [10, 20, 0.5, -4]])
+        assert p.segments.dtype == np.float64 and p.segments.shape == (2, 4)
+        with pytest.raises(ValueError):
+            p.segments[0, 3] = 2.0
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ConfigError, match=r"\(M, 4\)"):
+            Polyline([[0.0, 10.0, 0.0]])
+
+    def test_first_bad_row_named_before_any_pair(self):
+        rows = [[0, 10, 0, 1], [11, 20, 0, 1], [20, 20, 0, 1], [20, 19, 0, 1]]
+        with pytest.raises(ConfigError, match=r"x_end > x_start, got \[20.0, 20.0\]"):
+            Polyline(rows)
+
+    def test_first_bad_pair_named(self):
+        rows = [[0, 10, 0, 1], [10, 20, 0, 1], [21, 30, 0, 1], [30, 40, 0, 9]]
+        with pytest.raises(ConfigError, match=r"\[10.0, 20.0\] then \[21.0, 30.0\]"):
+            Polyline(rows)
+        rows = [[0, 10, 0, 1], [10, 20, 0, 3], [21, 30, 0, 3]]
+        with pytest.raises(ConfigError, match="discontinuous at x=10.0: 1.0 vs 3.0"):
+            Polyline(rows)
+
+    def test_value_equality(self):
+        p = Polyline.from_points([0.0, 10.0], [1.0, 1.0])
+        assert p == Polyline.constant(1.0, x_end=10.0)
+        assert p != Polyline.constant(2.0, x_end=10.0)
+        assert SceneConfig("s", polyline=p) == SceneConfig("s", polyline=Polyline(p.segments))
+        with pytest.raises(TypeError):
+            hash(p)
 
 
 class TestMaskFromPolyline:
@@ -122,7 +147,7 @@ class TestMaskFromPolyline:
                 assert scanned == expected
 
     def test_domain_shortfall_names_interval(self):
-        p = Polyline((PolySegment(0.0, 10.0, 0.0, 3.0),))
+        p = Polyline([[0.0, 10.0, 0.0, 3.0]])
         with pytest.raises(ConfigError, match=r"uncovered .*10"):
             mask_from_polyline(p, GridShape(20, 5))
 
@@ -175,27 +200,37 @@ class TestTypes:
             SceneRecord(cfg, depth, heads, 3.0)
 
 
-_SHAPE = GridShape(4, 4)
-# type -> (build the object around the caller's (4, 4) array as passed by
-# ``hand``, read the array back)
+_SHAPE = GridShape(5, 4)
+# The caller's (4, 5) array: valid box rows, every value in [0, 1].
+_GIVEN = np.tile([0.0, 0.0, 1.0, 1.0, 0.25], (4, 1))
+# type -> (build the object around the caller's array as passed by ``hand``,
+# read the array back)
 _HOLDERS = {
     "DepthMap": (lambda a, hand: DepthMap(_SHAPE, hand(a)), lambda obj: obj.values),
     "DensityField": (lambda a, hand: DensityField(_SHAPE, hand(a)), lambda obj: obj.values),
     "SceneRecord.heads": (
         lambda a, hand: SceneRecord(
-            SceneConfig("s"), DepthMap(_SHAPE, np.zeros((4, 4))), hand(a.reshape(8, 2)), 8.0
+            SceneConfig("s"), DepthMap(_SHAPE, np.zeros((4, 5))), hand(a.reshape(10, 2)), 10.0
         ),
         lambda obj: obj.heads,
     ),
     "ClusterState": (
         lambda a, hand: ClusterState(
-            assignments=np.zeros((4, 4), dtype=np.int32),
+            assignments=np.zeros((4, 5), dtype=np.int32),
             feature=hand(a.ravel()),
-            px=np.zeros(16),
-            py=np.zeros(16),
+            px=np.zeros(20),
+            py=np.zeros(20),
+            mean_depths=np.zeros(20),
             grid_step=1.0,
         ),
         lambda obj: obj.feature,
+    ),
+    "DetectionSet": (lambda a, hand: DetectionSet(hand(a)), lambda obj: obj.rows),
+    "GridPrediction": (
+        lambda a, hand: GridPrediction(
+            DetectorGridSpec(1, 2, 10), _SHAPE, hand(a.reshape(1, 1, 20))
+        ),
+        lambda obj: obj.values,
     ),
 }
 
@@ -207,16 +242,19 @@ class TestCallerArrays:
     @pytest.mark.parametrize("hand", [lambda a: a, memoryview], ids=["array", "memoryview"])
     def test_caller_array_stays_writeable_and_detached(self, name, hand):
         build, read = _HOLDERS[name]
-        given = np.full((4, 4), 0.25)
+        given = _GIVEN.copy()
         obj = build(given, hand)
         assert given.flags.writeable
         given[...] = 0.75  # a later write reaches the caller's array only
         held = read(obj)
         assert not held.flags.writeable
-        assert np.all(held == 0.25)
+        assert np.array_equal(held.ravel(), _GIVEN.ravel())
 
     def test_read_only_array_is_taken_without_copy(self):
-        given = np.full((4, 4), 0.25)
+        given = _GIVEN.copy()
         given.flags.writeable = False
         assert DepthMap(_SHAPE, given).values is given
         assert DensityField(_SHAPE, given).values is given
+        assert DetectionSet(given).rows is given
+        values = given.reshape(1, 1, 20)
+        assert GridPrediction(DetectorGridSpec(1, 2, 10), _SHAPE, values).values is values

@@ -148,10 +148,11 @@ class TestReferenceOracle:
 
     def test_knot_rounding_follows_segment_index(self):
         # at an interior knot the two segments meeting there can round to
-        # different y; the filter must use the segment segment_index picks
+        # different y; the filter must use the row that owns the knot (the
+        # second: intervals are half-open)
         p = Polyline.from_points([0.0, 3.0, 10.0], [130.1, 233.9, 160.4])
-        left = p.segments[0].k * 3.0 + p.segments[0].b
-        right = p.segments[1].k * 3.0 + p.segments[1].b
+        left = p.segments[0, 2] * 3.0 + p.segments[0, 3]
+        right = p.segments[1, 2] * 3.0 + p.segments[1, 3]
         assert left != right
         for yc in (left, right):
             dets = DetectionSet(((2.5, yc - 0.5, 3.5, yc + 0.5, 0.5),))

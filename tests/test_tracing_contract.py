@@ -15,7 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from digcrowd import DetectorGridSpec, GridPrediction, GridShape, load_manifest, run_dataset
+from digcrowd import (
+    DetectorGridSpec,
+    GridPrediction,
+    GridShape,
+    load_manifest,
+    partition,
+    run_dataset,
+)
 from digcrowd import io as dio
 from digcrowd.pipeline import Manifest, PipelineParams, bench_generate
 
@@ -78,3 +85,40 @@ def test_detector_counters_recorded_on_a_tensor_scene(tmp_path):
     assert {"detect.decode", "detect.nms", "spatial.apply_spatial_constraint"} <= names
     other = spans.by_trace(tracer.spans)[entries[1].scene_id]["counts"]
     assert other["spatial.apply_spatial_constraint.deleted"] == report.outcomes[1].deleted_count
+
+
+def test_partition_spans_recorded_on_an_automatic_scene(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "dataset_id": "traced-auto",
+        "defaults": {"shape": [320, 240], "n_people": 30, "horizon_y": 200.0},
+        "count": 1,
+        "seed_start": 11,
+    }))
+    manifest_path, errors = bench_generate(spec_path, tmp_path / "bench")
+    assert not errors
+    entry = load_manifest(manifest_path).entries[0]
+    cfg = dataclasses.replace(dio.read_scene_config(entry.config), polyline=None)
+    dio.write_scene_config(entry.config, cfg)
+
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = run_dataset(load_manifest(manifest_path), PipelineParams())
+    finally:
+        tracer.uninstall()
+
+    outcome = report.outcomes[0]
+    assert outcome.ok and outcome.partition_iterations is not None
+    names = {s.name for s in tracer.spans if s.trace_id == entry.scene_id}
+    assert {
+        "partition.cluster_depth",
+        "partition.classify_clusters",
+        "partition.extract_polyline",
+        "scene.mask_from_polyline",
+    } <= names
+    counts = spans.by_trace(tracer.spans)[entry.scene_id]["counts"]
+    assert counts["partition.cluster_depth.iters"] == outcome.partition_iterations
+    clusters = partition(dio.read_depth(entry.depth), cfg).cluster_mean_depths.size
+    assert counts["partition.cluster_depth.clusters"] == clusters
