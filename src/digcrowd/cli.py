@@ -60,16 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--clusters", type=int, default=256)
-    p.add_argument("--compactness", type=float, default=0.1)
-    p.add_argument(
-        "--max-iters",
-        type=int,
-        default=10,
-        help="cap on clustering iterations; clustering stops sooner once an "
-        "iteration barely lowers its energy or no center moves",
-    )
-    p.add_argument("--simplify-tol", type=float, default=2.0)
     p.add_argument("--render-debug", action="store_true")
 
     p = sub.add_parser("count", help="run the full pipeline on one scene")
@@ -102,14 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_partition(args) -> int:
     cfg = dio.read_scene_config(args.config)
     depth = dio.read_depth(args.depth)
-    result = partition(
-        depth,
-        cfg,
-        target_cluster_count=args.clusters,
-        compactness=args.compactness,
-        max_iters=args.max_iters,
-        simplify_tol=args.simplify_tol,
-    )
+    result = partition(depth, cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

@@ -31,6 +31,9 @@ __all__ = [
 
 DEFAULT_SIGMA_FLOOR = 1.0
 DEFAULT_TRUNCATION_RADIUS = 3.0
+# the kernel of bench-gen's oracle density; evaluation reads density from files
+KNN_K = 3
+BETA = 0.3
 
 
 @dataclass(frozen=True, eq=False)

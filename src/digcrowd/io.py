@@ -308,9 +308,6 @@ def write_scene_config(path, cfg: SceneConfig) -> None:
         "scene_id": cfg.scene_id,
         "polyline": None if cfg.polyline is None else polyline_to_json(cfg.polyline),
         "depth_threshold": "auto" if cfg.depth_threshold is None else cfg.depth_threshold,
-        "knn_k": cfg.knn_k,
-        "beta": cfg.beta,
-        "truncation_radius": cfg.kernel_truncation_radius,
     }
     Path(path).write_text(json.dumps(payload, indent=1))
 
@@ -322,9 +319,6 @@ def read_scene_config(path) -> SceneConfig:
             raise FormatError(f"{path}: scene config must be a JSON object")
         poly_raw = payload.get("polyline")
         polyline = None if poly_raw is None else polyline_from_json(poly_raw)
-        knn_k = payload.get("knn_k", 3)
-        if isinstance(knn_k, bool) or not isinstance(knn_k, int):
-            raise FormatError(f"{path}: knn_k must be an integer, got {knn_k!r}")
         threshold = payload.get("depth_threshold", "auto")
         if threshold in (None, "auto"):
             threshold = None
@@ -334,13 +328,8 @@ def read_scene_config(path) -> SceneConfig:
             scene_id=str(payload["scene_id"]),
             polyline=polyline,
             depth_threshold=threshold,
-            knn_k=knn_k,
-            beta=float(payload.get("beta", 0.3)),
-            kernel_truncation_radius=float(payload.get("truncation_radius", 3.0)),
         )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad scene config: {exc}") from exc
 
 

@@ -75,7 +75,6 @@ def mse(pairs: Iterable[tuple[float, float]]) -> float:
 class EvaluationRecord:
     """Batch metrics over per-scene (observed, predicted) count pairs."""
 
-    pairs: tuple[tuple[float, float], ...]
     n: int
     mae: float
     mse: float
@@ -83,6 +82,4 @@ class EvaluationRecord:
 
 def evaluate_pairs(pairs: Sequence[tuple[float, float]]) -> EvaluationRecord:
     pts = _as_pairs(pairs)
-    return EvaluationRecord(
-        pairs=tuple(pts), n=len(pts), mae=mae(pts), mse=mse(pts)
-    )
+    return EvaluationRecord(n=len(pts), mae=mae(pts), mse=mse(pts))

@@ -138,6 +138,9 @@ class Polyline:
             raise ConfigError("polyline needs at least one segment")
         if segs.ndim != 2 or segs.shape[1] != 4:
             raise ConfigError(f"polyline segments must be (M, 4), got {segs.shape}")
+        bad = np.flatnonzero(~np.isfinite(segs).all(axis=1))
+        if bad.size:
+            raise ConfigError(f"segment {bad[0]} is not finite: {segs[bad[0]].tolist()}")
         x0, x1, k, b = segs.T
         bad = np.flatnonzero(~(x1 > x0))
         if bad.size:
@@ -264,7 +267,7 @@ def mask_from_polyline(p: Polyline, shape: GridShape) -> RegionMask:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Per-scene knobs: manual split line, threshold mode, kernel parameters.
+    """Per-scene knobs: manual split line and threshold mode.
 
     ``polyline=None`` requests the automatic depth partition;
     ``depth_threshold=None`` means the near/far threshold is chosen
@@ -274,19 +277,8 @@ class SceneConfig:
     scene_id: str
     polyline: Polyline | None = None
     depth_threshold: float | None = None
-    knn_k: int = 3
-    beta: float = 0.3
-    kernel_truncation_radius: float = 3.0
 
     def __post_init__(self):
-        if self.knn_k < 1:
-            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
-        if not (self.beta > 0.0):
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if not (self.kernel_truncation_radius >= 1.0):
-            raise ConfigError(
-                f"kernel truncation radius must be >= 1, got {self.kernel_truncation_radius}"
-            )
         if self.depth_threshold is not None and not (0.0 <= self.depth_threshold <= 1.0):
             raise ConfigError(f"depth threshold {self.depth_threshold} outside [0, 1]")
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (
+    BETA,
+    KNN_K,
     DensityField,
     adaptive_sigma,
     knn_mean_distance,
@@ -295,15 +297,9 @@ def oracle_predictions(
     detections = DetectionSet(boxes)
 
     if len(far_heads):
-        sigmas = adaptive_sigma(
-            knn_mean_distance(far_heads, rec.config.knn_k), rec.config.beta
-        )
+        sigmas = adaptive_sigma(knn_mean_distance(far_heads, KNN_K), BETA)
         density = rasterize_density(
-            far_heads,
-            sigmas,
-            rec.depth.shape,
-            support_mask=part.mask.far,
-            truncation_radius=rec.config.kernel_truncation_radius,
+            far_heads, sigmas, rec.depth.shape, support_mask=part.mask.far
         )
     else:
         density = DensityField.zeros(rec.depth.shape)

@@ -36,6 +36,7 @@ from digcrowd import (
     rasterize_density,
     run_record,
 )
+from digcrowd.density import BETA, KNN_K
 from digcrowd.io import read_prediction_tensor, write_prediction_tensor
 from digcrowd.scene import Polyline
 
@@ -58,7 +59,7 @@ def test_criterion_1_mass_conservation():
             seed=int(rng.integers(0, 2**32)),
         )
         rec = generate_scene(spec)
-        sigmas = adaptive_sigma(knn_mean_distance(rec.heads, rec.config.knn_k), rec.config.beta)
+        sigmas = adaptive_sigma(knn_mean_distance(rec.heads, KNN_K), BETA)
         field = rasterize_density(rec.heads, sigmas, shape)
         full = mask_from_polyline(Polyline.constant(0.0, x_end=float(shape.width)), shape)
         assert abs(integrate(field, full, Region.ALL) - n) <= 1e-6

@@ -26,6 +26,7 @@ from digcrowd import (
     rasterize_density,
 )
 from digcrowd._kernels import deposit_gaussians
+from digcrowd.density import BETA, DEFAULT_TRUNCATION_RADIUS, KNN_K
 from digcrowd.io import read_density_field, write_density_field
 
 
@@ -286,11 +287,11 @@ class TestHeadPathReference:
         got = oracle_predictions(rec, part).density.values
         poly = part.polyline
         far = np.array([(x, y) for x, y in rec.heads.tolist() if y < poly.eval(x)])
-        sigmas = sigmas_reference(far, rec.config.knn_k, rec.config.beta)
+        sigmas = sigmas_reference(far, KNN_K, BETA)
         want = np.zeros(rec.depth.shape.array_shape)
         valid = part.mask.far.astype(np.uint8)
         for (x, y), sigma in zip(far.tolist(), sigmas.tolist()):
             deposit_gaussians(want, np.array([x]), np.array([y]), np.array([sigma]),
-                              rec.config.kernel_truncation_radius, valid)
+                              DEFAULT_TRUNCATION_RADIUS, valid)
         assert len(far) > 10
         assert _bits(got) == _bits(want)

@@ -281,9 +281,6 @@ class TestAnnotationAndConfig:
             "s1",
             polyline=Polyline.from_points([0.0, 50.0, 100.0], [10.0, 30.0, 20.0]),
             depth_threshold=0.4,
-            knn_k=5,
-            beta=0.25,
-            kernel_truncation_radius=2.5,
         )
         path = tmp_path / "cfg.json"
         write_scene_config(path, cfg)

@@ -131,6 +131,25 @@ class TestRunDataset:
         assert report.evaluation.mae < 1e-4
         assert report.evaluation.mse < 1e-4
 
+    def test_configs_with_kernel_keys_give_identical_reports(self, bench_dir, tmp_path):
+        # configs written before the kernel parameters became constants
+        # still carry knn_k, beta and truncation_radius; readers ignore them
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        cfg = json.loads(manifest.entries[1].config.read_text())
+        cfg["polyline"] = None  # one automatic split
+        manifest.entries[1].config.write_text(json.dumps(cfg))
+        run_dataset(manifest, PipelineParams(), tmp_path / "new")
+        for entry in manifest.entries:
+            cfg = json.loads(entry.config.read_text())
+            assert set(cfg) == {"scene_id", "polyline", "depth_threshold"}
+            cfg.update(knn_k=3, beta=0.3, truncation_radius=3.0)
+            entry.config.write_text(json.dumps(cfg, indent=1))
+        run_dataset(manifest, PipelineParams(), tmp_path / "old")
+        for name in ("report.csv", "report.json"):
+            new = (tmp_path / "new" / name).read_bytes()
+            assert (tmp_path / "old" / name).read_bytes() == new, name
+
     def test_report_covers_every_scene(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
         manifest = load_manifest(manifest_path)
@@ -193,7 +212,8 @@ class TestRunDataset:
             ("config", b'[{"scene_id": "scene-0001"}]'),
             ("annotations", b'{"heads": [], "count": "nan"}'),
             ("annotations", b'{"heads": [], "count": -5}'),
-            ("config", None),  # knn_k 2.5
+            ("config", lambda cfg: cfg["polyline"][0].update(k=float("nan"))),
+            ("config", lambda cfg: cfg.update(depth_threshold=1.5)),
             ("density", struct.pack("<4sIIQ", b"DIGF", 320, 240, 0)
              + np.full(320 * 240, np.nan, dtype="<f4").tobytes()),
             ("density", struct.pack("<4sIIQ", b"DIGF", 320, 240, 0)
@@ -201,16 +221,16 @@ class TestRunDataset:
             ("depth", struct.pack("<4sIII", b"DIGD", 320, 240, 0)
              + np.full(320 * 240, np.nan, dtype="<f4").tobytes()),
         ],
-        ids=["pgm-header", "config-list", "nan-count", "negative-count", "fractional-knn-k",
-             "density-nan", "density-inf", "depth-nan"],
+        ids=["pgm-header", "config-list", "nan-count", "negative-count", "nan-polyline-k",
+             "threshold-out-of-range", "density-nan", "density-inf", "depth-nan"],
     )
     def test_input_defect_fails_only_its_scene(self, bench_dir, tmp_path, victim, content):
         out, manifest_path = bench_dir
         manifest = load_manifest(manifest_path)
         path = getattr(manifest.entries[1], victim)
-        if content is None:
+        if callable(content):  # an edit of the scene's config
             cfg = json.loads(path.read_text())
-            cfg["knn_k"] = 2.5
+            content(cfg)
             content = json.dumps(cfg).encode()
         path.write_bytes(content)
 
@@ -459,8 +479,6 @@ class TestCli:
                 str(tmp_path / "cfg.json"),
                 "--out-dir",
                 str(tmp_path / "p"),
-                "--clusters",
-                "48",
                 "--render-debug",
             ]
         )
@@ -469,8 +487,33 @@ class TestCli:
         assert (tmp_path / "p" / "auto-scene_mask.pgm").exists()
         assert (tmp_path / "p" / "auto-scene_clusters.pgm").exists()
         printed = json.loads(capsys.readouterr().out)
-        want = partition(depth, SceneConfig("auto-scene"), target_cluster_count=48)
+        want = partition(dio.read_depth(tmp_path / "d.digd"), SceneConfig("auto-scene"))
         assert printed["iterations"] == len(want.energy_history) - 1 > 0
+        assert dio.polyline_from_json(printed["polyline"]) == want.polyline
+        assert printed["threshold_used"] == want.threshold_used
+
+    def test_partition_subcommand_prints_the_split_evaluate_uses(self, bench_dir, tmp_path, capsys):
+        out, manifest_path = bench_dir
+        entry = load_manifest(manifest_path).entries[0]
+        cfg = json.loads(entry.config.read_text())
+        cfg["polyline"] = None
+        entry.config.write_text(json.dumps(cfg))
+        run_dataset(Manifest("one", (entry,)), PipelineParams(), tmp_path / "r")
+        scene = json.loads((tmp_path / "r" / "report.json").read_text())["scenes"][0]
+        argv = ["partition", "--depth", str(entry.depth), "--config", str(entry.config)]
+        assert cli_main(argv + ["--out-dir", str(tmp_path / "p")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert scene["status"] == "ok" and scene["partition_iterations"] > 0
+        assert dio.polyline_from_json(printed["polyline"]).segments.tolist() == scene["polyline"]
+        assert printed["threshold_used"] == scene["threshold_used"]
+        assert printed["iterations"] == scene["partition_iterations"]
+
+    def test_partition_subcommand_has_no_clustering_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["partition", "--help"])
+        usage = capsys.readouterr().out
+        for flag in ("--clusters", "--compactness", "--max-iters", "--simplify-tol"):
+            assert flag not in usage
 
     def test_render_subcommand(self, tmp_path, bench_dir):
         out, _ = bench_dir

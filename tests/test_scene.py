@@ -89,6 +89,19 @@ class TestPolylineValidation:
         with pytest.raises(ConfigError, match=r"x_end > x_start, got \[20.0, 20.0\]"):
             Polyline(rows)
 
+    @pytest.mark.parametrize(
+        "row",
+        [[10, 20, np.nan, 1], [10, 20, 0, np.inf], [10, np.inf, 0, 1], [-np.inf, 20, 0, 1]],
+        ids=["nan-k", "inf-b", "inf-x-end", "neg-inf-x-start"],
+    )
+    def test_non_finite_row_rejected_first(self, row):
+        # finiteness is checked before the x-order rule that row 1 breaks
+        rows = [[0, 10, 0, 1], [10, 5, 0, 1], row]
+        with pytest.raises(ConfigError, match="segment 2 is not finite"):
+            Polyline(rows)
+        with pytest.raises(ConfigError, match="segment 0 is not finite"):
+            Polyline([row])
+
     def test_first_bad_pair_named(self):
         rows = [[0, 10, 0, 1], [10, 20, 0, 1], [21, 30, 0, 1], [30, 40, 0, 9]]
         with pytest.raises(ConfigError, match=r"\[10.0, 20.0\] then \[21.0, 30.0\]"):
@@ -182,12 +195,6 @@ class TestTypes:
                 DetectionSet(((bad, 0, 5, 10, 0.5),))
 
     def test_scene_config_validation(self):
-        with pytest.raises(ConfigError):
-            SceneConfig("s", beta=0.0)
-        with pytest.raises(ConfigError):
-            SceneConfig("s", knn_k=0)
-        with pytest.raises(ConfigError):
-            SceneConfig("s", kernel_truncation_radius=0.5)
         with pytest.raises(ConfigError):
             SceneConfig("s", depth_threshold=1.2)
 
