@@ -103,6 +103,8 @@ def _cmd_partition(args) -> int:
         if result.cluster_mean_depths is None
         else result.cluster_mean_depths.tolist(),
         "iterations": result.iterations,
+        "partition_clusters": result.cluster_count,
+        "partition_stop": result.stop_reason,
         "far_pixels": result.mask.far_count,
         "near_pixels": result.mask.near_count,
         "warnings": list(result.warnings),

@@ -298,9 +298,18 @@ def polyline_to_json(p: Polyline) -> list[dict]:
     return [dict(zip(_SEGMENT_KEYS, row)) for row in p.segments.tolist()]
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; a bool, string or anything else is a ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def polyline_from_json(raw) -> Polyline:
     """Inverse of ``polyline_to_json``."""
-    return Polyline([[float(s[key]) for key in _SEGMENT_KEYS] for s in raw])
+    return Polyline(
+        [[_json_number(s[key], f"polyline {key}") for key in _SEGMENT_KEYS] for s in raw]
+    )
 
 
 def write_scene_config(path, cfg: SceneConfig) -> None:
@@ -323,9 +332,12 @@ def read_scene_config(path) -> SceneConfig:
         if threshold in (None, "auto"):
             threshold = None
         else:
-            threshold = float(threshold)
+            threshold = _json_number(threshold, "depth_threshold")
+        scene_id = payload["scene_id"]
+        if not isinstance(scene_id, str):
+            raise TypeError(f"scene_id must be a string, got {scene_id!r}")
         return SceneConfig(
-            scene_id=str(payload["scene_id"]),
+            scene_id=scene_id,
             polyline=polyline,
             depth_threshold=threshold,
         )

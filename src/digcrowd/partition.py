@@ -6,6 +6,10 @@ searching a 2S x 2S window, distances mixing feature similarity with
 spatial proximity scaled by a compactness weight). Clusters are then
 classified near/far by mean depth, and the far band's lower boundary is
 simplified into the split polyline.
+
+The clustering runs on a decimated grid (every ``f``-th pixel, see
+``decimation_factor``); the boundary it gives is then refined at full
+resolution, column by column, against the depth threshold.
 """
 
 from __future__ import annotations
@@ -35,12 +39,14 @@ __all__ = [
     "cluster_depth",
     "classify_clusters",
     "extract_polyline",
+    "decimation_factor",
     "partition",
 ]
 
 CENTER_RESIDUAL_TOL = 1e-4
 ENERGY_RTOL = 5e-3  # stop once an iteration lowers the energy by at most this share
 DISTANCE_BLOCK = 1 << 15  # pixels per block of _current_distance
+COARSE_STEP = 12  # coarse pixels per full-resolution superpixel step
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +60,7 @@ class ClusterState:
     mean_depths: np.ndarray
     grid_step: float
     energy_history: tuple[float, ...] = ()
+    stop_reason: str | None = None  # "residual", "energy" or "cap"
 
     def __post_init__(self):
         for name in ("assignments", "feature", "px", "py", "mean_depths"):
@@ -83,13 +90,45 @@ class PartitionResult:
     cluster_mean_depths: np.ndarray | None = None
     threshold_used: float | None = None
     warnings: tuple[str, ...] = ()
-    cluster_assignments: np.ndarray | None = None
+    cluster_assignments: np.ndarray | None = None  # on the coarse clustering grid
     energy_history: tuple[float, ...] = ()
+    stop_reason: str | None = None
 
     @property
     def iterations(self) -> int | None:
         """Clustering iterations run; None for a manual split."""
         return len(self.energy_history) - 1 if self.energy_history else None
+
+    @property
+    def cluster_count(self) -> int | None:
+        """Clusters left after empty ones are dropped; None for a manual split."""
+        return None if self.cluster_mean_depths is None else int(self.cluster_mean_depths.size)
+
+
+def decimation_factor(shape: GridShape, target_cluster_count: int) -> int:
+    """Stride of the coarse grid the clustering runs on.
+
+    The full-resolution superpixel step over ``COARSE_STEP``, so a
+    superpixel stays about that many coarse pixels across: 4 on a 1080x720
+    map with 256 clusters, 1 (no decimation) on small grids. Never more than
+    the grid's shorter side, so the coarse grid keeps a pixel; 1 where the
+    cluster count is invalid, so ``cluster_depth`` reports it.
+    """
+    height, width = shape.array_shape
+    n = height * width
+    if not (2 <= target_cluster_count <= n):
+        return 1
+    step = float(np.sqrt(n / target_cluster_count))
+    return max(1, min(int(step // COARSE_STEP), height, width))
+
+
+def _decimate(depth: DepthMap, factor: int) -> DepthMap:
+    """Every ``factor``-th pixel, starting half a stride in."""
+    if factor == 1:
+        return depth
+    start = factor // 2
+    coarse = depth.values[start::factor, start::factor]
+    return DepthMap(GridShape(coarse.shape[1], coarse.shape[0]), coarse)
 
 
 def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,6 +282,7 @@ def cluster_depth(
     sum_y = np.bincount(assign, weights=rows, minlength=k_count)
     previous = np.empty_like(assign)
 
+    stop = "cap"
     for _ in range(max_iters):
         sum_f = np.bincount(assign, weights=flat_depth, minlength=k_count)
         nz = counts > 0
@@ -265,10 +305,11 @@ def cluster_depth(
             sum_x += sign * np.bincount(ids, weights=cols[moved], minlength=k_count)
             sum_y += sign * np.bincount(ids, weights=rows[moved], minlength=k_count)
         energies.append(float(bd.sum()))
-        if (
-            residual < CENTER_RESIDUAL_TOL
-            or energies[-2] - energies[-1] <= ENERGY_RTOL * energies[-2]
-        ):
+        if residual < CENTER_RESIDUAL_TOL:
+            stop = "residual"
+            break
+        if energies[-2] - energies[-1] <= ENERGY_RTOL * energies[-2]:
+            stop = "energy"
             break
 
     # Drop empty clusters so ids stay dense. Mean depths are summed in pixel
@@ -292,6 +333,7 @@ def cluster_depth(
         mean_depths=means,
         grid_step=step,
         energy_history=tuple(energies),
+        stop_reason=stop,
     )
 
 
@@ -299,36 +341,68 @@ def classify_clusters(state: ClusterState, threshold: float | None = None) -> Cl
     """Label clusters far/near by the clustering's mean depths.
 
     With ``threshold=None`` the split maximizes the between-class variance
-    of the cluster mean depths, scanning the midpoints between consecutive
+    of the cluster mean depths over the midpoints between consecutive
     sorted means. A cluster is far iff its mean depth >= threshold.
     """
     means = state.mean_depths
-
     if threshold is None:
-        uniq = np.unique(means)
-        if uniq.size < 2:
-            raise PartitionError(
-                "cluster mean depths show no contrast; supply a manual polyline"
-            )
-        candidates = (uniq[:-1] + uniq[1:]) / 2.0
-        best_var = -1.0
-        threshold = float(candidates[0])
-        total = means.size
-        for t in candidates:
-            lo = means < t
-            n_lo = int(lo.sum())
-            if n_lo == 0 or n_lo == total:
-                continue  # midpoint of adjacent floats can round onto a mean
-            w0 = n_lo / total
-            w1 = 1.0 - w0
-            var = w0 * w1 * (means[lo].mean() - means[~lo].mean()) ** 2
-            if var > best_var:
-                best_var = var
-                threshold = float(t)
+        threshold = _otsu_threshold(means)
     elif not (0.0 <= threshold <= 1.0):
         raise ConfigError(f"depth threshold {threshold} outside [0, 1]")
-
     return ClusterLabels(far=means >= threshold, threshold=float(threshold))
+
+
+def _between_class_variance(means: np.ndarray, t: float) -> float:
+    """Variance between the means below ``t`` and the rest; -1 if a side is empty."""
+    lo = means < t
+    n_lo = int(lo.sum())
+    if n_lo == 0 or n_lo == means.size:
+        return -1.0  # midpoint of adjacent floats can round onto a mean
+    w0 = n_lo / means.size
+    w1 = 1.0 - w0
+    return w0 * w1 * (means[lo].mean() - means[~lo].mean()) ** 2
+
+
+def _otsu_threshold(means: np.ndarray) -> float:
+    """The first midpoint of largest ``_between_class_variance``.
+
+    All midpoints are scored in one pass of cumulative sums over the sorted
+    means. Those sums round differently from ``mean()``, so the midpoints
+    scoring within twice the rounding bound ``slack`` of the best are
+    scored again with ``_between_class_variance`` itself, in ascending
+    order with strict ``>``. The threshold is thus the one a scan of every
+    midpoint with that function picks, bit for bit.
+    """
+    uniq = np.unique(means)
+    if uniq.size < 2:
+        raise PartitionError("cluster mean depths show no contrast; supply a manual polyline")
+    candidates = (uniq[:-1] + uniq[1:]) / 2.0
+    total = means.size
+    ordered = np.sort(means)
+    n_lo = np.searchsorted(ordered, candidates)  # means < t
+    valid = (n_lo > 0) & (n_lo < total)
+    if not valid.any():
+        return float(candidates[0])
+    n_lo = n_lo[valid]
+    head = np.cumsum(ordered)  # head[c - 1]: sum of the c smallest
+    tail = np.cumsum(ordered[::-1])[::-1]  # tail[c]: sum of all but the c smallest
+    gap = head[n_lo - 1] / n_lo - tail[n_lo] / (total - n_lo)
+    w0 = n_lo / total
+    var = w0 * (1.0 - w0) * gap**2
+    # However it is summed, a class mean lies within (total + 1) eps A of the
+    # exact one (A the largest |mean|), so the two ways' gaps differ by at
+    # most delta; with w0 w1 <= 1/4 and a few roundings of the product, no
+    # midpoint's two scores differ by more than slack.
+    eps = np.finfo(np.float64).eps
+    delta = 8.0 * (total + 1) * eps * float(np.abs(ordered).max())
+    best = float(var.max())
+    slack = delta * (float(np.abs(gap).max()) + delta) + 16.0 * eps * best
+    best_var, threshold = -1.0, float(candidates[0])
+    for t in candidates[valid][var >= best - 2.0 * slack]:
+        score = _between_class_variance(means, t)
+        if score > best_var:
+            best_var, threshold = score, float(t)
+    return threshold
 
 
 def _douglas_peucker(xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
@@ -351,22 +425,58 @@ def _douglas_peucker(xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _refine_boundary(
+    coarse: np.ndarray, coarse_shape: tuple[int, int], step: float, depth: DepthMap, threshold: float
+) -> np.ndarray:
+    """Full-resolution boundary rows from the boundary on the clustering grid.
+
+    Each column takes its coarse column's boundary, scaled to full rows. Its
+    new boundary is ``lo`` plus the count of far pixels (depth >= threshold)
+    in rows ``[lo, hi)``, the band of +-S rows around that line, where S is
+    the full-resolution superpixel step. Where depth falls monotonically
+    down the column and the contour lies in the band, that is the contour.
+    Only the band is widened to float64, so the test is exact for float32
+    and float64 maps alike.
+    """
+    height, width = depth.values.shape
+    coarse_h, coarse_w = coarse_shape
+    s = int(np.ceil(step * np.sqrt(height * width / (coarse_h * coarse_w))))
+    cols = np.arange(width)
+    centre = np.rint(coarse[cols * coarse_w // width] * (height / coarse_h)).astype(np.intp)
+    lo = np.clip(centre - s, 0, height)
+    hi = np.clip(centre + s, 0, height)
+    rows = lo + np.arange(2 * s)[:, None]
+    band = depth.values[np.minimum(rows, height - 1), cols].astype(np.float64)
+    far = (band >= threshold) & (rows < hi)
+    return (lo + np.count_nonzero(far, axis=0)).astype(np.float64)
+
+
 def extract_polyline(
     far_labels: np.ndarray,
     state: ClusterState,
     shape: GridShape,
     simplify_tol: float = 2.0,
+    depth: DepthMap | None = None,
+    threshold: float | None = None,
 ) -> tuple[Polyline, tuple[str, ...]]:
     """Trace the far band's lower boundary and simplify it to a polyline.
 
     Cleanup keeps the largest 4-connected far component and fills holes;
     per column the boundary is the count of leading far rows. Columns where
     far pixels survive below near ones fall back to that upper envelope and
-    raise a segmentation-quality warning.
+    raise a segmentation-quality warning. All of this runs on the
+    clustering's grid. Given the full-resolution ``depth`` (whose grid is
+    ``shape``) and the ``threshold`` that labelled the clusters, the
+    boundary is then refined column by column (``_refine_boundary``);
+    without them ``shape`` is the clustering's grid.
     """
     far_labels = np.asarray(far_labels, dtype=bool)
     if not far_labels.any() or far_labels.all():
         raise PartitionError("polyline extraction needs both near and far clusters")
+    grid = state.assignments.shape
+    expected = grid if depth is None else depth.shape.array_shape
+    if shape.array_shape != expected:
+        raise ConfigError(f"grid {shape.array_shape} does not match {expected}")
     warnings: list[str] = []
     far_px = far_labels[state.assignments]
 
@@ -385,9 +495,8 @@ def extract_polyline(
     open_bg[0] = False
     far_clean = ~open_bg[background]
 
-    height, width = shape.array_shape
     all_far = far_clean.all(axis=0)
-    boundary = np.where(all_far, height, (~far_clean).argmax(axis=0)).astype(np.float64)
+    boundary = np.where(all_far, grid[0], (~far_clean).argmax(axis=0)).astype(np.float64)
     # Rows above the boundary are all far, so a column has far pixels below
     # its boundary exactly when it holds more far pixels than that.
     below = np.count_nonzero(far_clean, axis=0) > boundary
@@ -396,7 +505,10 @@ def extract_polyline(
             f"far region is not a clean upper band in {int(below.sum())} columns; "
             "using the column-wise upper envelope"
         )
+    if depth is not None:
+        boundary = _refine_boundary(boundary, grid, state.grid_step, depth, threshold)
 
+    width = shape.width
     xs = np.arange(width, dtype=np.float64) + 0.5
     if width == 1:
         poly = Polyline.constant(float(boundary[0]), x_end=float(width))
@@ -432,8 +544,9 @@ def partition(
     """Produce the scene's near/far split.
 
     A manual polyline in the config wins outright; otherwise the depth map
-    is clustered, clusters are thresholded into near/far, and the boundary
-    polyline is extracted. The returned mask is always the rasterization of
+    is clustered on the coarse grid of ``decimation_factor``, clusters are
+    thresholded into near/far, and the boundary polyline is extracted there
+    and refined at full resolution. The returned mask is always the rasterization of
     the returned polyline, so detector filtering and density integration
     see complementary regions.
     """
@@ -441,14 +554,17 @@ def partition(
         mask = mask_from_polyline(cfg.polyline, depth.shape)
         return PartitionResult(mask=mask, polyline=cfg.polyline)
     try:
+        factor = decimation_factor(depth.shape, target_cluster_count)
         state = cluster_depth(
-            depth,
+            _decimate(depth, factor),
             target_cluster_count=target_cluster_count,
             compactness=compactness,
             max_iters=max_iters,
         )
         labels = classify_clusters(state, cfg.depth_threshold)
-        poly, warnings = extract_polyline(labels.far, state, depth.shape, simplify_tol)
+        poly, warnings = extract_polyline(
+            labels.far, state, depth.shape, simplify_tol, depth=depth, threshold=labels.threshold
+        )
     except DigCrowdError as exc:
         raise PartitionError(f"scene {cfg.scene_id!r}: {exc}") from exc
     mask = mask_from_polyline(poly, depth.shape)
@@ -460,4 +576,5 @@ def partition(
         warnings=warnings,
         cluster_assignments=state.assignments,
         energy_history=state.energy_history,
+        stop_reason=state.stop_reason,
     )

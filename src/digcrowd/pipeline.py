@@ -106,8 +106,10 @@ class SceneOutcome:
     threshold_used: float | None = None
     polyline: Polyline | None = None
     warnings: tuple[str, ...] = ()
-    partition_iterations: int | None = None  # both None for a manual split
+    partition_iterations: int | None = None  # all four None for a manual split
     partition_energy: float | None = None
+    partition_clusters: int | None = None
+    partition_stop: str | None = None  # "residual", "energy" or "cap"
 
     @property
     def ok(self) -> bool:
@@ -267,6 +269,8 @@ def count_scene(
         warnings=tuple(warnings),
         partition_iterations=None if part is None else part.iterations,
         partition_energy=part.energy_history[-1] if part and part.energy_history else None,
+        partition_clusters=None if part is None else part.cluster_count,
+        partition_stop=None if part is None else part.stop_reason,
     )
 
 
@@ -384,6 +388,8 @@ def write_report(report: RunReport, out_dir: Path) -> None:
                 "warnings": list(o.warnings),
                 "partition_iterations": o.partition_iterations,
                 "partition_energy": o.partition_energy,
+                "partition_clusters": o.partition_clusters,
+                "partition_stop": o.partition_stop,
             }
             for o in report.outcomes
         ],

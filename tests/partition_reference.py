@@ -1,12 +1,18 @@
-"""Reference implementations of depth clustering and polyline extraction.
+"""Reference implementations of depth clustering, classification and polyline extraction.
 
 These are the straightforward versions that ``digcrowd.partition`` and
 ``digcrowd._kernels.assign_windows`` replaced with in-place, incremental
 numpy. The oracle tests in ``test_partition.py`` require the library to
-return exactly what these return: the same labels, centres, energies,
-threshold, polyline segments, warnings and mask, bit for bit. Cluster mean
+return exactly what these return, bit for bit: the same labels, centres
+and energies from ``cluster_depth``, the same automatic threshold from
+``classify_clusters``, and the same polyline and warnings from
+``extract_polyline`` without its full-resolution refinement. Cluster mean
 depths are computed as ``classify_clusters`` once computed them: fresh
 pixel counts and depth sums over the final labels.
+
+``partition_reference`` clusters at full resolution and does not refine
+the line, so it agrees with ``partition`` only where the decimation factor
+is 1 and the refinement keeps the clustered boundary, as on clean steps.
 """
 
 import math
@@ -18,11 +24,11 @@ from digcrowd import ConfigError, DigCrowdError, PartitionError, Polyline, mask_
 from digcrowd.partition import (
     CENTER_RESIDUAL_TOL,
     ENERGY_RTOL,
+    ClusterLabels,
     ClusterState,
     PartitionResult,
     _attach_orphans,
     _douglas_peucker,
-    classify_clusters,
 )
 
 
@@ -170,6 +176,35 @@ def cluster_depth_reference(depth, target_cluster_count=256, compactness=0.1, ma
     )
 
 
+def classify_clusters_reference(state, threshold=None):
+    """Automatic threshold by a scan of every midpoint between sorted distinct means."""
+    means = state.mean_depths
+    if threshold is None:
+        uniq = np.unique(means)
+        if uniq.size < 2:
+            raise PartitionError(
+                "cluster mean depths show no contrast; supply a manual polyline"
+            )
+        candidates = (uniq[:-1] + uniq[1:]) / 2.0
+        best_var = -1.0
+        threshold = float(candidates[0])
+        total = means.size
+        for t in candidates:
+            lo = means < t
+            n_lo = int(lo.sum())
+            if n_lo == 0 or n_lo == total:
+                continue  # midpoint of adjacent floats can round onto a mean
+            w0 = n_lo / total
+            w1 = 1.0 - w0
+            var = w0 * w1 * (means[lo].mean() - means[~lo].mean()) ** 2
+            if var > best_var:
+                best_var = var
+                threshold = float(t)
+    elif not (0.0 <= threshold <= 1.0):
+        raise ConfigError(f"depth threshold {threshold} outside [0, 1]")
+    return ClusterLabels(far=means >= threshold, threshold=float(threshold))
+
+
 def extract_polyline_reference(far_labels, state, shape, simplify_tol=2.0):
     far_labels = np.asarray(far_labels, dtype=bool)
     if not far_labels.any() or far_labels.all():
@@ -223,10 +258,10 @@ def extract_polyline_reference(far_labels, state, shape, simplify_tol=2.0):
 
 def partition_reference(depth, cfg, *, target_cluster_count=256, compactness=0.1,
                         max_iters=10, simplify_tol=2.0):
-    """``partition`` for an automatic config, built from the references above."""
+    """``partition`` for an automatic config at decimation factor 1, unrefined."""
     try:
         state = cluster_depth_reference(depth, target_cluster_count, compactness, max_iters)
-        labels = classify_clusters(state, cfg.depth_threshold)
+        labels = classify_clusters_reference(state, cfg.depth_threshold)
         poly, warnings = extract_polyline_reference(labels.far, state, depth.shape, simplify_tol)
     except DigCrowdError as exc:
         raise PartitionError(f"scene {cfg.scene_id!r}: {exc}") from exc

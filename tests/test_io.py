@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,42 @@ class TestAnnotationAndConfig:
         path.write_text("{not json")
         with pytest.raises(FormatError):
             read_scene_config(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"scene_id": 7}, "scene_id must be a string, got 7"),
+            ({"depth_threshold": True}, "depth_threshold must be a number, got True"),
+            ({"depth_threshold": "0.4"}, "depth_threshold must be a number, got '0.4'"),
+            ({"segment": {"x_start": False}}, "polyline x_start must be a number, got False"),
+            ({"segment": {"k": True}}, "polyline k must be a number, got True"),
+            ({"segment": {"b": "3"}}, "polyline b must be a number, got '3'"),
+            ({"segment": {"x_end": None}}, "polyline x_end must be a number, got None"),
+        ],
+    )
+    def test_config_wrong_json_types_rejected(self, tmp_path, edit, message):
+        payload = {
+            "scene_id": "s3",
+            "polyline": [{"x_start": 0, "x_end": 10, "k": 0, "b": 3}],
+            "depth_threshold": 0.4,
+        }
+        payload["polyline"][0].update(edit.pop("segment", {}))
+        payload.update(edit)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad scene config: {message}")):
+            read_scene_config(path)
+
+    def test_config_json_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scene_id": "s4",
+            "polyline": [{"x_start": 0, "x_end": 10, "k": 0, "b": 3}],
+            "depth_threshold": 1,
+        }))
+        cfg = read_scene_config(path)
+        assert cfg.polyline.segments.tolist() == [[0.0, 10.0, 0.0, 3.0]]
+        assert cfg.depth_threshold == 1.0
 
 
 class TestRasters:

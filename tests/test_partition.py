@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from partition_reference import (
+    classify_clusters_reference,
     cluster_depth_reference,
     extract_polyline_reference,
     partition_reference,
@@ -14,6 +15,7 @@ from digcrowd import (
     DigCrowdError,
     GridShape,
     PartitionError,
+    Polyline,
     SceneConfig,
     SynthSpec,
     classify_clusters,
@@ -25,11 +27,14 @@ from digcrowd import (
     partition,
 )
 from digcrowd import io as dio
-from digcrowd.partition import ENERGY_RTOL, ClusterState
+from digcrowd.partition import ENERGY_RTOL, ClusterState, decimation_factor
 
 
 def _flat_depth(w, h, value=0.5):
     return DepthMap(GridShape(w, h), np.full((h, w), value))
+
+
+_MANUAL = Polyline.from_points([0.0, 8.0], [3.0, 3.0])
 
 
 def _state_from_blocks(depth_values):
@@ -142,6 +147,7 @@ class TestEnergyStop:
         state = cluster_depth(depth, max_iters=10)
         assert len(state.energy_history) == 2
         assert 0.0 <= _gains(state)[0] <= ENERGY_RTOL
+        assert state.stop_reason == "energy"
 
     def test_large_gains_keep_iterating(self):
         depth = generate_step_depth(GridShape(160, 120), boundary_row=60, seed=3)
@@ -156,16 +162,23 @@ class TestEnergyStop:
         capped = cluster_depth(depth, max_iters=0)
         full = cluster_depth(depth, max_iters=10)
         assert capped.energy_history == full.energy_history[:1]
+        assert capped.stop_reason == "cap"
         _assert_same_state(capped, cluster_depth_reference(depth, max_iters=0))
 
 
-def test_line_follows_iso_depth_contour(tmp_path):
-    """The automatic line stays near the column-wise contour at threshold_used.
+    def test_settled_centres_stop_on_residual(self):
+        assert cluster_depth(_flat_depth(8, 8), target_cluster_count=4).stop_reason == "residual"
+        manual = partition(_flat_depth(8, 8), SceneConfig("m", polyline=_MANUAL))
+        assert manual.stop_reason is None and manual.cluster_count is None
 
-    Depth is read back through DIGD, as ``evaluate`` reads it. Measured:
-    per-scene mean distance 3.6-12.2 px (average 7.8), worst
-    column 19.9 px. Running to the 10-iteration cap instead averages 9.6 and
-    reaches 28.2 px, and fails this gate.
+
+def test_line_follows_iso_depth_contour(tmp_path):
+    """The automatic line stays on the column-wise contour at threshold_used.
+
+    Depth is read back through DIGD, as ``evaluate`` reads it. Measured with
+    the full-resolution refinement: per-scene mean distance 0.31-0.63 px
+    (average 0.51), worst column 2.0 px, 7-14 segments per line. Without
+    it the superpixel boundary averaged 7.8 px and reached 19.9 px.
     """
     means, worst = [], []
     for seed in range(1000, 1008):
@@ -178,8 +191,68 @@ def test_line_follows_iso_depth_contour(tmp_path):
         gap = np.abs(line - contour)
         means.append(gap.mean())
         worst.append(gap.max())
-    assert np.mean(means) <= 8.5, means
-    assert max(worst) <= 21.0, worst
+    assert np.mean(means) <= 1.0, means
+    assert max(worst) <= 2.0, worst
+
+
+class TestCoarseGrid:
+    def test_decimation_factor(self):
+        assert decimation_factor(GridShape(1080, 720), 256) == 4
+        assert decimation_factor(GridShape(160, 120), 64) == 1
+
+    def test_factor_never_exceeds_the_shorter_side(self):
+        assert decimation_factor(GridShape(6000, 3), 2) == 3
+        assert decimation_factor(GridShape(6000, 1), 2) == 1
+        assert decimation_factor(GridShape(8, 8), 100) == 1  # invalid count: cluster_depth says so
+
+    def test_clusters_on_the_coarse_grid(self):
+        depth = generate_scene(SynthSpec(seed=1)).depth  # 1080x720
+        res = partition(depth, SceneConfig("coarse"))
+        assert res.cluster_assignments.shape == (180, 270)
+        assert res.cluster_count == res.cluster_mean_depths.size == res.cluster_assignments.max() + 1
+        assert res.mask.far.shape == (720, 1080)
+
+    def test_thin_grid_decimates_to_one_row(self):
+        values = np.repeat(np.linspace(1.0, 0.0, 6000)[None, :], 3, axis=0)
+        depth = DepthMap(GridShape(6000, 3), values)
+        res = partition(depth, SceneConfig("thin"), target_cluster_count=2)
+        assert res.cluster_assignments.shape == (1, 2000)
+        assert np.array_equal(res.mask.far, mask_from_polyline(res.polyline, depth.shape).far)
+
+
+
+@st.composite
+def _monotone_ramps(draw):
+    """Depth falling down every column, around a random-walk contour row.
+
+    Frames are one to two times as wide as tall, so 32 or more clusters
+    give at least four rows of superpixels, as a 1080x720 frame with 256
+    does (thirteen).
+    """
+    height = draw(st.integers(40, 150))
+    width = draw(st.integers(height, 2 * height))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    walk = np.cumsum(rng.uniform(-1.5, 1.5, width))
+    contour = np.clip(height * rng.uniform(0.2, 0.8) + walk - walk.mean(), 1, height - 1)
+    spread = draw(st.sampled_from([0.5, 4.0, 20.0]))  # rows per unit of squashed depth
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    values = 1.0 / (1.0 + np.exp((rows - contour[None, :]) / spread))
+    if draw(st.booleans()):
+        values = values.astype(np.float32)
+    return DepthMap(GridShape(width, height), values)
+
+
+@given(_monotone_ramps(), st.integers(32, 96))
+@settings(max_examples=60, deadline=None)
+def test_refined_line_within_2px_of_column_contour(depth, target):
+    try:
+        res = partition(depth, SceneConfig("ramp"), target_cluster_count=target)
+    except PartitionError:
+        return  # the clusters may all fall on one side of the split
+    contour = (depth.values.astype(np.float64) >= res.threshold_used).sum(axis=0)
+    line = res.polyline.eval_array(np.arange(depth.shape.width) + 0.5)
+    assert np.abs(line - contour).max() <= 2.0 + 1e-9
+    assert np.array_equal(res.mask.far, mask_from_polyline(res.polyline, depth.shape).far)
 
 
 class TestClassifyClusters:
@@ -379,6 +452,25 @@ def _far_masks(draw):
     return far
 
 
+@st.composite
+def _cluster_means(draw):
+    """Cluster mean depths: random, few-level, clustered and mirrored sets."""
+    size = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "levels", "clumps", "mirrored"]))
+    if kind == "random":
+        means = rng.random(size)
+    elif kind == "levels":  # repeated values, so midpoints tie
+        means = rng.integers(0, draw(st.integers(2, 6)), size) / 8.0
+    elif kind == "clumps":  # tight groups, as superpixels on a ramp give
+        centres = rng.random(draw(st.integers(1, 4)))
+        means = np.clip(rng.choice(centres, size) + rng.normal(0.0, 1e-3, size), 0.0, 1.0)
+    else:  # shuffled, symmetric about 0.5: mirrored splits tie up to rounding
+        half = rng.integers(0, 100, (size + 1) // 2) / 100.0
+        means = rng.permutation(np.concatenate([half, 1.0 - half]))
+    return np.ascontiguousarray(means, dtype=np.float64)
+
+
 _SKINNY = DepthMap(GridShape(2, 30), np.random.default_rng(7).random((30, 2)))
 
 
@@ -408,9 +500,6 @@ def _assert_same_polyline(got, want):
 
 
 def _assert_same_partition(got, want):
-    if isinstance(want, tuple):
-        assert got == want
-        return
     _assert_same_polyline(got.polyline, want.polyline)
     assert float(got.threshold_used).hex() == float(want.threshold_used).hex()
     assert got.warnings == want.warnings
@@ -421,7 +510,7 @@ def _assert_same_partition(got, want):
 
 
 class TestReferenceOracle:
-    """cluster_depth / extract_polyline / partition against the versions they replaced."""
+    """cluster_depth / classify_clusters / extract_polyline against the versions they replaced."""
 
     @given(_depth_grids(), _COMPACTNESS, st.integers(2, 40), st.sampled_from([0, 1, 3, 10]))
     @example(_SKINNY, 0.001, 2, 10)  # rows 0, 14, 15 and 29 lie outside both windows
@@ -433,18 +522,33 @@ class TestReferenceOracle:
         want = cluster_depth_reference(depth, target, compactness, max_iters)
         _assert_same_state(got, want)
 
-    @given(_depth_grids(), _COMPACTNESS, st.integers(2, 40), st.sampled_from([0, 10]))
-    @settings(max_examples=150, deadline=None)
-    def test_partition_matches_reference(self, depth, compactness, target, max_iters):
-        kwargs = dict(
-            target_cluster_count=min(target, depth.values.size),
-            compactness=compactness,
-            max_iters=max_iters,
+    @given(_cluster_means())
+    @example(np.array([0.0, 0.5, 1.0]))  # two midpoints tie exactly
+    @example(np.array([0.25, np.nextafter(0.25, 1.0)]))  # the midpoint rounds onto a mean
+    @settings(max_examples=300, deadline=None)
+    def test_otsu_threshold_matches_midpoint_scan(self, means):
+        state = ClusterState(
+            assignments=np.arange(means.size, dtype=np.int32)[None, :],
+            feature=means,
+            px=np.zeros(means.size),
+            py=np.zeros(means.size),
+            mean_depths=means,
+            grid_step=1.0,
         )
-        cfg = SceneConfig("oracle")
-        got = _outcome(partition, depth, cfg, **kwargs)
-        want = _outcome(partition_reference, depth, cfg, **kwargs)
-        _assert_same_partition(got, want)
+        got = _outcome(classify_clusters, state)
+        want = _outcome(classify_clusters_reference, state)
+        if isinstance(want[0], type):  # both raised
+            assert got == want
+        else:
+            assert float(got.threshold).hex() == float(want.threshold).hex()
+            assert np.array_equal(got.far, want.far)
+
+    def test_otsu_threshold_on_bench_scenes_matches_midpoint_scan(self):
+        for seed in (1, 2, 3):
+            depth = generate_scene(SynthSpec(seed=seed)).depth
+            state = cluster_depth(DepthMap(GridShape(270, 180), depth.values[2::4, 2::4]))
+            got = classify_clusters(state).threshold
+            assert float(got).hex() == float(classify_clusters_reference(state).threshold).hex()
 
     @given(_far_masks())
     @example(  # a hole that touches the edge-connected background only diagonally

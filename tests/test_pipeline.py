@@ -240,6 +240,22 @@ class TestRunDataset:
         assert math.isfinite(report.evaluation.mae)
         assert math.isfinite(report.evaluation.mse)
 
+    def test_config_with_wrong_json_types_fails_only_its_scene(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        path = manifest.entries[1].config
+        path.write_text(
+            '{"scene_id": 7, "polyline": [{"x_start": false, "x_end": 10, "k": true, '
+            '"b": "3"}], "depth_threshold": true}'
+        )
+        outcome = run_scene(manifest.entries[1], PipelineParams())
+        assert outcome.status == "failed"
+        assert path.name == "config.json" and str(path) in outcome.error
+
+        report = run_dataset(manifest, PipelineParams(), tmp_path / "r")
+        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
+        assert report.evaluation is not None and math.isfinite(report.evaluation.mae)
+
     def test_tensor_grid_must_match_scene(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
         manifest = load_manifest(manifest_path)
@@ -489,6 +505,8 @@ class TestCli:
         printed = json.loads(capsys.readouterr().out)
         want = partition(dio.read_depth(tmp_path / "d.digd"), SceneConfig("auto-scene"))
         assert printed["iterations"] == len(want.energy_history) - 1 > 0
+        assert printed["partition_clusters"] == want.cluster_mean_depths.size
+        assert printed["partition_stop"] == want.stop_reason
         assert dio.polyline_from_json(printed["polyline"]) == want.polyline
         assert printed["threshold_used"] == want.threshold_used
 
@@ -613,6 +631,11 @@ class TestDiagnostics:
         want = partition(dio.read_depth(auto.depth), SceneConfig(auto.scene_id))
         assert scenes[1]["partition_iterations"] == len(want.energy_history) - 1
         assert scenes[1]["partition_energy"] == want.energy_history[-1]
+        assert scenes[1]["partition_clusters"] == want.cluster_mean_depths.size > 1
+        assert scenes[1]["partition_stop"] == want.stop_reason
+        assert scenes[1]["partition_stop"] in ("residual", "energy", "cap")
         for manual in (scenes[0], scenes[2], scenes[3]):
-            assert manual["partition_iterations"] is None
-            assert manual["partition_energy"] is None
+            for key in ("iterations", "energy", "clusters", "stop"):
+                assert manual[f"partition_{key}"] is None
+        header = (tmp_path / "r" / "report.csv").read_text().splitlines()[0]
+        assert header == "scene_id,near_count,far_count,total,ground_truth,abs_error"
