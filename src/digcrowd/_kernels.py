@@ -27,44 +27,77 @@ MASS_QUANTUM = 1.0 / MASS_SCALE
 # id order and strict < keeps the smallest cluster id on exact ties.
 # ---------------------------------------------------------------------------
 
+ASSIGN_BLOCK = 32  # centers whose windows are built together
+
+
 def assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
     """Update (best_d2, best_id) in place with every center's 2*win window.
 
-    Each window's D^2 is built in reused buffers and merged with masked
-    copies; the arithmetic is the formula above, operation for operation.
+    Windows are built ``ASSIGN_BLOCK`` centers at a time: one ``take`` from
+    the depth map fills a reused (block, side, side) stack, with row and
+    column indices clipped at the image edge, and D^2 is the formula above,
+    operation for operation. Each window is then merged in id order with
+    masked copies; the clipped cells lie outside the part that is merged.
     """
     height, width = depth.shape
-    cols = np.arange(width, dtype=np.float64)
-    rows = np.arange(height, dtype=np.float64)
     side = int(2.0 * win) + 3  # ceil(c + win) - floor(c - win) + 1 never exceeds it
-    area = min(height, side) * min(width, side)
-    d2_buf = np.empty(area)
-    sp_buf = np.empty(area)
-    better_buf = np.empty(area, dtype=bool)
-    for k in range(feat.shape[0]):
-        c_lo = max(0, int(math.floor(cpx[k] - win)))
-        c_hi = min(width - 1, int(math.ceil(cpx[k] + win)))
-        r_lo = max(0, int(math.floor(cpy[k] - win)))
-        r_hi = min(height - 1, int(math.ceil(cpy[k] + win)))
-        if c_lo > c_hi or r_lo > r_hi:
-            continue
-        shape = (r_hi - r_lo + 1, c_hi - c_lo + 1)
-        size = shape[0] * shape[1]
-        d2 = d2_buf[:size].reshape(shape)
-        sp = sp_buf[:size].reshape(shape)
-        better = better_buf[:size].reshape(shape)
-        dx = cols[c_lo : c_hi + 1] - cpx[k]
-        dy = rows[r_lo : r_hi + 1] - cpy[k]
-        np.subtract(depth[r_lo : r_hi + 1, c_lo : c_hi + 1], feat[k], out=d2)
+    c0 = np.floor(cpx - win)
+    r0 = np.floor(cpy - win)
+    c_lo = np.maximum(c0, 0.0)
+    r_lo = np.maximum(r0, 0.0)
+    c_hi = np.minimum(np.ceil(cpx + win), width - 1.0)
+    r_hi = np.minimum(np.ceil(cpy + win), height - 1.0)
+    live = np.flatnonzero((c_lo <= c_hi) & (r_lo <= r_hi))
+    if live.size == 0:
+        return
+    # A live window starts at most side - 1 cells before the image, so its
+    # start is a small integer.
+    c0, r0 = c0[live], r0[live]
+    steps = np.arange(side, dtype=np.float64)
+    dx2 = c0[:, None] + steps  # window columns, then dx^2
+    dy2 = r0[:, None] + steps
+    col_idx = np.clip(dx2, 0, width - 1).astype(np.intp)
+    row_idx = np.clip(dy2, 0, height - 1).astype(np.intp) * width
+    np.subtract(dx2, cpx[live, None], out=dx2)
+    np.multiply(dx2, dx2, out=dx2)
+    np.subtract(dy2, cpy[live, None], out=dy2)
+    np.multiply(dy2, dy2, out=dy2)
+    f = feat[live]
+    flat = depth.ravel()
+    bounds = list(zip(
+        live.tolist(),
+        r_lo[live].astype(np.intp).tolist(),
+        (r_hi[live] + 1).astype(np.intp).tolist(),
+        c_lo[live].astype(np.intp).tolist(),
+        (c_hi[live] + 1).astype(np.intp).tolist(),
+        r0.astype(np.intp).tolist(),
+        c0.astype(np.intp).tolist(),
+    ))
+
+    block = min(ASSIGN_BLOCK, live.size)
+    idx_buf = np.empty((block, side, side), dtype=np.intp)
+    d2_buf = np.empty((block, side, side))
+    sp_buf = np.empty((block, side, side))
+    better_buf = np.empty((side, side), dtype=bool)
+    for start in range(0, live.size, block):
+        stop = min(start + block, live.size)
+        idx = idx_buf[: stop - start]
+        d2 = d2_buf[: stop - start]
+        sp = sp_buf[: stop - start]
+        np.add(row_idx[start:stop, :, None], col_idx[start:stop, None, :], out=idx)
+        np.take(flat, idx, out=d2)
+        np.subtract(d2, f[start:stop, None, None], out=d2)
         np.multiply(d2, d2, out=d2)
-        np.copyto(sp, dx * dx)  # broadcast rows, then add dy^2: faster than one outer add
-        np.add(sp, (dy * dy)[:, None], out=sp)
+        np.add(dx2[start:stop, None, :], dy2[start:stop, :, None], out=sp)
         np.multiply(sp, ratio2, out=sp)
         np.add(d2, sp, out=d2)
-        sub_d2 = best_d2[r_lo : r_hi + 1, c_lo : c_hi + 1]
-        np.less(d2, sub_d2, out=better)
-        np.copyto(sub_d2, d2, where=better)
-        np.copyto(best_id[r_lo : r_hi + 1, c_lo : c_hi + 1], k, where=better)
+        for j, (k, rl, rh, cl, ch, top, left) in enumerate(bounds[start:stop]):
+            sub_d2 = best_d2[rl:rh, cl:ch]
+            window = d2[j, rl - top : rh - top, cl - left : ch - left]
+            better = better_buf[: rh - rl, : ch - cl]
+            np.less(window, sub_d2, out=better)
+            np.copyto(sub_d2, window, where=better)
+            np.copyto(best_id[rl:rh, cl:ch], k, where=better)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,13 @@ def read_detections_text(path) -> DetectionSet:
 
 # -- annotations ------------------------------------------------------------
 
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; a bool, string or anything else is a ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def write_annotations(path, heads: np.ndarray, count: float) -> None:
     payload = {
         "heads": [{"x": x, "y": y} for x, y in check_heads(heads).tolist()],
@@ -276,10 +283,17 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
     """Head positions as a read-only (N, 2) float64 array, plus the count."""
     try:
         payload = json.loads(Path(path).read_text())
-        heads = check_heads([(float(h["x"]), float(h["y"])) for h in payload["heads"]])
+        raw = payload["heads"]
+        xs = [h["x"] for h in raw]
+        ys = [h["y"] for h in raw]
+        if not {*map(type, xs), *map(type, ys)} <= {int, float}:  # type(True) is bool
+            for x, y in zip(xs, ys):
+                _json_number(x, "head x")
+                _json_number(y, "head y")
+        heads = check_heads(np.array([xs, ys], dtype=np.float64).T.copy())
         heads.flags.writeable = False
-        count = float(payload["count"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        count = _json_number(payload["count"], "count")
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad annotation file: {exc}") from exc
     if not (math.isfinite(count) and count >= 0.0):
         raise FormatError(f"{path}: count must be finite and >= 0, got {count}")
@@ -296,13 +310,6 @@ _SEGMENT_KEYS = ("x_start", "x_end", "k", "b")
 def polyline_to_json(p: Polyline) -> list[dict]:
     """One ``{x_start, x_end, k, b}`` object per segment row."""
     return [dict(zip(_SEGMENT_KEYS, row)) for row in p.segments.tolist()]
-
-
-def _json_number(value, what: str) -> float:
-    """A JSON number as a float; a bool, string or anything else is a ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def polyline_from_json(raw) -> Polyline:
@@ -341,7 +348,8 @@ def read_scene_config(path) -> SceneConfig:
             polyline=polyline,
             depth_threshold=threshold,
         )
-    except (ConfigError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError,
+            json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad scene config: {exc}") from exc
 
 

@@ -150,6 +150,9 @@ def load_manifest(path) -> Manifest:
         scenes = payload["scenes"]
         if not isinstance(scenes, list):
             raise TypeError(f"'scenes' must be a list, got {scenes!r}")
+        dataset_id = payload.get("dataset_id", path.stem)
+        if not isinstance(dataset_id, str):
+            raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad manifest: {exc}") from exc
     base = path.parent
@@ -157,7 +160,9 @@ def load_manifest(path) -> Manifest:
     seen: set[str] = set()
     for raw in scenes:
         try:
-            scene_id = str(raw["scene_id"])
+            scene_id = raw["scene_id"]
+            if not isinstance(scene_id, str):
+                raise TypeError(f"scene_id must be a string, got {scene_id!r}")
             preds = raw.get("predictions") or {}
             entry = ManifestEntry(
                 scene_id=scene_id,
@@ -176,7 +181,7 @@ def load_manifest(path) -> Manifest:
         entries.append(entry)
     if not entries:
         raise FormatError(f"{path}: manifest lists no scenes")
-    return Manifest(dataset_id=str(payload.get("dataset_id", path.stem)), entries=tuple(entries))
+    return Manifest(dataset_id=dataset_id, entries=tuple(entries))
 
 
 def _write_debug_rasters(out_dir, scene_id: str, part: PartitionResult, density):

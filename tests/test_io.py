@@ -279,6 +279,51 @@ class TestAnnotationAndConfig:
         with pytest.raises(FormatError):
             read_annotations(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"head": {"x": "3"}}, "head x must be a number, got '3'"),
+            ({"head": {"y": True}}, "head y must be a number, got True"),
+            ({"head": {"x": None}}, "head x must be a number, got None"),
+            ({"head": {"y": [2]}}, "head y must be a number, got [2]"),
+            ({"count": "2"}, "count must be a number, got '2'"),
+            ({"count": False}, "count must be a number, got False"),
+        ],
+    )
+    def test_annotations_wrong_json_types_rejected(self, tmp_path, edit, message):
+        payload = {"heads": [{"x": 1, "y": 2}, {"x": 3.5, "y": 4}], "count": 2}
+        payload["heads"][1].update(edit.pop("head", {}))
+        payload.update(edit)
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad annotation file: {message}")):
+            read_annotations(path)
+
+    def test_annotations_json_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text('{"heads": [{"x": 3, "y": 1}, {"x": 0.5, "y": 7}], "count": 2}')
+        heads, count = read_annotations(path)
+        assert heads.dtype == np.float64 and heads.flags.c_contiguous
+        assert heads.tolist() == [[3.0, 1.0], [0.5, 7.0]]
+        assert count == 2.0 and type(count) is float
+
+    def test_annotations_empty_heads(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text('{"heads": [], "count": 12}')
+        heads, count = read_annotations(path)
+        assert heads.shape == (0, 2) and count == 12.0
+
+    @pytest.mark.parametrize("name, text", [
+        ("ann.json", '{"heads": [], "count": 1' + "0" * 400 + "}"),
+        ("cfg.json", '{"scene_id": "s", "polyline": null, "depth_threshold": 1' + "0" * 400 + "}"),
+    ])
+    def test_integer_beyond_float_range_is_a_format_error(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        reader = read_annotations if name == "ann.json" else read_scene_config
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            reader(path)
+
     def test_config_roundtrip_with_polyline(self, tmp_path):
         cfg = SceneConfig(
             "s1",

@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from digcrowd._kernels import MASS_QUANTUM, assign_windows, deposit_gaussians
+from digcrowd._kernels import ASSIGN_BLOCK, MASS_QUANTUM, assign_windows, deposit_gaussians
 
 
-def _assign_oracle(depth, feat, cpx, cpy, ratio2, win):
-    """Per pixel, the minimum D^2 over every center whose window covers it."""
+def _assign_oracle(depth, feat, cpx, cpy, ratio2, win, start=None):
+    """Per pixel, the minimum D^2 over every center whose window covers it.
+
+    ``start`` is a (best_d2, best_id) pair the pass begins from, as in
+    ``cluster_depth``'s iterations; a center that only ties it loses.
+    """
     height, width = depth.shape
-    best_d2 = np.full(depth.shape, np.inf)
-    best_id = np.full(depth.shape, -1, dtype=np.int32)
+    if start is None:
+        best_d2 = np.full(depth.shape, np.inf)
+        best_id = np.full(depth.shape, -1, dtype=np.int32)
+    else:
+        best_d2, best_id = start[0].copy(), start[1].astype(np.int32)
     for r in range(height):
         for c in range(width):
             for k in range(feat.shape[0]):
@@ -33,11 +40,21 @@ def _assign_oracle(depth, feat, cpx, cpy, ratio2, win):
 class TestAssignWindowsOracle:
     id_dtype = np.int32  # what tests and public callers pass
 
-    def _assign(self, depth, feat, cpx, cpy, ratio2, win):
-        d2 = np.full(depth.shape, np.inf)
-        ids = np.full(depth.shape, -1, dtype=self.id_dtype)
+    def _assign(self, depth, feat, cpx, cpy, ratio2, win, start=None):
+        if start is None:
+            d2 = np.full(depth.shape, np.inf)
+            ids = np.full(depth.shape, -1, dtype=self.id_dtype)
+        else:
+            d2, ids = start[0].copy(), start[1].astype(self.id_dtype)
         assign_windows(depth, feat, cpx, cpy, ratio2, win, d2, ids)
         return d2, ids
+
+    def _check(self, depth, feat, cpx, cpy, ratio2, win, start=None):
+        got_d2, got_id = self._assign(depth, feat, cpx, cpy, ratio2, win, start)
+        want_d2, want_id = _assign_oracle(depth, feat, cpx, cpy, ratio2, win, start)
+        assert np.array_equal(got_id, want_id)
+        assert np.array_equal(got_d2.view(np.uint64), want_d2.view(np.uint64))
+        return got_d2, got_id
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_exhaustive_loop(self, seed):
@@ -63,6 +80,66 @@ class TestAssignWindowsOracle:
         assert np.array_equal(got_id, want_id)
         assert np.array_equal(got_d2, want_d2)
         assert got_id[8, 8] == 0  # equidistant from all four centers
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_centres_span_several_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 70
+        assert k > 2 * ASSIGN_BLOCK and k % ASSIGN_BLOCK
+        depth = rng.random((30, 40))
+        feat = rng.random(k)
+        cpx = rng.uniform(-4, 44, k)
+        cpy = rng.uniform(-4, 34, k)
+        self._check(depth, feat, cpx, cpy, 2e-3, 4.5)
+
+    def test_windows_clipped_at_every_edge_and_empty(self):
+        rng = np.random.default_rng(11)
+        height, width, win = 20, 28, 3.5
+        # left, right, top and bottom edges, the four corners, then windows
+        # that miss the grid on each side, mixed with interior centres so the
+        # empty ones sit inside blocks and on block boundaries
+        edge_x = [-2.0, width + 1.5, 10.0, 12.25, -3.0, width + 2.0, -1.0, width + 3.0]
+        edge_y = [8.0, 9.0, -2.5, height + 1.0, -3.0, -1.5, height + 2.5, height + 3.0]
+        gone_x = [-4.75, width + 4.0, 14.0, 5.0, -50.0, width + 50.0]
+        gone_y = [9.0, 4.0, -4.75, height + 3.75, -50.0, height + 50.0]
+        cpx = np.concatenate([edge_x, gone_x, rng.uniform(0, width, 26)])
+        cpy = np.concatenate([edge_y, gone_y, rng.uniform(0, height, 26)])
+        order = rng.permutation(cpx.size)
+        cpx, cpy = cpx[order], cpy[order]
+        feat = rng.random(cpx.size)
+        depth = rng.random((height, width))
+        got_d2, got_id = self._check(depth, feat, cpx, cpy, 1e-2, win)
+        for k in order.argsort()[len(edge_x) : len(edge_x) + len(gone_x)]:
+            assert not (got_id == k).any()  # its window misses the grid
+
+    def test_prefilled_tie_keeps_the_holder(self):
+        depth = np.full((16, 20), 0.5)
+        feat = np.full(40, 0.5)
+        rng = np.random.default_rng(5)
+        cpx = rng.uniform(0, 20, 40)
+        cpy = rng.uniform(0, 16, 40)
+        cpx[33], cpy[33] = 9.0, 7.0
+        ratio2 = 1e-3
+        # every pixel starts at exactly center 33's D^2, held by a foreign id
+        rows, cols = np.mgrid[0:16, 0:20].astype(np.float64)
+        df = depth - feat[33]
+        dx = cols - cpx[33]
+        dy = rows - cpy[33]
+        start = (df * df + ratio2 * (dx * dx + dy * dy), np.full(depth.shape, 99))
+        got_d2, got_id = self._check(depth, feat, cpx, cpy, ratio2, 4.0, start)
+        assert got_d2[7, 9] == 0.0 and got_id[7, 9] == 99
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_prefilled_start_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 70
+        depth = rng.random((24, 36))
+        feat = rng.random(k)
+        cpx = rng.uniform(-3, 39, k)
+        cpy = rng.uniform(-3, 27, k)
+        start = (rng.random(depth.shape) * 0.2, rng.integers(0, k, depth.shape))
+        start[0][::5, ::3] = np.inf  # some pixels still unheld
+        self._check(depth, feat, cpx, cpy, 1e-3, 4.0, start)
 
 
 class TestAssignWindowsOracleIntp(TestAssignWindowsOracle):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from partition_reference import (
+    assign_windows_reference,
     classify_clusters_reference,
     cluster_depth_reference,
     extract_polyline_reference,
@@ -26,8 +29,15 @@ from digcrowd import (
     mask_from_polyline,
     partition,
 )
+from digcrowd import _kernels
 from digcrowd import io as dio
-from digcrowd.partition import ENERGY_RTOL, ClusterState, decimation_factor
+from digcrowd.partition import (
+    ENERGY_RTOL,
+    ClusterState,
+    _current_distance,
+    _seed_grid,
+    decimation_factor,
+)
 
 
 def _flat_depth(w, h, value=0.5):
@@ -586,3 +596,63 @@ class TestReferenceOracle:
             got = partition(depth, cfg, target_cluster_count=64)
             want = partition_reference(depth, cfg, target_cluster_count=64)
             _assert_same_partition(got, want)
+
+
+# -- the chunked window pass on bench grids ---------------------------------
+
+def _bench_grid_pass(seed):
+    """A bench scene's decimated 270x180 grid with ``cluster_depth``'s seeds."""
+    values = generate_scene(SynthSpec(seed=seed)).depth.values
+    grid = np.ascontiguousarray(values[2::4, 2::4], dtype=np.float64)
+    feat, cpx, cpy = _seed_grid(grid, 256)
+    step = float(np.sqrt(grid.size / 256))
+    return grid, feat, cpx, cpy, (0.1 / step) ** 2, step
+
+
+def _empty_start(shape):
+    return np.full(shape, np.inf), np.full(shape, -1, dtype=np.intp)
+
+
+class TestChunkedWindowPass:
+    """``_kernels.assign_windows`` against ``assign_windows_reference``, bit for bit."""
+
+    @staticmethod
+    def _both(grid, feat, cpx, cpy, ratio2, step, start):
+        got = start[0].copy(), start[1].copy()
+        want = start[0].copy(), start[1].copy()
+        _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, *got)
+        assign_windows_reference(grid, feat, cpx, cpy, ratio2, step, *want)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_grid_matches_reference(self, seed):
+        grid, feat, cpx, cpy, ratio2, step = _bench_grid_pass(seed)
+        assert grid.shape == (180, 270) and feat.size == 260
+        first = self._both(grid, feat, cpx, cpy, ratio2, step, _empty_start(grid.shape))
+        labels = first[1].ravel()
+        assert labels.min() >= 0  # every pixel lies in some window
+
+        # The iteration's start state: centres moved to their pixels' means,
+        # every pixel holding its own centre's D^2, as cluster_depth sets it.
+        rows, cols = (a.ravel() for a in np.mgrid[0:180, 0:270].astype(np.float64))
+        counts = np.maximum(np.bincount(labels, minlength=feat.size), 1)
+        feat = np.bincount(labels, weights=grid.ravel(), minlength=feat.size) / counts
+        cpx = np.bincount(labels, weights=cols, minlength=feat.size) / counts
+        cpy = np.bincount(labels, weights=rows, minlength=feat.size) / counts
+        d2 = np.empty(grid.shape)
+        _current_distance(grid.ravel(), labels, feat, cpx, cpy, ratio2, cols, rows, d2.ravel())
+        second = self._both(grid, feat, cpx, cpy, ratio2, step, (d2, first[1]))
+        assert not np.array_equal(second[1], first[1])
+
+    def test_one_pass_scratch_stays_under_2_mb(self):
+        grid, feat, cpx, cpy, ratio2, step = _bench_grid_pass(1)
+        best_d2, best_id = _empty_start(grid.shape)
+        tracemalloc.start()
+        try:
+            _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000

@@ -212,6 +212,7 @@ class TestRunDataset:
             ("config", b'[{"scene_id": "scene-0001"}]'),
             ("annotations", b'{"heads": [], "count": "nan"}'),
             ("annotations", b'{"heads": [], "count": -5}'),
+            ("annotations", b'{"heads": [], "count": 1' + b"0" * 400 + b"}"),
             ("config", lambda cfg: cfg["polyline"][0].update(k=float("nan"))),
             ("config", lambda cfg: cfg.update(depth_threshold=1.5)),
             ("density", struct.pack("<4sIIQ", b"DIGF", 320, 240, 0)
@@ -221,7 +222,8 @@ class TestRunDataset:
             ("depth", struct.pack("<4sIII", b"DIGD", 320, 240, 0)
              + np.full(320 * 240, np.nan, dtype="<f4").tobytes()),
         ],
-        ids=["pgm-header", "config-list", "nan-count", "negative-count", "nan-polyline-k",
+        ids=["pgm-header", "config-list", "nan-count", "negative-count", "overflowing-count",
+             "nan-polyline-k",
              "threshold-out-of-range", "density-nan", "density-inf", "depth-nan"],
     )
     def test_input_defect_fails_only_its_scene(self, bench_dir, tmp_path, victim, content):
@@ -251,6 +253,22 @@ class TestRunDataset:
         outcome = run_scene(manifest.entries[1], PipelineParams())
         assert outcome.status == "failed"
         assert path.name == "config.json" and str(path) in outcome.error
+
+        report = run_dataset(manifest, PipelineParams(), tmp_path / "r")
+        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
+        assert report.evaluation is not None and math.isfinite(report.evaluation.mae)
+
+    def test_annotations_with_wrong_json_types_fail_only_their_scene(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        path = manifest.entries[1].annotations
+        payload = json.loads(path.read_text())
+        payload["heads"][0] = {"x": "3", "y": True}
+        path.write_text(json.dumps(payload))
+        outcome = run_scene(manifest.entries[1], PipelineParams())
+        assert outcome.status == "failed"
+        assert path.name == "annotations.json" and str(path) in outcome.error
+        assert "head x must be a number, got '3'" in outcome.error
 
         report = run_dataset(manifest, PipelineParams(), tmp_path / "r")
         assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
@@ -345,6 +363,36 @@ class TestRunDataset:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="duplicate"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("scene_id", [7, 7.0, True, None, ["s"]])
+    def test_non_string_scene_id_rejected(self, bench_dir, tmp_path, scene_id):
+        out, manifest_path = bench_dir
+        payload = json.loads(manifest_path.read_text())
+        payload["scenes"][1]["scene_id"] = scene_id
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        message = f"{path}: bad scene entry: scene_id must be a string, got {scene_id!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("dataset_id", [7, 2.5, False, None, {"id": "x"}])
+    def test_non_string_dataset_id_rejected(self, bench_dir, tmp_path, dataset_id):
+        out, manifest_path = bench_dir
+        payload = json.loads(manifest_path.read_text())
+        payload["dataset_id"] = dataset_id
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        message = f"{path}: bad manifest: dataset_id must be a string, got {dataset_id!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_manifest(path)
+
+    def test_missing_dataset_id_is_the_file_stem(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        payload = json.loads(manifest_path.read_text())
+        del payload["dataset_id"]
+        path = tmp_path / "night-run.json"
+        path.write_text(json.dumps(payload))
+        assert load_manifest(path).dataset_id == "night-run"
 
 
 class TestCli:
