@@ -81,6 +81,14 @@ def _payload_f32(data: bytes, offset: int, count: int, path) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", offset=offset)
 
 
+def _header_shape(width: int, height: int, path) -> GridShape:
+    """The grid a raster header declares; one below 1x1 is a ``FormatError``."""
+    try:
+        return GridShape(width, height)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 # -- depth ------------------------------------------------------------------
 
 def write_depth_digd(path, depth: DepthMap) -> None:
@@ -93,7 +101,7 @@ def read_depth_digd(path) -> DepthMap:
     if len(data) < 16 or data[:4] != DIGD_MAGIC:
         raise FormatError(f"{path}: not a DIGD depth file")
     _, width, height, _ = struct.unpack("<4sIII", data[:16])
-    shape = GridShape(width, height)
+    shape = _header_shape(width, height, path)
     values = _payload_f32(data, 16, shape.pixel_count, path)
     try:
         return DepthMap(shape, values.reshape(height, width))
@@ -134,7 +142,7 @@ def read_depth_pgm16(path) -> DepthMap:
     pos += 1  # single whitespace after maxval
     if maxval != 65535:
         raise FormatError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval}")
-    shape = GridShape(width, height)
+    shape = _header_shape(width, height, path)
     raw = np.frombuffer(data, dtype=">u2", offset=pos)
     if raw.size != shape.pixel_count:
         raise FormatError(f"{path}: PGM payload size mismatch")
@@ -197,7 +205,7 @@ def read_density_field(path) -> DensityField:
     if len(data) < 20 or data[:4] != DIGF_MAGIC:
         raise FormatError(f"{path}: not a DIGF density file")
     _, width, height, _ = struct.unpack("<4sIIQ", data[:20])
-    shape = GridShape(width, height)
+    shape = _header_shape(width, height, path)
     values = _payload_f32(data, 20, shape.pixel_count, path).astype(np.float64)
     negative = values < 0.0
     if negative.any():
@@ -295,6 +303,8 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
         count = _json_number(payload["count"], "count")
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad annotation file: {exc}") from exc
+    if not np.isfinite(heads).all():
+        raise FormatError(f"{path}: head coordinates must be finite")
     if not (math.isfinite(count) and count >= 0.0):
         raise FormatError(f"{path}: count must be finite and >= 0, got {count}")
     if len(heads) and count != len(heads):

@@ -45,7 +45,6 @@ __all__ = [
 
 CENTER_RESIDUAL_TOL = 1e-4
 ENERGY_RTOL = 5e-3  # stop once an iteration lowers the energy by at most this share
-DISTANCE_BLOCK = 1 << 15  # pixels per block of _current_distance
 COARSE_STEP = 12  # coarse pixels per full-resolution superpixel step
 
 
@@ -167,35 +166,6 @@ def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, 
     return depth[py, px], px.astype(np.float64), py.astype(np.float64)
 
 
-def _current_distance(depth, assign, feat, cpx, cpy, ratio2, cols, rows, out):
-    """Write each pixel's D^2 to its own center into ``out``.
-
-    The work goes in blocks of ``DISTANCE_BLOCK`` pixels, so the gathered
-    centres and the partial terms stay in cache. Every label is a valid
-    center id, so ``mode="clip"`` changes nothing; it spares ``take`` the
-    buffered bounds check that ``out=`` costs by default.
-    """
-    tmp = np.empty(min(DISTANCE_BLOCK, out.size))
-    tmp2 = np.empty_like(tmp)
-    for lo in range(0, out.size, DISTANCE_BLOCK):
-        d2 = out[lo : lo + DISTANCE_BLOCK]
-        ids = assign[lo : lo + DISTANCE_BLOCK]
-        dx2 = tmp[: d2.size]
-        dy2 = tmp2[: d2.size]
-        np.take(feat, ids, out=d2, mode="clip")
-        np.subtract(depth[lo : lo + DISTANCE_BLOCK], d2, out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.take(cpx, ids, out=dx2, mode="clip")
-        np.subtract(cols[lo : lo + DISTANCE_BLOCK], dx2, out=dx2)
-        np.multiply(dx2, dx2, out=dx2)
-        np.take(cpy, ids, out=dy2, mode="clip")
-        np.subtract(rows[lo : lo + DISTANCE_BLOCK], dy2, out=dy2)
-        np.multiply(dy2, dy2, out=dy2)
-        np.add(dx2, dy2, out=dx2)
-        np.multiply(dx2, ratio2, out=dx2)
-        np.add(d2, dx2, out=d2)
-
-
 def _attach_orphans(depth, feat, cpx, cpy, ratio2, cols, rows, best_d2, best_id):
     orphan = best_id < 0
     if not orphan.any():
@@ -264,27 +234,26 @@ def cluster_depth(
     rows = rows2d.ravel()
     flat_depth = grid.ravel()
 
-    # Labels are intp, the index type of take and bincount, so neither casts;
-    # they become int32 once, on return.
+    # Labels are int32, the type returned, and are widened once per iteration
+    # to intp, the index type of take and bincount. Returning the buffer the
+    # window pass fills, not a copy made on return, matters: such a copy lands
+    # above the iteration's freed temporaries, and on bench scenes that made
+    # malloc trim and re-fault about 10 MB of heap per scene.
     best_d2 = np.full((height, width), np.inf)
-    labels = np.full((height, width), -1, dtype=np.intp)
+    labels = np.full((height, width), -1, dtype=np.int32)
     _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
     bd = best_d2.ravel()
     assign = labels.ravel()
     _attach_orphans(flat_depth, feat, cpx, cpy, ratio2, cols, rows, bd, assign)
     energies = [float(bd.sum())]
 
-    # Pixel counts and coordinate sums are integers below 2**53, exact in
-    # any order, so they follow only the pixels that change cluster; the
-    # depth sum is rebuilt each iteration in pixel order.
-    counts = np.bincount(assign, minlength=k_count).astype(np.float64)
-    sum_x = np.bincount(assign, weights=cols, minlength=k_count)
-    sum_y = np.bincount(assign, weights=rows, minlength=k_count)
-    previous = np.empty_like(assign)
-
     stop = "cap"
     for _ in range(max_iters):
-        sum_f = np.bincount(assign, weights=flat_depth, minlength=k_count)
+        ids = assign.astype(np.intp)
+        counts = np.bincount(ids, minlength=k_count).astype(np.float64)
+        sum_f = np.bincount(ids, weights=flat_depth, minlength=k_count)
+        sum_x = np.bincount(ids, weights=cols, minlength=k_count)
+        sum_y = np.bincount(ids, weights=rows, minlength=k_count)
         nz = counts > 0
         new_feat = np.where(nz, sum_f / np.maximum(counts, 1.0), feat)
         new_px = np.where(nz, sum_x / np.maximum(counts, 1.0), cpx)
@@ -296,14 +265,10 @@ def cluster_depth(
         )
         feat, cpx, cpy = new_feat, new_px, new_py
 
-        _current_distance(flat_depth, assign, feat, cpx, cpy, ratio2, cols, rows, bd)
-        np.copyto(previous, assign)
+        bd[:] = (flat_depth - feat.take(ids)) ** 2 + (
+            (cols - cpx.take(ids)) ** 2 + (rows - cpy.take(ids)) ** 2
+        ) * ratio2
         _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
-        moved = np.flatnonzero(assign != previous)
-        for sign, ids in ((1.0, assign[moved]), (-1.0, previous[moved])):
-            counts += sign * np.bincount(ids, minlength=k_count)
-            sum_x += sign * np.bincount(ids, weights=cols[moved], minlength=k_count)
-            sum_y += sign * np.bincount(ids, weights=rows[moved], minlength=k_count)
         energies.append(float(bd.sum()))
         if residual < CENTER_RESIDUAL_TOL:
             stop = "residual"
@@ -314,6 +279,7 @@ def cluster_depth(
 
     # Drop empty clusters so ids stay dense. Mean depths are summed in pixel
     # order over the final labels and divided by the exact counts.
+    counts = np.bincount(assign, minlength=k_count)
     keep = counts > 0
     means = np.bincount(assign, weights=flat_depth, minlength=k_count)[keep] / counts[keep]
     if not keep.all():
@@ -322,7 +288,7 @@ def cluster_depth(
         assign = remap[assign]
         feat, cpx, cpy = feat[keep], cpx[keep], cpy[keep]
 
-    assign = assign.reshape(height, width).astype(np.int32)
+    assign = assign.reshape(height, width)
     for arr in (assign, feat, cpx, cpy, means):
         arr.flags.writeable = False
     return ClusterState(
@@ -454,7 +420,6 @@ def _refine_boundary(
 def extract_polyline(
     far_labels: np.ndarray,
     state: ClusterState,
-    shape: GridShape,
     simplify_tol: float = 2.0,
     depth: DepthMap | None = None,
     threshold: float | None = None,
@@ -465,18 +430,15 @@ def extract_polyline(
     per column the boundary is the count of leading far rows. Columns where
     far pixels survive below near ones fall back to that upper envelope and
     raise a segmentation-quality warning. All of this runs on the
-    clustering's grid. Given the full-resolution ``depth`` (whose grid is
-    ``shape``) and the ``threshold`` that labelled the clusters, the
-    boundary is then refined column by column (``_refine_boundary``);
-    without them ``shape`` is the clustering's grid.
+    clustering's grid. Given the full-resolution ``depth`` and the
+    ``threshold`` that labelled the clusters, the boundary is then refined
+    column by column (``_refine_boundary``) and the polyline spans the
+    depth map's width; without them it spans the clustering's grid.
     """
     far_labels = np.asarray(far_labels, dtype=bool)
     if not far_labels.any() or far_labels.all():
         raise PartitionError("polyline extraction needs both near and far clusters")
     grid = state.assignments.shape
-    expected = grid if depth is None else depth.shape.array_shape
-    if shape.array_shape != expected:
-        raise ConfigError(f"grid {shape.array_shape} does not match {expected}")
     warnings: list[str] = []
     far_px = far_labels[state.assignments]
 
@@ -505,10 +467,11 @@ def extract_polyline(
             f"far region is not a clean upper band in {int(below.sum())} columns; "
             "using the column-wise upper envelope"
         )
+    width = grid[1]
     if depth is not None:
         boundary = _refine_boundary(boundary, grid, state.grid_step, depth, threshold)
+        width = depth.shape.width
 
-    width = shape.width
     xs = np.arange(width, dtype=np.float64) + 0.5
     if width == 1:
         poly = Polyline.constant(float(boundary[0]), x_end=float(width))
@@ -537,9 +500,6 @@ def partition(
     cfg: SceneConfig,
     *,
     target_cluster_count: int = 256,
-    compactness: float = 0.1,
-    max_iters: int = 10,
-    simplify_tol: float = 2.0,
 ) -> PartitionResult:
     """Produce the scene's near/far split.
 
@@ -555,15 +515,10 @@ def partition(
         return PartitionResult(mask=mask, polyline=cfg.polyline)
     try:
         factor = decimation_factor(depth.shape, target_cluster_count)
-        state = cluster_depth(
-            _decimate(depth, factor),
-            target_cluster_count=target_cluster_count,
-            compactness=compactness,
-            max_iters=max_iters,
-        )
+        state = cluster_depth(_decimate(depth, factor), target_cluster_count)
         labels = classify_clusters(state, cfg.depth_threshold)
         poly, warnings = extract_polyline(
-            labels.far, state, depth.shape, simplify_tol, depth=depth, threshold=labels.threshold
+            labels.far, state, depth=depth, threshold=labels.threshold
         )
     except DigCrowdError as exc:
         raise PartitionError(f"scene {cfg.scene_id!r}: {exc}") from exc

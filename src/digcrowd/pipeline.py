@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .density import DensityField, far_count_from_external
+from .density import far_count_from_external
 from .detect import (
     DEFAULT_NMS_IOU,
     DEFAULT_SCORE_THRESHOLD,
@@ -163,6 +163,9 @@ def load_manifest(path) -> Manifest:
             scene_id = raw["scene_id"]
             if not isinstance(scene_id, str):
                 raise TypeError(f"scene_id must be a string, got {scene_id!r}")
+            for key in ("depth", "config"):
+                if raw[key] in (None, ""):
+                    raise TypeError(f"{key} path must be a non-empty string, got {raw[key]!r}")
             preds = raw.get("predictions") or {}
             entry = ManifestEntry(
                 scene_id=scene_id,
@@ -196,24 +199,6 @@ def _write_debug_rasters(out_dir, scene_id: str, part: PartitionResult, density)
     dio.write_pgm8(debug / f"{scene_id}_density.pgm", dio.heatmap_u8(density.values))
 
 
-class _Stages:
-    """Spatial filter -> far integral -> fuse on one scene's in-memory inputs.
-
-    The filter runs on construction, so its report exists before the far
-    input is read: a scene whose far input fails still reports its near and
-    deleted counts.
-    """
-
-    def __init__(self, part: PartitionResult, dets: DetectionSet, scene_id: str):
-        self.part = part
-        self.scene_id = scene_id
-        self.report = apply_spatial_constraint(dets, part.polyline, scene_id)
-
-    def count(self, field: DensityField, ground_truth: float) -> SceneEstimate:
-        far = far_count_from_external(field, self.part.mask)
-        return fuse(self.report.kept, far, self.scene_id, ground_truth)
-
-
 def _near_input(entry: ManifestEntry, params: PipelineParams, shape: GridShape) -> DetectionSet:
     """The entry's detection list, else its tensor decoded and NMS'd."""
     if entry.detections is not None:
@@ -239,7 +224,7 @@ def count_scene(
     otherwise. Any failure produces a failed outcome carrying whatever
     partial results were already computed.
     """
-    part = stages = estimate = error = None
+    part = report = estimate = error = None
     warnings: list[str] = []
     try:
         cfg = dio.read_scene_config(entry.config)
@@ -249,15 +234,18 @@ def count_scene(
         warnings.extend(part.warnings)
         dets = _near_input(entry, params, part.mask.shape)
         warnings.extend(dets.warnings)
-        stages = _Stages(part, dets, cfg.scene_id)
-        warnings.extend(stages.report.warnings)
+        # The filter runs before the far input is read, so a scene whose far
+        # input fails still reports its near and deleted counts.
+        report = apply_spatial_constraint(dets, part.polyline, cfg.scene_id)
+        warnings.extend(report.warnings)
         if entry.density is None:
             raise ConfigError("far predictions absent (no density file)")
         field = dio.read_density_field(entry.density)
         ground_truth = math.nan
         if entry.annotations is not None:
             _, ground_truth = dio.read_annotations(entry.annotations)
-        estimate = stages.count(field, ground_truth)
+        far = far_count_from_external(field, part.mask)
+        estimate = fuse(report.kept, far, cfg.scene_id, ground_truth)
         if params.render_debug and out_dir is not None:
             _write_debug_rasters(out_dir, cfg.scene_id, part, field)
     except (DigCrowdError, OSError) as exc:
@@ -267,8 +255,8 @@ def count_scene(
         status="ok" if error is None else "failed",
         estimate=estimate,
         error=error,
-        near_count=None if stages is None else len(stages.report.kept),
-        deleted_count=None if stages is None else len(stages.report.deleted),
+        near_count=None if report is None else len(report.kept),
+        deleted_count=None if report is None else len(report.deleted),
         threshold_used=None if part is None else part.threshold_used,
         polyline=None if part is None else part.polyline,
         warnings=tuple(warnings),
@@ -310,8 +298,9 @@ def run_record(
     """In-memory pipeline over a synthetic record with oracle predictions."""
     part = partition(rec.depth, rec.config)
     preds = oracle_predictions(rec, part, noise, seed=seed, spec=spec)
-    stages = _Stages(part, preds.detections, rec.config.scene_id)
-    return stages.count(preds.density, rec.ground_truth_count)
+    report = apply_spatial_constraint(preds.detections, part.polyline, rec.config.scene_id)
+    far = far_count_from_external(preds.density, part.mask)
+    return fuse(report.kept, far, rec.config.scene_id, rec.ground_truth_count)
 
 
 def run_dataset(

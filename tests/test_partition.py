@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from partition_reference import (
+    _current_distance_reference,
     assign_windows_reference,
     classify_clusters_reference,
     cluster_depth_reference,
@@ -34,7 +35,6 @@ from digcrowd import io as dio
 from digcrowd.partition import (
     ENERGY_RTOL,
     ClusterState,
-    _current_distance,
     _seed_grid,
     decimation_factor,
 )
@@ -334,10 +334,8 @@ class TestExtractPolyline:
     def test_flat_band(self):
         vals = np.zeros((30, 100))
         vals[:10, :] = 1.0
-        state, depth = _state_from_blocks(vals)
-        poly, warnings = extract_polyline(
-            np.array([False, True]), state, depth.shape, simplify_tol=2.0
-        )
+        state, _ = _state_from_blocks(vals)
+        poly, warnings = extract_polyline(np.array([False, True]), state, simplify_tol=2.0)
         assert not warnings
         assert len(poly.segments) == 1
         assert poly.segments[0, 2] == 0.0
@@ -347,8 +345,8 @@ class TestExtractPolyline:
         vals = np.zeros((40, 20))
         for x in range(20):
             vals[: 10 + x, x] = 1.0
-        state, depth = _state_from_blocks(vals)
-        poly, _ = extract_polyline(np.array([False, True]), state, depth.shape, simplify_tol=1.0)
+        state, _ = _state_from_blocks(vals)
+        poly, _ = extract_polyline(np.array([False, True]), state, simplify_tol=1.0)
         assert len(poly.segments) == 1
         # fitted line must track every column boundary within tolerance
         line = poly.eval_array(np.arange(20) + 0.5)
@@ -356,9 +354,9 @@ class TestExtractPolyline:
         assert np.abs(line - boundary).max() <= 1.0
 
     def test_no_far_clusters_errors(self):
-        state, depth = _state_from_blocks(np.repeat([[0.1], [0.9]], 4, axis=1).repeat(2, axis=0))
+        state, _ = _state_from_blocks(np.repeat([[0.1], [0.9]], 4, axis=1).repeat(2, axis=0))
         with pytest.raises(PartitionError):
-            extract_polyline(np.array([False, False]), state, depth.shape)
+            extract_polyline(np.array([False, False]), state)
 
     def test_mask_roundtrip_within_tolerance(self):
         rng = np.random.default_rng(21)
@@ -372,7 +370,7 @@ class TestExtractPolyline:
                 vals[: int(boundary[x]), x] = 1.0
             state, depth = _state_from_blocks(vals)
             tol = 2.0
-            poly, _ = extract_polyline(np.array([False, True]), state, depth.shape, tol)
+            poly, _ = extract_polyline(np.array([False, True]), state, tol)
             mask = mask_from_polyline(poly, depth.shape)
             got = mask.far.sum(axis=0)
             assert np.abs(got - boundary).max() <= tol + 1.0
@@ -578,9 +576,8 @@ class TestReferenceOracle:
             grid_step=1.0,
         )
         labels = np.array([False, True])
-        shape = GridShape(width, height)
-        got = _outcome(extract_polyline, labels, state, shape)
-        want = _outcome(extract_polyline_reference, labels, state, shape)
+        got = _outcome(extract_polyline, labels, state)
+        want = _outcome(extract_polyline_reference, labels, state, GridShape(width, height))
         if isinstance(want[0], type):  # both raised
             assert got == want
         else:
@@ -641,8 +638,9 @@ class TestChunkedWindowPass:
         feat = np.bincount(labels, weights=grid.ravel(), minlength=feat.size) / counts
         cpx = np.bincount(labels, weights=cols, minlength=feat.size) / counts
         cpy = np.bincount(labels, weights=rows, minlength=feat.size) / counts
-        d2 = np.empty(grid.shape)
-        _current_distance(grid.ravel(), labels, feat, cpx, cpy, ratio2, cols, rows, d2.ravel())
+        d2 = _current_distance_reference(
+            grid.ravel(), labels, feat, cpx, cpy, ratio2, cols, rows
+        ).reshape(grid.shape)
         second = self._both(grid, feat, cpx, cpy, ratio2, step, (d2, first[1]))
         assert not np.array_equal(second[1], first[1])
 

@@ -221,10 +221,14 @@ class TestRunDataset:
              + np.full(320 * 240, np.inf, dtype="<f4").tobytes()),
             ("depth", struct.pack("<4sIII", b"DIGD", 320, 240, 0)
              + np.full(320 * 240, np.nan, dtype="<f4").tobytes()),
+            ("annotations", b'{"heads": [{"x": NaN, "y": 3.0}], "count": 1}'),
+            ("depth", struct.pack("<4sIII", b"DIGD", 0, 240, 0)),
+            ("density", struct.pack("<4sIIQ", b"DIGF", 320, 0, 0)),
         ],
         ids=["pgm-header", "config-list", "nan-count", "negative-count", "overflowing-count",
              "nan-polyline-k",
-             "threshold-out-of-range", "density-nan", "density-inf", "depth-nan"],
+             "threshold-out-of-range", "density-nan", "density-inf", "depth-nan",
+             "nan-head", "digd-zero-width", "digf-zero-height"],
     )
     def test_input_defect_fails_only_its_scene(self, bench_dir, tmp_path, victim, content):
         out, manifest_path = bench_dir
@@ -373,6 +377,17 @@ class TestRunDataset:
         path.write_text(json.dumps(payload))
         message = f"{path}: bad scene entry: scene_id must be a string, got {scene_id!r}"
         with pytest.raises(FormatError, match=re.escape(message)):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("key", ["depth", "config"])
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_empty_required_path_rejected(self, bench_dir, tmp_path, key, value):
+        out, manifest_path = bench_dir
+        payload = json.loads(manifest_path.read_text())
+        payload["scenes"][1][key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad scene entry: {key}")):
             load_manifest(path)
 
     @pytest.mark.parametrize("dataset_id", [7, 2.5, False, None, {"id": "x"}])
