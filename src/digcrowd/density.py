@@ -42,6 +42,7 @@ class DensityField:
 
     shape: GridShape
     values: np.ndarray
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)

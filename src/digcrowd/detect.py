@@ -13,7 +13,6 @@ the spatial filter works on that array.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "iou",
     "nms",
 ]
-
-log = logging.getLogger("digcrowd.detect")
 
 DEFAULT_SCORE_THRESHOLD = 0.2
 DEFAULT_NMS_IOU = 0.5
@@ -178,8 +175,6 @@ def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOL
     if out_of_range:
         warnings.append(f"{out_of_range} tensor values clamped to [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)
-    for msg in warnings:
-        log.warning("decode: %s", msg)
 
     s, nb = spec.s, spec.b
     width, height = float(pred.shape.width), float(pred.shape.height)

@@ -20,7 +20,6 @@ line), annotation / scene-config / manifest JSON.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import struct
 from pathlib import Path
@@ -36,6 +35,7 @@ from .scene import (
     Polyline,
     SceneConfig,
     check_heads,
+    check_scene_id,
 )
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
     "write_pgm8",
     "heatmap_u8",
 ]
-
-log = logging.getLogger("digcrowd.io")
 
 DIGD_MAGIC = b"DIGD"
 DIGY_MAGIC = b"DIGY"
@@ -207,16 +205,17 @@ def read_density_field(path) -> DensityField:
     _, width, height, _ = struct.unpack("<4sIIQ", data[:20])
     shape = _header_shape(width, height, path)
     values = _payload_f32(data, 20, shape.pixel_count, path).astype(np.float64)
+    warnings = ()
     negative = values < 0.0
     if negative.any():
         # external predictors sometimes emit slightly negative densities;
         # -inf is no such value and is left for DensityField to reject
         negative &= values > -np.inf
-        log.warning("%s: clamped %d negative density values to 0", path, int(negative.sum()))
+        warnings = (f"{path}: clamped {int(negative.sum())} negative density values to 0",)
         values[negative] = 0.0
     values.flags.writeable = False
     try:
-        return DensityField(shape, values.reshape(height, width))
+        return DensityField(shape, values.reshape(height, width), warnings)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -265,8 +264,6 @@ def read_detections_text(path) -> DetectionSet:
         raise FormatError(f"{path}:{linenos[i]}: {reason}") from exc
     if parse_error is not None:
         raise parse_error
-    for msg in warnings:
-        log.warning("%s: %s", path, msg)
     return dets
 
 
@@ -354,7 +351,7 @@ def read_scene_config(path) -> SceneConfig:
         if not isinstance(scene_id, str):
             raise TypeError(f"scene_id must be a string, got {scene_id!r}")
         return SceneConfig(
-            scene_id=scene_id,
+            scene_id=check_scene_id(scene_id),
             polyline=polyline,
             depth_threshold=threshold,
         )

@@ -140,11 +140,6 @@ def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, 
     height, width = depth.shape
     nx = int(np.clip(round(np.sqrt(target * width / height)), 1, width))
     ny = int(np.clip(round(target / nx), 1, height))
-    if nx * ny < 2:
-        if height >= 2:
-            ny = 2
-        else:
-            nx = 2
     cx = np.rint((np.arange(nx) + 0.5) * width / nx - 0.5).astype(np.intp)
     cy = np.rint((np.arange(ny) + 0.5) * height / ny - 0.5).astype(np.intp)
     # One row per seed (row-major over the grid), one column per patch pixel

@@ -38,7 +38,7 @@ from .detect import (
 from .errors import ConfigError, DigCrowdError, FormatError
 from .metrics import EvaluationRecord, SceneEstimate, evaluate_pairs, fuse
 from .partition import PartitionResult, partition
-from .scene import GridShape, Polyline, SceneRecord
+from .scene import GridShape, Polyline, SceneRecord, check_scene_id
 from .spatial import apply_spatial_constraint
 from .synth import NoiseSpec, SynthSpec, generate_scene, oracle_predictions
 
@@ -163,6 +163,7 @@ def load_manifest(path) -> Manifest:
             scene_id = raw["scene_id"]
             if not isinstance(scene_id, str):
                 raise TypeError(f"scene_id must be a string, got {scene_id!r}")
+            check_scene_id(scene_id)
             for key in ("depth", "config"):
                 if raw[key] in (None, ""):
                     raise TypeError(f"{key} path must be a non-empty string, got {raw[key]!r}")
@@ -176,7 +177,7 @@ def load_manifest(path) -> Manifest:
                 tensor=_resolve(base, preds.get("tensor")),
                 density=_resolve(base, preds.get("density")),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (ConfigError, KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"{path}: bad scene entry: {exc}") from exc
         if scene_id in seen:
             raise FormatError(f"{path}: duplicate scene_id {scene_id!r}")
@@ -222,7 +223,8 @@ def count_scene(
 
     Ground truth is read when the entry has annotations and is NaN
     otherwise. Any failure produces a failed outcome carrying whatever
-    partial results were already computed.
+    partial results were already computed. The stages return their
+    warnings; each is logged here once, under the manifest scene id.
     """
     part = report = estimate = error = None
     warnings: list[str] = []
@@ -236,20 +238,23 @@ def count_scene(
         warnings.extend(dets.warnings)
         # The filter runs before the far input is read, so a scene whose far
         # input fails still reports its near and deleted counts.
-        report = apply_spatial_constraint(dets, part.polyline, cfg.scene_id)
+        report = apply_spatial_constraint(dets, part.polyline)
         warnings.extend(report.warnings)
         if entry.density is None:
             raise ConfigError("far predictions absent (no density file)")
         field = dio.read_density_field(entry.density)
+        warnings.extend(field.warnings)
         ground_truth = math.nan
         if entry.annotations is not None:
             _, ground_truth = dio.read_annotations(entry.annotations)
         far = far_count_from_external(field, part.mask)
         estimate = fuse(report.kept, far, cfg.scene_id, ground_truth)
         if params.render_debug and out_dir is not None:
-            _write_debug_rasters(out_dir, cfg.scene_id, part, field)
+            _write_debug_rasters(out_dir, entry.scene_id, part, field)
     except (DigCrowdError, OSError) as exc:
         estimate, error = None, str(exc)
+    for msg in warnings:
+        log.warning("scene %s: %s", entry.scene_id, msg)
     return SceneOutcome(
         scene_id=entry.scene_id,
         status="ok" if error is None else "failed",
@@ -298,7 +303,7 @@ def run_record(
     """In-memory pipeline over a synthetic record with oracle predictions."""
     part = partition(rec.depth, rec.config)
     preds = oracle_predictions(rec, part, noise, seed=seed, spec=spec)
-    report = apply_spatial_constraint(preds.detections, part.polyline, rec.config.scene_id)
+    report = apply_spatial_constraint(preds.detections, part.polyline)
     far = far_count_from_external(preds.density, part.mask)
     return fuse(report.kept, far, rec.config.scene_id, rec.ground_truth_count)
 
@@ -350,7 +355,7 @@ def write_report(report: RunReport, out_dir: Path) -> None:
             if o.ok and o.estimate is not None:
                 e = o.estimate
                 writer.writerow(
-                    [e.scene_id, e.near_count, e.far_count, e.total, e.ground_truth, e.abs_error]
+                    [o.scene_id, e.near_count, e.far_count, e.total, e.ground_truth, e.abs_error]
                 )
     payload = {
         "dataset_id": report.dataset_id,
@@ -404,9 +409,11 @@ def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
     try:
         if shape is not None:
             width, height = shape
+            if (int(width), int(height)) != (width, height):
+                raise ValueError(f"shape values must be integers, got {shape!r}")
             kwargs["shape"] = GridShape(int(width), int(height))
         return SynthSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scene spec: {exc}") from exc
 
 
@@ -446,6 +453,7 @@ def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list
     for i, overrides in enumerate(scene_specs):
         scene_id = str(overrides.pop("scene_id", f"scene-{i:04d}"))
         try:
+            check_scene_id(scene_id)
             spec = _spec_from_dict(defaults, overrides)
             if seed_offset:
                 spec = dataclasses.replace(spec, seed=spec.seed + seed_offset)
@@ -485,6 +493,4 @@ def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list
             indent=1,
         )
     )
-    for msg in errors:
-        log.warning("bench-gen: %s", msg)
     return manifest_path, errors

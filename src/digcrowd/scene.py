@@ -25,6 +25,7 @@ __all__ = [
     "SceneConfig",
     "SceneRecord",
     "check_heads",
+    "check_scene_id",
     "mask_from_polyline",
 ]
 
@@ -263,6 +264,17 @@ def mask_from_polyline(p: Polyline, shape: GridShape) -> RegionMask:
     far = centers_y < line[None, :]
     far.flags.writeable = False
     return RegionMask(shape, far)
+
+
+def check_scene_id(scene_id: str) -> str:
+    """``scene_id`` as given if it is a plain file name, else ``ConfigError``.
+
+    Outputs are named by the scene id, so it must be non-empty, must not be
+    ``.`` or ``..``, and must not contain ``/``, ``\\`` or NUL.
+    """
+    if scene_id in ("", ".", "..") or any(c in scene_id for c in "/\\\0"):
+        raise ConfigError(f"scene_id must be a plain file name, got {scene_id!r}")
+    return scene_id
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,12 @@ detector; the far mask uses the complementary strict region.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .detect import DetectionSet
 from .scene import Polyline
 
 __all__ = ["FilterReport", "apply_spatial_constraint"]
-
-log = logging.getLogger("digcrowd.spatial")
 
 
 @dataclass(frozen=True)
@@ -25,13 +22,10 @@ class FilterReport:
 
     kept: DetectionSet
     deleted: DetectionSet
-    scene_id: str = ""
     warnings: tuple[str, ...] = ()
 
 
-def apply_spatial_constraint(
-    dets: DetectionSet, p: Polyline, scene_id: str = ""
-) -> FilterReport:
+def apply_spatial_constraint(dets: DetectionSet, p: Polyline) -> FilterReport:
     """Delete boxes whose center satisfies y_c < k_i * x_c + b_i.
 
     Centers outside the polyline's x-domain are kept and flagged rather
@@ -49,13 +43,10 @@ def apply_spatial_constraint(
         f"box center x={x:.2f} outside polyline domain; box kept"
         for x in xc[~inside].tolist()
     )
-    for msg in warnings:
-        log.warning("spatial filter (%s): %s", scene_id or "scene", msg)
     kept, deleted = rows[~delete], rows[delete]
     kept.flags.writeable = deleted.flags.writeable = False
     return FilterReport(
         kept=DetectionSet(kept, warnings=dets.warnings),
         deleted=DetectionSet(deleted),
-        scene_id=scene_id,
         warnings=warnings,
     )

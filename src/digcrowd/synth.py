@@ -61,8 +61,10 @@ class SynthSpec:
     exclusion_margin: float = 2.0
 
     def __post_init__(self):
-        if self.n_people < 1:
-            raise ConfigError(f"n_people must be >= 1, got {self.n_people}")
+        # the comparison comes first: a string still fails as a TypeError
+        if (self.n_people < 1 or isinstance(self.n_people, bool)
+                or not isinstance(self.n_people, (int, np.integer))):
+            raise ConfigError(f"n_people must be an integer >= 1, got {self.n_people!r}")
         if not (0.0 < self.horizon_y <= self.shape.height):
             raise ConfigError(
                 f"horizon_y {self.horizon_y} outside (0, {self.shape.height}]"

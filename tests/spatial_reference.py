@@ -14,9 +14,7 @@ import numpy as np
 from digcrowd import DetectionSet, FilterReport, Polyline
 
 
-def apply_spatial_constraint_reference(
-    dets: DetectionSet, p: Polyline, scene_id: str = ""
-) -> FilterReport:
+def apply_spatial_constraint_reference(dets: DetectionSet, p: Polyline) -> FilterReport:
     segments = p.segments.tolist()
     starts = [seg[0] for seg in segments]
     lo, hi = segments[0][0], segments[-1][1]
@@ -38,6 +36,5 @@ def apply_spatial_constraint_reference(
     return FilterReport(
         kept=DetectionSet(kept, warnings=dets.warnings),
         deleted=DetectionSet(deleted),
-        scene_id=scene_id,
         warnings=tuple(warnings),
     )

@@ -183,6 +183,7 @@ class TestDensityFiles:
         path.write_bytes(payload)
         back = read_density_field(path)
         assert back.values.tolist() == [[0.0, 0.5]]
+        assert back.warnings == (f"{path}: clamped 1 negative density values to 0",)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_names_file(self, tmp_path, bad):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 import re
@@ -28,6 +29,10 @@ from digcrowd.cli import main as cli_main
 from digcrowd.pipeline import Manifest, PipelineParams, bench_generate
 
 
+# each breaks the plain-file-name rule for scene ids in its own way
+BAD_SCENE_IDS = ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\x00b"]
+
+
 def _write_spec(path, count=4, n_people=40, noise=None, shape=(320, 240), seed_start=100):
     payload = {
         "dataset_id": "testset",
@@ -42,6 +47,13 @@ def _write_spec(path, count=4, n_people=40, noise=None, shape=(320, 240), seed_s
     }
     path.write_text(json.dumps(payload))
     return path
+
+
+def _put_negative_density(path):
+    """Overwrite the first value of a DIGF file with -0.25."""
+    data = bytearray(path.read_bytes())
+    data[20:24] = struct.pack("<f", -0.25)
+    path.write_bytes(bytes(data))
 
 
 @pytest.fixture()
@@ -104,8 +116,17 @@ class TestBenchGenerate:
             ({"defaults": {"shape": []}, "count": 1}, "not enough values to unpack"),
             ({"scenes": [{"seed": "x"}]}, "seed must be an integer >= 0, got 'x'"),
             ({"scenes": [{"seed": 1.5}]}, "seed must be an integer >= 0, got 1.5"),
+            ({"scenes": [{"seed": 1, "n_people": 2.5}]},
+             "n_people must be an integer >= 1, got 2.5"),
+            ({"scenes": [{"seed": 1, "n_people": True}]},
+             "n_people must be an integer >= 1, got True"),
+            ({"defaults": {"shape": [160.9, 120], "n_people": 10, "horizon_y": 100.0},
+              "count": 1}, "shape values must be integers, got [160.9, 120]"),
+            ({"defaults": {"shape": [float("inf"), 120]}, "count": 1},
+             "cannot convert float infinity to integer"),
         ],
-        ids=["override-type", "default-value", "shape-empty", "seed-str", "seed-float"],
+        ids=["override-type", "default-value", "shape-empty", "seed-str", "seed-float",
+             "n_people-float", "n_people-bool", "shape-float", "shape-inf"],
     )
     def test_wrong_field_type_is_a_scene_error(self, tmp_path, capsys, payload, reason):
         spec_path = tmp_path / "spec.json"
@@ -120,6 +141,22 @@ class TestBenchGenerate:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["errors"] == errors
         assert "Traceback" not in captured.err
+
+
+    @pytest.mark.parametrize("scene_id", BAD_SCENE_IDS)
+    def test_scene_id_must_be_a_file_name(self, tmp_path, scene_id):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "defaults": {"shape": [160, 120], "n_people": 10, "horizon_y": 100.0},
+            "scenes": [{"scene_id": scene_id, "seed": 1}, {"scene_id": "kept", "seed": 2}],
+        }))
+        out = tmp_path / "a" / "b" / "out"
+        manifest_path, errors = bench_generate(spec_path, out)
+        assert len(errors) == 1
+        assert errors[0] == f"{scene_id}: scene_id must be a plain file name, got {scene_id!r}"
+        assert [e.scene_id for e in load_manifest(manifest_path).entries] == ["kept"]
+        written = {p for p in tmp_path.rglob("*") if p.is_file()} - {spec_path}
+        assert {p.parent for p in written} == {out, out / "kept"}
 
 
 class TestRunDataset:
@@ -328,6 +365,41 @@ class TestRunDataset:
             for kind in ("mask", "density"):
                 assert (tmp_path / "r" / "debug" / f"{entry.scene_id}_{kind}.pgm").exists()
 
+    def test_outputs_named_by_manifest_id(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        for entry in manifest.entries[:2]:  # two configs with one id
+            cfg = json.loads(entry.config.read_text())
+            cfg["scene_id"] = "same"
+            entry.config.write_text(json.dumps(cfg))
+        report = run_dataset(manifest, PipelineParams(render_debug=True), tmp_path / "r")
+        ids = [e.scene_id for e in manifest.entries]
+        assert report.n_succeeded == 4
+        assert [o.estimate.scene_id for o in report.outcomes[:2]] == ["same", "same"]
+        csv_lines = (tmp_path / "r" / "report.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in csv_lines[1:]] == ids
+        payload = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert [scene["scene_id"] for scene in payload["scenes"]] == ids
+        debug = sorted(p.name for p in (tmp_path / "r" / "debug").iterdir())
+        assert debug == sorted(f"{i}_{kind}.pgm" for i in ids for kind in ("mask", "density"))
+
+    @pytest.mark.parametrize("scene_id", BAD_SCENE_IDS)
+    def test_config_scene_id_must_be_a_file_name(self, bench_dir, tmp_path, scene_id):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        path = manifest.entries[1].config
+        cfg = json.loads(path.read_text())
+        cfg["scene_id"] = scene_id
+        path.write_text(json.dumps(cfg))
+        report_dir = tmp_path / "x" / "y" / "r"
+        report = run_dataset(manifest, PipelineParams(render_debug=True), report_dir)
+        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
+        error = report.outcomes[1].error
+        assert path.name == "config.json" and error.startswith(f"{path}: bad scene config: ")
+        assert error.endswith(f"scene_id must be a plain file name, got {scene_id!r}")
+        rasters = list(tmp_path.rglob("*.pgm"))
+        assert len(rasters) == 6 and {p.parent for p in rasters} == {report_dir / "debug"}
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -376,6 +448,18 @@ class TestRunDataset:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))
         message = f"{path}: bad scene entry: scene_id must be a string, got {scene_id!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("scene_id", BAD_SCENE_IDS)
+    def test_scene_id_must_be_a_file_name(self, bench_dir, tmp_path, scene_id):
+        out, manifest_path = bench_dir
+        payload = json.loads(manifest_path.read_text())
+        payload["scenes"][1]["scene_id"] = scene_id
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        message = (f"{path}: bad scene entry: "
+                   f"scene_id must be a plain file name, got {scene_id!r}")
         with pytest.raises(FormatError, match=re.escape(message)):
             load_manifest(path)
 
@@ -605,6 +689,32 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "h.pgm").read_bytes().startswith(b"P5")
 
+    def test_render_logs_density_clamp_once(self, tmp_path, bench_dir, caplog):
+        out, _ = bench_dir
+        field = next(out.rglob("density.digf"))
+        _put_negative_density(field)
+        argv = ["render", "--input", str(field), "--output", str(tmp_path / "h.pgm")]
+        with caplog.at_level(logging.WARNING, logger="digcrowd"):
+            assert cli_main(argv) == 0
+        logged = [r.getMessage() for r in caplog.records]
+        assert logged == [f"{field}: clamped 1 negative density values to 0"]
+
+    @pytest.mark.parametrize("command", ["partition", "render", "evaluate"])
+    def test_missing_input_file_is_one_error_line(self, bench_dir, tmp_path, capsys, command):
+        out, _ = bench_dir
+        missing = tmp_path / "missing.bin"
+        argv = {
+            "partition": ["partition", "--depth", str(missing), "--config",
+                          str(out / "scene-0000" / "config.json"), "--out-dir", str(tmp_path / "p")],
+            "render": ["render", "--input", str(missing), "--output", str(tmp_path / "h.pgm")],
+            "evaluate": ["evaluate", "--manifest", str(missing), "--out-dir", str(tmp_path / "r")],
+        }[command]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(missing) in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "kind, payload",
         [
@@ -664,6 +774,58 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(proc.stdout.strip().splitlines()[-1])
         assert summary["mae"] < 1e-4
+
+
+class TestWarnings:
+    """Stages return their warnings; the pipeline logs each once, naming the scene."""
+
+    @staticmethod
+    def _noisy_entry(entry, tmp_path):
+        """``entry`` as scene "cam-b", with clamped tensor values and a negative density."""
+        spec = DetectorGridSpec(s=4, b=1, c=1)
+        values = np.zeros((4, 4, spec.cell_values))
+        values[3, 1] = (0.5, 0.5, 0.05, 0.05, 1.5, 1.0)  # confidence above 1
+        values[0, 0, 0] = -0.5
+        tensor = tmp_path / "cam-b.digy"
+        dio.write_prediction_tensor(tensor, GridPrediction(spec, GridShape(320, 240), values))
+        _put_negative_density(entry.density)
+        return dataclasses.replace(entry, scene_id="cam-b", detections=None, tensor=tensor)
+
+    def test_each_warning_logged_once_and_reported(self, tmp_path, caplog):
+        spec = _write_spec(tmp_path / "spec.json", count=2)
+        manifest = load_manifest(bench_generate(spec, tmp_path / "bench")[0])
+        noisy = self._noisy_entry(manifest.entries[1], tmp_path)
+        manifest = Manifest(manifest.dataset_id, (manifest.entries[0], noisy))
+        with caplog.at_level(logging.WARNING, logger="digcrowd"):
+            report = run_dataset(manifest, PipelineParams(), tmp_path / "r")
+        assert report.n_succeeded == 2
+        scenes = json.loads((tmp_path / "r" / "report.json").read_text())["scenes"]
+        assert scenes[0]["warnings"] == []
+        assert scenes[1]["warnings"] == [
+            "2 tensor values clamped to [0, 1]",
+            f"{noisy.density}: clamped 1 negative density values to 0",
+        ]
+        logged = [r.getMessage() for r in caplog.records]
+        assert logged == [f"scene cam-b: {msg}" for msg in scenes[1]["warnings"]]
+
+    def test_warnings_of_a_failed_scene_are_logged(self, bench_dir, tmp_path, caplog):
+        _, manifest_path = bench_dir
+        entry = self._noisy_entry(load_manifest(manifest_path).entries[1], tmp_path)
+        with caplog.at_level(logging.WARNING, logger="digcrowd"):
+            outcome = run_scene(dataclasses.replace(entry, density=None), PipelineParams())
+        assert outcome.status == "failed"
+        assert outcome.warnings == ("2 tensor values clamped to [0, 1]",)
+        assert [r.getMessage() for r in caplog.records] == [
+            "scene cam-b: 2 tensor values clamped to [0, 1]",
+            "scene cam-b failed: far predictions absent (no density file)",
+        ]
+
+    def test_only_cli_and_pipeline_log(self):
+        src = Path(digcrowd.__file__).parent
+        logging_modules = {
+            p.name for p in src.glob("*.py") if re.search(r"import logging|getLogger", p.read_text())
+        }
+        assert logging_modules == {"cli.py", "pipeline.py"}
 
 
 class TestDiagnostics:

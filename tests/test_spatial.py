@@ -51,9 +51,9 @@ class TestApplySpatialConstraint:
             for _ in range(200)
         )
         dets = DetectionSet(boxes)
-        rep = apply_spatial_constraint(dets, p, scene_id="prop")
+        rep = apply_spatial_constraint(dets, p)
         assert len(rep.kept) + len(rep.deleted) == len(dets)
-        again = apply_spatial_constraint(rep.kept, p, scene_id="prop")
+        again = apply_spatial_constraint(rep.kept, p)
         assert np.array_equal(again.kept.rows, rep.kept.rows)
         assert not len(again.deleted)
 
@@ -138,13 +138,12 @@ class TestReferenceOracle:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, scene):
         dets, p = scene
-        got = apply_spatial_constraint(dets, p, scene_id="s")
-        want = apply_spatial_constraint_reference(dets, p, scene_id="s")
+        got = apply_spatial_constraint(dets, p)
+        want = apply_spatial_constraint_reference(dets, p)
         assert _bits(got.kept) == _bits(want.kept)
         assert _bits(got.deleted) == _bits(want.deleted)
         assert got.warnings == want.warnings
         assert got.kept.warnings == want.kept.warnings == ("upstream",)
-        assert got.scene_id == want.scene_id
 
     def test_knot_rounding_follows_segment_index(self):
         # at an interior knot the two segments meeting there can round to
