@@ -38,27 +38,35 @@ BETA = 0.3
 
 @dataclass(frozen=True, eq=False)
 class DensityField:
-    """Non-negative per-pixel density; the integral over a region is a count."""
+    """Non-negative per-pixel density; the integral over a region is a count.
+
+    float32 values (a DIGF payload) are kept as they are and widened,
+    exactly, only where they are summed; any other type is stored as
+    float64.
+    """
 
     shape: GridShape
     values: np.ndarray
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.float32:
+            vals = vals.astype(np.float64, copy=False)
         if vals.shape != self.shape.array_shape:
             raise ConfigError(
                 f"density grid {vals.shape} does not match {self.shape.array_shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("density values must be finite")
-        if vals.size and vals.min() < 0.0:
+        lo, hi = vals.min(), vals.max()  # a NaN propagates to both
+        if not (lo >= 0.0 and hi < np.inf):
+            if not np.isfinite(vals).all():
+                raise ConfigError("density values must be finite")
             raise ConfigError("density values must be non-negative")
         object.__setattr__(self, "values", _frozen(vals, self.values))
 
     @cached_property
     def total_mass(self) -> float:
-        return float(self.values.sum())
+        return float(self.values.astype(np.float64, copy=False).sum())
 
     @classmethod
     def zeros(cls, shape: GridShape) -> "DensityField":
@@ -161,7 +169,10 @@ def integrate(field: DensityField, mask: RegionMask, region: Region | str) -> fl
         )
     if region is Region.ALL:
         return field.total_mass
-    return float(field.values[mask.region_pixels(region)].sum())
+    # Widening after the gather sums the same float64 array as widening the
+    # whole field first; sum(dtype=np.float64) would sum in another order.
+    picked = field.values[mask.region_pixels(region)]
+    return float(picked.astype(np.float64, copy=False).sum())
 
 
 def far_count_from_external(field: DensityField, mask: RegionMask) -> float:

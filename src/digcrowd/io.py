@@ -15,12 +15,27 @@ density     magic ``DIGF`` + u32 width + u32 height + u64 reserved
 
 Text formats: detection lists (one ``x_min y_min x_max y_max score`` per
 line), annotation / scene-config / manifest JSON.
+
+DIGD and DIGF files are mapped read-only (``mmap``) rather than copied, and
+their payloads stay float32 in memory: a depth map or density field read
+from one is a read-only view of the mapping. A mapped input must therefore
+not be rewritten or truncated while it is in use; reading a page that a
+truncation removed raises SIGBUS, which kills the process and which no
+per-scene error handler can catch. A 16-bit PGM depth map is widened to a
+float64 copy and a DIGY tensor (86 KB at S=32) is read into memory, so
+neither stays mapped. The batch loops
+(``pipeline.run_dataset`` and ``bench_generate``) pin glibc's
+``M_MMAP_THRESHOLD`` at 16 MB and ``M_TRIM_THRESHOLD`` at 32 MB, so the
+few-MB arrays a scene frees stay on the heap for the next scene instead
+of being trimmed and faulted in again.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -69,7 +84,19 @@ def _read_bytes(path) -> bytes:
     return Path(path).read_bytes()
 
 
-def _payload_f32(data: bytes, offset: int, count: int, path) -> np.ndarray:
+def _map_file(path) -> mmap.mmap | bytes:
+    """The file's contents as a read-only memory map; an empty file gives ``b""``.
+
+    Arrays viewing the map keep it alive; it is unmapped once the last one
+    is gone.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses empty files
+            return b""
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def _payload_f32(data, offset: int, count: int, path) -> np.ndarray:
     """The float32 payload as a read-only view of ``data``."""
     expected = offset + 4 * count
     if len(data) != expected:
@@ -94,8 +121,7 @@ def write_depth_digd(path, depth: DepthMap) -> None:
     Path(path).write_bytes(header + depth.values.astype("<f4").tobytes())
 
 
-def read_depth_digd(path) -> DepthMap:
-    data = _read_bytes(path)
+def _depth_digd(data, path) -> DepthMap:
     if len(data) < 16 or data[:4] != DIGD_MAGIC:
         raise FormatError(f"{path}: not a DIGD depth file")
     _, width, height, _ = struct.unpack("<4sIII", data[:16])
@@ -107,6 +133,10 @@ def read_depth_digd(path) -> DepthMap:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def read_depth_digd(path) -> DepthMap:
+    return _depth_digd(_map_file(path), path)
+
+
 def write_depth_pgm16(path, depth: DepthMap) -> None:
     # widen first: a float32 product with 65535.0 rounds differently
     quantized = np.round(depth.values.astype(np.float64, copy=False) * 65535.0).astype(">u2")
@@ -114,9 +144,8 @@ def write_depth_pgm16(path, depth: DepthMap) -> None:
     Path(path).write_bytes(header + quantized.tobytes())
 
 
-def read_depth_pgm16(path) -> DepthMap:
-    data = _read_bytes(path)
-    if not data.startswith(b"P5"):
+def _depth_pgm16(data, path) -> DepthMap:
+    if data[:2] != b"P5":
         raise FormatError(f"{path}: not a binary PGM file")
     fields: list[bytes] = []
     pos = 2
@@ -141,22 +170,25 @@ def read_depth_pgm16(path) -> DepthMap:
     if maxval != 65535:
         raise FormatError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval}")
     shape = _header_shape(width, height, path)
-    raw = np.frombuffer(data, dtype=">u2", offset=pos)
-    if raw.size != shape.pixel_count:
+    if len(data) - pos != 2 * shape.pixel_count:
         raise FormatError(f"{path}: PGM payload size mismatch")
+    raw = np.frombuffer(data, dtype=">u2", offset=pos)
     values = raw.reshape(height, width).astype(np.float64) / 65535.0
     values.flags.writeable = False
     return DepthMap(shape, values)
 
 
+def read_depth_pgm16(path) -> DepthMap:
+    return _depth_pgm16(_read_bytes(path), path)
+
+
 def read_depth(path) -> DepthMap:
     """Load depth from a DIGD or 16-bit PGM file (sniffed by magic)."""
-    with Path(path).open("rb") as fh:
-        head = fh.read(4)
-    if head[:4] == DIGD_MAGIC:
-        return read_depth_digd(path)
-    if head[:2] == b"P5":
-        return read_depth_pgm16(path)
+    data = _map_file(path)
+    if data[:4] == DIGD_MAGIC:
+        return _depth_digd(data, path)
+    if data[:2] == b"P5":
+        return _depth_pgm16(data, path)
     raise FormatError(f"{path}: unrecognized depth format (expect DIGD or P5)")
 
 
@@ -199,23 +231,24 @@ def write_density_field(path, field: DensityField) -> None:
 
 
 def read_density_field(path) -> DensityField:
-    data = _read_bytes(path)
+    """The payload as a read-only float32 view; copied only to clamp negatives."""
+    data = _map_file(path)
     if len(data) < 20 or data[:4] != DIGF_MAGIC:
         raise FormatError(f"{path}: not a DIGF density file")
     _, width, height, _ = struct.unpack("<4sIIQ", data[:20])
     shape = _header_shape(width, height, path)
-    values = _payload_f32(data, 20, shape.pixel_count, path).astype(np.float64)
+    values = _payload_f32(data, 20, shape.pixel_count, path).reshape(height, width)
     warnings = ()
-    negative = values < 0.0
-    if negative.any():
+    if values.min() < 0.0:  # False when a NaN is present: DensityField rejects it
         # external predictors sometimes emit slightly negative densities;
         # -inf is no such value and is left for DensityField to reject
-        negative &= values > -np.inf
+        values = values.copy()
+        negative = (values < 0.0) & (values > -np.inf)
         warnings = (f"{path}: clamped {int(negative.sum())} negative density values to 0",)
         values[negative] = 0.0
-    values.flags.writeable = False
+        values.flags.writeable = False
     try:
-        return DensityField(shape, values.reshape(height, width), warnings)
+        return DensityField(shape, values, warnings)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -95,9 +95,10 @@ class DepthMap:
             raise ConfigError(
                 f"depth grid {vals.shape} does not match shape {self.shape.array_shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("depth values must be finite")
-        if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
+        lo, hi = vals.min(), vals.max()  # a NaN propagates to both
+        if not (lo >= 0.0 and hi <= 1.0):
+            if not np.isfinite(vals).all():
+                raise ConfigError("depth values must be finite")
             raise ConfigError("depth values must lie in [0, 1]")
         object.__setattr__(self, "values", _frozen(vals, self.values))
 

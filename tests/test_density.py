@@ -295,3 +295,58 @@ class TestHeadPathReference:
                               DEFAULT_TRUNCATION_RADIUS, valid)
         assert len(far) > 10
         assert _bits(got) == _bits(want)
+
+
+@st.composite
+def _float32_fields(draw):
+    """Non-negative float32 fields: zeros, subnormals and a wide exponent range.
+
+    Up to 24,000 pixels, so a region can exceed the 8192-element buffer in which
+    numpy casts for `sum(dtype=...)`, which sums in another order.
+    """
+    width, height = draw(st.integers(1, 200)), draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo_exp = draw(st.sampled_from([-149, -130, -40, 0]))
+    hi_exp = draw(st.integers(lo_exp, 126))
+    mantissa = rng.uniform(1.0, 2.0, (height, width))
+    values = np.ldexp(mantissa, rng.integers(lo_exp, hi_exp + 1, (height, width)))
+    values[rng.random((height, width)) < draw(st.floats(0.0, 0.9))] = 0.0
+    values = values.astype(np.float32)
+    values.flags.writeable = False
+    return DensityField(GridShape(width, height), values)
+
+
+@st.composite
+def _split_lines(draw, shape):
+    """A random polyline across the full width, dipping above and below the frame."""
+    inner = sorted(draw(st.sets(st.integers(1, max(shape.width - 1, 1)), max_size=4)))
+    xs = [0.0, *(float(x) for x in inner if x < shape.width), float(shape.width)]
+    ys = draw(st.lists(st.floats(-2.0, shape.height + 2.0), min_size=len(xs),
+                       max_size=len(xs)))
+    return Polyline.from_points(xs, ys)
+
+
+class TestFloat32Field:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_integrals_equal_float64_widening_bit_for_bit(self, data):
+        field = data.draw(_float32_fields())
+        mask = mask_from_polyline(data.draw(_split_lines(field.shape)), field.shape)
+        wide = DensityField(field.shape, field.values.astype(np.float64))
+        assert field.values.dtype == np.float32 and wide.values.dtype == np.float64
+        for region in (Region.FAR, Region.NEAR, Region.ALL):
+            assert _bits([integrate(field, mask, region)]) == _bits(
+                [integrate(wide, mask, region)])
+        assert _bits([field.total_mass]) == _bits([wide.total_mass])
+
+    def test_read_density_field_is_a_read_only_float32_view(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = (rng.random((24, 30)) * 0.01).astype(np.float32)
+        path = tmp_path / "f.digf"
+        write_density_field(path, DensityField(GridShape(30, 24), values))
+        back = read_density_field(path)
+        assert back.values.dtype == np.float32
+        assert not back.values.flags.writeable
+        assert np.array_equal(back.values, values)
+        with pytest.raises(ValueError):
+            back.values[0, 0] = 1.0

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ class TestDepthFiles:
         write_depth_pgm16(tmp_path / "from64.pgm", depth)
         assert (tmp_path / "from32.pgm").read_bytes() == (tmp_path / "from64.pgm").read_bytes()
 
+    @pytest.mark.parametrize("data", [
+        b"P5\n2 2\n65535\n" + b"\x00" * 7,
+        b"P5\n2 2\n65535",
+        b"P5\n2 2\n65535\n",
+        b"P5\n2 2\n65535\n" + b"\x00" * 10,
+    ], ids=["odd-length", "header-only", "missing", "too-long"])
+    @pytest.mark.parametrize("reader", [read_depth, read_depth_pgm16])
+    def test_pgm16_payload_size_is_a_format_error(self, tmp_path, reader, data):
+        path = tmp_path / "d.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=r"d\.pgm: PGM payload size mismatch$"):
+            reader(path)
+
     def test_read_depth_sniffs_format(self, tmp_path):
         depth = _random_depth(w=8, h=8)
         digd = tmp_path / "a.bin"
@@ -204,6 +218,68 @@ class TestDensityFiles:
         path.write_bytes(struct.pack("<4sIIQ", b"DIGF", 4, 4, 0) + b"\x00" * 12)
         with pytest.raises(FormatError):
             read_density_field(path)
+
+
+def _digd(path, values, width):
+    values = np.asarray(values, dtype="<f4")
+    path.write_bytes(struct.pack("<4sIII", b"DIGD", width, values.size // width, 0)
+                     + values.tobytes())
+    return path
+
+
+def _digf(path, values):
+    values = np.asarray(values, dtype="<f4")
+    path.write_bytes(struct.pack("<4sIIQ", b"DIGF", values.size, 1, 0) + values.tobytes())
+    return path
+
+
+class TestRasterChecks:
+    """The one-min, one-max checks give the messages of the full scans."""
+
+    @pytest.mark.parametrize("values, rule", [
+        ([0.5, np.nan, 2.0, 0.25], "be finite"),
+        ([2.0, 0.5, np.nan, 0.25], "be finite"),
+        ([0.5, 1.5, 0.25, 1.0], r"lie in \[0, 1\]"),
+    ], ids=["nan-then-2", "2-then-nan", "1.5"])
+    @pytest.mark.parametrize("reader", [read_depth, read_depth_digd])
+    def test_depth_message(self, tmp_path, reader, values, rule):
+        path = _digd(tmp_path / "d.digd", values, 2)
+        with pytest.raises(FormatError, match=rf"d\.digd: depth values must {rule}$"):
+            reader(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "ninf"])
+    def test_density_non_finite_with_negative(self, tmp_path, bad):
+        path = _digf(tmp_path / "f.digf", [0.5, bad, -0.25])
+        with pytest.raises(FormatError, match=r"f\.digf: density values must be finite$"):
+            read_density_field(path)
+
+    def test_density_negative_alone_is_one_clamp_warning(self, tmp_path):
+        path = _digf(tmp_path / "f.digf", [0.5, -0.25, 0.125])
+        back = read_density_field(path)
+        assert back.values.tolist() == [[0.5, 0.0, 0.125]]
+        assert back.values.dtype == np.float32 and not back.values.flags.writeable
+        assert back.warnings == (f"{path}: clamped 1 negative density values to 0",)
+
+    def test_empty_files(self, tmp_path):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        with pytest.raises(FormatError, match=r"empty\.bin: not a DIGD depth file$"):
+            read_depth_digd(empty)
+        with pytest.raises(FormatError, match=r"empty\.bin: not a DIGF density file$"):
+            read_density_field(empty)
+        with pytest.raises(FormatError, match=r"empty\.bin: unrecognized depth format"):
+            read_depth(empty)
+
+    def test_truncated_payloads(self, tmp_path):
+        depth = _digd(tmp_path / "d.digd", [0.5, 0.25, 0.75, 1.0], 2)
+        depth.write_bytes(depth.read_bytes()[:-3])
+        density = _digf(tmp_path / "f.digf", [0.5, 0.25, 0.75])
+        density.write_bytes(density.read_bytes()[:-4])
+        for reader in (read_depth, read_depth_digd):
+            with pytest.raises(FormatError, match=r"d\.digd: payload is 13 bytes, expected 16$"):
+                reader(depth)
+        with pytest.raises(FormatError, match=r"f\.digf: payload is 8 bytes, expected 12$"):
+            read_density_field(density)
 
 
 class TestDetectionText:

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -157,6 +158,98 @@ class TestBenchGenerate:
         assert [e.scene_id for e in load_manifest(manifest_path).entries] == ["kept"]
         written = {p for p in tmp_path.rglob("*") if p.is_file()} - {spec_path}
         assert {p.parent for p in written} == {out, out / "kept"}
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"count": 2.9, "seed_start": 1.7}, "count must be an integer, got 2.9"),
+            ({"count": 2, "seed_start": 1.7}, "seed_start must be an integer, got 1.7"),
+            ({"count": 2.0}, "count must be an integer, got 2.0"),
+            ({"count": True}, "count must be an integer, got True"),
+            ({"count": 1, "seed_start": False}, "seed_start must be an integer, got False"),
+            ({"count": "2"}, "count must be an integer, got '2'"),
+        ],
+        ids=["both-float", "seed_start-float", "count-integral-float", "count-bool",
+             "seed_start-bool", "count-str"],
+    )
+    def test_count_and_seed_start_must_be_integers(self, tmp_path, fields, reason):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "defaults": {"shape": [160, 120], "n_people": 10, "horizon_y": 100.0}, **fields,
+        }))
+        with pytest.raises(FormatError, match=rf"bad benchmark spec: {re.escape(reason)}$"):
+            bench_generate(spec_path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scene_id", [7, 1.5, True, None, ["a"]],
+                             ids=["int", "float", "bool", "null", "list"])
+    def test_scene_id_must_be_a_string(self, tmp_path, scene_id):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "defaults": {"shape": [160, 120], "n_people": 10, "horizon_y": 100.0},
+            "scenes": [{"scene_id": scene_id, "seed": 1}, {"scene_id": "kept", "seed": 2}],
+        }))
+        out = tmp_path / "out"
+        manifest_path, errors = bench_generate(spec_path, out)
+        assert errors == [f"{scene_id}: scene_id must be a string, got {scene_id!r}"]
+        assert [e.scene_id for e in load_manifest(manifest_path).entries] == ["kept"]
+        written = {p for p in tmp_path.rglob("*") if p.is_file()} - {spec_path}
+        assert {p.parent for p in written} == {out, out / "kept"}
+
+
+def _bench_spec_1080(path, seeds):
+    """Perfbench-sized scenes: 1080x720, 117 people, 20% missed detections."""
+    path.write_text(json.dumps({
+        "defaults": {"shape": [1080, 720], "n_people": 117, "horizon_y": 600.0},
+        "noise": {"p_miss": 0.2},
+        "scenes": [{"scene_id": f"scene-{seed}", "seed": seed} for seed in seeds],
+    }))
+    return path
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap is pinned on glibc only")
+class TestPinnedHeap:
+    """Warm scenes reuse the heap: a trimmed heap costs 1,500-2,600 faults a scene."""
+
+    @staticmethod
+    def _minor_faults():
+        resource = pytest.importorskip("resource")
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def test_run_dataset_scenes_do_not_refault(self, tmp_path, monkeypatch):
+        manifest_path, errors = bench_generate(
+            _bench_spec_1080(tmp_path / "spec.json", [1, 2, 3, 4]), tmp_path / "bench")
+        assert not errors
+        manifest = load_manifest(manifest_path)
+        for entry in manifest.entries[2:]:  # two manual splits, two automatic
+            cfg = dio.read_scene_config(entry.config)
+            dio.write_scene_config(entry.config, dataclasses.replace(
+                cfg, polyline=None, depth_threshold=None))
+
+        def faults_per_scene():
+            run_dataset(manifest)  # warm
+            before = self._minor_faults()
+            for _ in range(2):
+                assert run_dataset(manifest).n_succeeded == 4
+            return (self._minor_faults() - before) / (2 * len(manifest.entries))
+
+        assert faults_per_scene() < 400
+        count_scene = digcrowd.pipeline.count_scene
+
+        def holding_4mb(*args, **kwargs):
+            held = np.ones(1 << 20, dtype=np.float32)  # noqa: F841 -- alive across the scene
+            return count_scene(*args, **kwargs)
+
+        monkeypatch.setattr(digcrowd.pipeline, "count_scene", holding_4mb)
+        assert faults_per_scene() < 400
+
+    def test_bench_generate_scenes_do_not_refault(self, tmp_path):
+        spec = _bench_spec_1080(tmp_path / "spec.json", [1, 2])
+        bench_generate(spec, tmp_path / "warm")
+        before = self._minor_faults()
+        _, errors = bench_generate(spec, tmp_path / "out")
+        assert not errors
+        assert (self._minor_faults() - before) / 2 < 200
 
 
 class TestRunDataset:
