@@ -112,10 +112,7 @@ def _cmd_partition(args) -> int:
     (out / f"{cfg.scene_id}_partition.json").write_text(json.dumps(payload, indent=1))
     dio.write_pgm8(out / f"{cfg.scene_id}_mask.pgm", np.where(result.mask.far, 255, 0))
     if args.render_debug and result.cluster_assignments is not None:
-        dio.write_pgm8(
-            out / f"{cfg.scene_id}_clusters.pgm",
-            (result.cluster_assignments % 256).astype(np.uint8),
-        )
+        dio.write_pgm8(out / f"{cfg.scene_id}_clusters.pgm", result.cluster_assignments % 256)
     print(json.dumps(payload))
     return 0
 

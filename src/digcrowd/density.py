@@ -159,20 +159,24 @@ def rasterize_density(
     return DensityField(shape, field)
 
 
-def integrate(field: DensityField, mask: RegionMask, region: Region | str) -> float:
-    """Sum of density values over the pixels labeled with ``region``."""
-    if isinstance(region, str):
-        region = Region(region.lower())
+def integrate(field: DensityField, mask: RegionMask, region: Region) -> float:
+    """Sum of density values over the far region, or over the frame for ``Region.ALL``.
+
+    Far pixels are gathered row-major, as ``values[mask.far]`` gives them, and
+    widened after the gather; ``sum(dtype=np.float64)`` would sum in another order.
+    """
     if field.shape != mask.shape:
         raise DigCrowdError(
             f"density grid {field.shape} does not match mask grid {mask.shape}"
         )
     if region is Region.ALL:
         return field.total_mass
-    # Widening after the gather sums the same float64 array as widening the
-    # whole field first; sum(dtype=np.float64) would sum in another order.
-    picked = field.values[mask.region_pixels(region)]
-    return float(picked.astype(np.float64, copy=False).sum())
+    if region is not Region.FAR:
+        raise ConfigError(f"region must be Region.FAR or Region.ALL, got {region!r}")
+    rows = mask.far_rows
+    lo, hi = int(rows.min()), int(rows.max())
+    band = field.values[lo:hi][np.arange(lo, hi)[:, None] < rows]
+    return float(np.concatenate([field.values[:lo].reshape(-1), band], dtype=np.float64).sum())
 
 
 def far_count_from_external(field: DensityField, mask: RegionMask) -> float:

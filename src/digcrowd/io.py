@@ -80,10 +80,6 @@ DIGY_MAGIC = b"DIGY"
 DIGF_MAGIC = b"DIGF"
 
 
-def _read_bytes(path) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _map_file(path) -> mmap.mmap | bytes:
     """The file's contents as a read-only memory map; an empty file gives ``b""``.
 
@@ -179,7 +175,7 @@ def _depth_pgm16(data, path) -> DepthMap:
 
 
 def read_depth_pgm16(path) -> DepthMap:
-    return _depth_pgm16(_read_bytes(path), path)
+    return _depth_pgm16(Path(path).read_bytes(), path)
 
 
 def read_depth(path) -> DepthMap:
@@ -208,7 +204,7 @@ def write_prediction_tensor(path, pred: GridPrediction) -> None:
 
 
 def read_prediction_tensor(path) -> GridPrediction:
-    data = _read_bytes(path)
+    data = Path(path).read_bytes()
     if len(data) < 24 or data[:4] != DIGY_MAGIC:
         raise FormatError(f"{path}: not a DIGY prediction tensor")
     _, s, b, c, width, height = struct.unpack("<4sIIIII", data[:24])
@@ -271,7 +267,11 @@ def read_detections_text(path) -> DetectionSet:
     linenos: list[int] = []
     warnings: list[str] = []
     parse_error = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -331,7 +331,7 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
         heads = check_heads(np.array([xs, ys], dtype=np.float64).T.copy())
         heads.flags.writeable = False
         count = _json_number(payload["count"], "count")
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad annotation file: {exc}") from exc
     if not np.isfinite(heads).all():
         raise FormatError(f"{path}: head coordinates must be finite")
@@ -388,8 +388,7 @@ def read_scene_config(path) -> SceneConfig:
             polyline=polyline,
             depth_threshold=threshold,
         )
-    except (ConfigError, KeyError, TypeError, ValueError, OverflowError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad scene config: {exc}") from exc
 
 

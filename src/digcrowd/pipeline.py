@@ -155,7 +155,7 @@ def load_manifest(path) -> Manifest:
         dataset_id = payload.get("dataset_id", path.stem)
         if not isinstance(dataset_id, str):
             raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # decode errors are ValueErrors
         raise FormatError(f"{path}: bad manifest: {exc}") from exc
     base = path.parent
     entries = []
@@ -195,10 +195,7 @@ def _write_debug_rasters(out_dir, scene_id: str, part: PartitionResult, density)
     debug.mkdir(parents=True, exist_ok=True)
     dio.write_pgm8(debug / f"{scene_id}_mask.pgm", np.where(part.mask.far, 255, 0))
     if part.cluster_assignments is not None:
-        dio.write_pgm8(
-            debug / f"{scene_id}_clusters.pgm",
-            (part.cluster_assignments % 256).astype(np.uint8),
-        )
+        dio.write_pgm8(debug / f"{scene_id}_clusters.pgm", part.cluster_assignments % 256)
     dio.write_pgm8(debug / f"{scene_id}_density.pgm", dio.heatmap_u8(density.values))
 
 
@@ -473,6 +470,9 @@ def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list
             count = _spec_int(payload.get("count", 10), "count")
             start = _spec_int(payload.get("seed_start", 0), "seed_start")
             scene_specs = [{"seed": start + i} for i in range(count)]
+        dataset_id = payload.get("dataset_id", spec_path.stem)
+        if not isinstance(dataset_id, str):
+            raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
     except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise FormatError(f"{spec_path}: bad benchmark spec: {exc}") from exc
 
@@ -521,7 +521,7 @@ def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list
     manifest_path.write_text(
         json.dumps(
             {
-                "dataset_id": str(payload.get("dataset_id", spec_path.stem)),
+                "dataset_id": dataset_id,
                 "tool_version": TOOL_VERSION,
                 "scenes": entries,
             },

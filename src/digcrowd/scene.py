@@ -1,15 +1,16 @@
-"""Core scene types: grids, depth maps, head arrays, polylines, masks.
+"""Core scene types: grids, depth maps, head arrays, polylines, region masks.
 
 Coordinate convention: image coordinates, x to the right, y increasing
-downward. The far-view region sits at the top of the frame, so a pixel is
-"far" when it lies above the split polyline. Rasterization samples pixel
-centers: pixel (ix, iy) is tested at (ix + 0.5, iy + 0.5).
+downward. The far-view region sits at the top of the frame: a pixel is far
+when its center (ix + 0.5, iy + 0.5) lies above the split polyline, so the
+far region is one run of rows per column, and a ``RegionMask`` stores that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
 
 
 class Region(Enum):
-    NEAR = "near"
     FAR = "far"
     ALL = "all"
 
@@ -176,9 +176,6 @@ class Polyline:
 
     def eval(self, x: float) -> float:
         """y of the split line at x. Errors when x is outside the domain."""
-        lo, hi = self.domain
-        if x < lo or x > hi:
-            raise PolylineDomainError(f"x={x} outside polyline domain [{lo}, {hi}]")
         return float(self.eval_array(x))
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
@@ -215,38 +212,40 @@ class Polyline:
 
 @dataclass(frozen=True, eq=False)
 class RegionMask:
-    """Per-pixel near/far labels; ``far`` is a boolean (rows, cols) raster."""
+    """The far region as ``far_rows``, a read-only int array of one count per
+    column: rows ``[0, far_rows[x])`` of column x are far, the rest near."""
 
     shape: GridShape
-    far: np.ndarray
+    far_rows: np.ndarray
 
     def __post_init__(self):
-        far = np.asarray(self.far, dtype=bool)
-        if far.shape != self.shape.array_shape:
-            raise ConfigError(f"mask grid {far.shape} does not match {self.shape.array_shape}")
-        object.__setattr__(self, "far", _frozen(far, self.far))
+        rows, (height, width) = np.asarray(self.far_rows), self.shape.array_shape
+        ints = rows.shape == (width,) and rows.dtype.kind in "iu"
+        if not (ints and rows.min() >= 0 and rows.max() <= height):
+            raise ConfigError(f"far rows must be {width} integers in [0, {height}]")
+        object.__setattr__(self, "far_rows", _frozen(rows, self.far_rows))
 
     @property
     def far_count(self) -> int:
-        return int(self.far.sum())
+        return int(self.far_rows.sum())
 
     @property
     def near_count(self) -> int:
         return self.shape.pixel_count - self.far_count
 
-    def region_pixels(self, region: Region) -> np.ndarray:
-        if region is Region.FAR:
-            return self.far
-        if region is Region.NEAR:
-            return ~self.far
-        return np.ones(self.shape.array_shape, dtype=bool)
+    @cached_property
+    def far(self) -> np.ndarray:
+        """Read-only boolean (rows, cols) raster, built on first use."""
+        far = np.arange(self.shape.height)[:, None] < self.far_rows
+        far.flags.writeable = False
+        return far
 
 
 def mask_from_polyline(p: Polyline, shape: GridShape) -> RegionMask:
     """Rasterize the split line: a pixel is far iff its center lies above it.
 
-    Both axes sample pixel centers, so column far-heights equal the
-    polyline values rounded to the nearest row.
+    A column's far-row count is the number of row centers above the line at
+    the column center: the line value rounded to a row, clipped to [0, height].
     """
     lo, hi = p.domain
     # Pixel centers span [0.5, width - 0.5]; the domain must reach them all.
@@ -261,10 +260,9 @@ def mask_from_polyline(p: Polyline, shape: GridShape) -> RegionMask:
             f"uncovered {' and '.join(missing)}"
         )
     line = p.eval_array(np.arange(shape.width, dtype=np.float64) + 0.5)
-    centers_y = np.arange(shape.height, dtype=np.float64)[:, None] + 0.5
-    far = centers_y < line[None, :]
-    far.flags.writeable = False
-    return RegionMask(shape, far)
+    far_rows = np.searchsorted(np.arange(shape.height, dtype=np.float64) + 0.5, line)
+    far_rows.flags.writeable = False
+    return RegionMask(shape, far_rows)
 
 
 def check_scene_id(scene_id: str) -> str:

@@ -15,6 +15,7 @@ from partition_reference import (
 
 from digcrowd import (
     ConfigError,
+    DensityField,
     DepthMap,
     DigCrowdError,
     GridShape,
@@ -25,6 +26,7 @@ from digcrowd import (
     classify_clusters,
     cluster_depth,
     extract_polyline,
+    far_count_from_external,
     generate_scene,
     generate_step_depth,
     mask_from_polyline,
@@ -386,6 +388,13 @@ class TestPartition:
         assert res.polyline is poly
         assert res.threshold_used is None
         assert res.cluster_assignments is None
+
+    def test_manual_far_count_builds_no_raster(self):
+        depth = _flat_depth(64, 48)
+        res = partition(depth, SceneConfig("manual", polyline=Polyline.constant(20.0, x_end=64.0)))
+        field = DensityField(depth.shape, np.ones((48, 64)))
+        assert far_count_from_external(field, res.mask) == 64 * 20
+        assert "far" not in res.mask.__dict__
 
     def test_step_depth_auto_within_2px(self):
         depth = generate_step_depth(GridShape(160, 120), boundary_row=48, seed=1)

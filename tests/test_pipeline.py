@@ -181,6 +181,19 @@ class TestBenchGenerate:
             bench_generate(spec_path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dataset_id", [7, None, True, ["a"]],
+                             ids=["int", "null", "bool", "list"])
+    def test_dataset_id_must_be_a_string(self, tmp_path, dataset_id):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "dataset_id": dataset_id, "count": 1,
+            "defaults": {"shape": [160, 120], "n_people": 10, "horizon_y": 100.0},
+        }))
+        reason = f"dataset_id must be a string, got {dataset_id!r}"
+        with pytest.raises(FormatError, match=rf"bad benchmark spec: {re.escape(reason)}$"):
+            bench_generate(spec_path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("scene_id", [7, 1.5, True, None, ["a"]],
                              ids=["int", "float", "bool", "null", "list"])
     def test_scene_id_must_be_a_string(self, tmp_path, scene_id):
@@ -354,11 +367,12 @@ class TestRunDataset:
             ("annotations", b'{"heads": [{"x": NaN, "y": 3.0}], "count": 1}'),
             ("depth", struct.pack("<4sIII", b"DIGD", 0, 240, 0)),
             ("density", struct.pack("<4sIIQ", b"DIGF", 320, 0, 0)),
+            ("detections", b"10 10 20 20 0.9\n# caf\xe9\n"),
         ],
         ids=["pgm-header", "config-list", "nan-count", "negative-count", "overflowing-count",
              "nan-polyline-k",
              "threshold-out-of-range", "density-nan", "density-inf", "depth-nan",
-             "nan-head", "digd-zero-width", "digf-zero-height"],
+             "nan-head", "digd-zero-width", "digf-zero-height", "detections-utf8"],
     )
     def test_input_defect_fails_only_its_scene(self, bench_dir, tmp_path, victim, content):
         out, manifest_path = bench_dir
@@ -807,6 +821,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(missing) in captured.err and "Traceback" not in captured.err
+
+    def test_manifest_not_utf8_is_one_error_line(self, bench_dir, tmp_path, capsys):
+        _, manifest_path = bench_dir
+        manifest_path.write_bytes(manifest_path.read_bytes().replace(b"scene-0001", b"sc\xe8ne"))
+        argv = ["evaluate", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "r")]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {manifest_path}: bad manifest: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "kind, payload",

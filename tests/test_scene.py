@@ -11,6 +11,7 @@ from digcrowd import (
     GridShape,
     Polyline,
     PolylineDomainError,
+    RegionMask,
     SceneConfig,
     SceneRecord,
     mask_from_polyline,
@@ -158,6 +159,16 @@ class TestMaskFromPolyline:
                 assert not col[scanned:].any()
                 expected = int(np.clip(np.ceil(line[x] - 0.5), 0, shape.height))
                 assert scanned == expected
+
+    @pytest.mark.parametrize(
+        "far_rows",
+        [np.zeros(5, dtype=int), np.zeros((4, 6), dtype=int), np.array([0, 1, -1, 2, 3, 4]),
+         np.array([0, 1, 5, 2, 3, 4]), np.zeros(6)],
+        ids=["short", "raster", "negative", "above-height", "float"],
+    )
+    def test_region_mask_rejects_bad_far_rows(self, far_rows):
+        with pytest.raises(ConfigError, match="far rows must"):
+            RegionMask(GridShape(6, 4), far_rows)
 
     def test_domain_shortfall_names_interval(self):
         p = Polyline([[0.0, 10.0, 0.0, 3.0]])
