@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from . import _kernels
 from .errors import ConfigError, DigCrowdError, FormatError
-from .scene import GridShape, Region, RegionMask, _frozen, check_heads
+from .scene import GridShape, Region, RegionMask, _bits_at_most, _frozen, check_heads
 
 __all__ = [
     "DensityField",
@@ -43,6 +43,11 @@ class DensityField:
     float32 values (a DIGF payload) are kept as they are and widened,
     exactly, only where they are summed; any other type is stored as
     float64.
+
+    Values are checked with one pass over their bit patterns, which
+    accepts every finite non-negative value. Only when that fails (a
+    negative value, -0.0, NaN or an infinity) do min, max and ``isfinite``
+    scans decide: -0.0 passes, and the message says which rule broke.
     """
 
     shape: GridShape
@@ -57,11 +62,12 @@ class DensityField:
             raise ConfigError(
                 f"density grid {vals.shape} does not match {self.shape.array_shape}"
             )
-        lo, hi = vals.min(), vals.max()  # a NaN propagates to both
-        if not (lo >= 0.0 and hi < np.inf):
-            if not np.isfinite(vals).all():
-                raise ConfigError("density values must be finite")
-            raise ConfigError("density values must be non-negative")
+        if not _bits_at_most(vals, np.finfo(vals.dtype).max):
+            lo, hi = vals.min(), vals.max()  # a NaN propagates to both
+            if not (lo >= 0.0 and hi < np.inf):
+                if not np.isfinite(vals).all():
+                    raise ConfigError("density values must be finite")
+                raise ConfigError("density values must be non-negative")
         object.__setattr__(self, "values", _frozen(vals, self.values))
 
     @cached_property

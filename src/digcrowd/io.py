@@ -227,13 +227,21 @@ def write_density_field(path, field: DensityField) -> None:
 
 
 def read_density_field(path) -> DensityField:
-    """The payload as a read-only float32 view; copied only to clamp negatives."""
+    """The payload as a read-only float32 view; copied only to clamp negatives.
+
+    Valid values cost the one check of ``DensityField``; negatives are
+    looked for only when that check fails.
+    """
     data = _map_file(path)
     if len(data) < 20 or data[:4] != DIGF_MAGIC:
         raise FormatError(f"{path}: not a DIGF density file")
     _, width, height, _ = struct.unpack("<4sIIQ", data[:20])
     shape = _header_shape(width, height, path)
     values = _payload_f32(data, 20, shape.pixel_count, path).reshape(height, width)
+    try:
+        return DensityField(shape, values)
+    except ConfigError:
+        pass  # negative or non-finite values: clamp, then check again
     warnings = ()
     if values.min() < 0.0:  # False when a NaN is present: DensityField rejects it
         # external predictors sometimes emit slightly negative densities;

@@ -246,7 +246,10 @@ def count_scene(
         ground_truth = math.nan
         if entry.annotations is not None:
             _, ground_truth = dio.read_annotations(entry.annotations)
-        far = far_count_from_external(field, part.mask)
+        try:
+            far = far_count_from_external(field, part.mask)
+        except FormatError as exc:  # the density grid is not the scene's
+            raise FormatError(f"{entry.density}: {exc}") from exc
         estimate = fuse(report.kept, far, cfg.scene_id, ground_truth)
         if params.render_debug and out_dir is not None:
             _write_debug_rasters(out_dir, entry.scene_id, part, field)

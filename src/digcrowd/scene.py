@@ -51,6 +51,18 @@ def _frozen(arr: np.ndarray, given) -> np.ndarray:
     return arr
 
 
+def _bits_at_most(values: np.ndarray, limit: float) -> bool:
+    """Whether no value's IEEE 754 bit pattern is above ``limit``'s.
+
+    For a limit >= +0 this one unsigned-integer reduction accepts exactly
+    the values in [+0, limit]: non-negative floats order as their bit
+    patterns do, and a value with the sign bit set (-0.0 among them) or a
+    NaN has a larger pattern than any such limit.
+    """
+    uint = np.dtype(f"u{values.itemsize}")
+    return bool(values.view(uint).max() <= np.array(limit, values.dtype).view(uint))
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Pixel extent of every raster in a scene (width, height)."""
@@ -82,6 +94,11 @@ class DepthMap:
     synthetic generator. float32 values (a DIGD payload) are kept as they
     are and widened, exactly, only where clustering needs float64; any
     other type is stored as float64.
+
+    Values are checked with one pass over their bit patterns, which
+    accepts every value in [+0, 1]. Only when that fails (a negative
+    value, -0.0, NaN or anything above 1) do min, max and ``isfinite``
+    scans decide: -0.0 passes, and the message says which rule broke.
     """
 
     shape: GridShape
@@ -95,11 +112,12 @@ class DepthMap:
             raise ConfigError(
                 f"depth grid {vals.shape} does not match shape {self.shape.array_shape}"
             )
-        lo, hi = vals.min(), vals.max()  # a NaN propagates to both
-        if not (lo >= 0.0 and hi <= 1.0):
-            if not np.isfinite(vals).all():
-                raise ConfigError("depth values must be finite")
-            raise ConfigError("depth values must lie in [0, 1]")
+        if not _bits_at_most(vals, 1.0):
+            lo, hi = vals.min(), vals.max()  # a NaN propagates to both
+            if not (lo >= 0.0 and hi <= 1.0):
+                if not np.isfinite(vals).all():
+                    raise ConfigError("depth values must be finite")
+                raise ConfigError("depth values must lie in [0, 1]")
         object.__setattr__(self, "values", _frozen(vals, self.values))
 
 

@@ -1,5 +1,7 @@
+import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from digcrowd import (
     iou,
     nms,
 )
-from digcrowd.detect import NMS_BLOCK
+from digcrowd import detect
+from digcrowd.detect import NMS_PAIR_BUDGET
 
 
 def _empty_tensor(spec=DetectorGridSpec()):
@@ -351,14 +354,42 @@ def _clustered_rows(rng, n, *, ties=False):
     return np.array(rows)[rng.permutation(n)]
 
 
-def _assert_matches_both_oracles(dets, thr):
-    got = _bits(nms(dets, thr))
+def _assert_matches_both_oracles(dets, thr, budget=NMS_PAIR_BUDGET):
+    with mock.patch.object(detect, "NMS_PAIR_BUDGET", budget):
+        got = _bits(nms(dets, thr))
     assert got == _bits(nms_loop_reference(dets, thr))
     assert got == _bits(nms_reference(dets, thr))
 
 
+# from one live candidate per round (budget 1) up to the default budget
+_BUDGETS = (1, 64, 1024, NMS_PAIR_BUDGET)
+
+
+@st.composite
+def _sized_boxes(draw):
+    """Boxes on a 1080 x 720 frame whose sides run from 1 to 1080 px (log-uniform)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    size = np.exp(rng.uniform(0.0, math.log(1080.0), (n, 2)))
+    x0 = rng.uniform(-0.5, 1.0, n) * 1080.0
+    y0 = rng.uniform(-0.5, 1.0, n) * 720.0
+    rows = np.column_stack([x0, y0, x0 + size[:, 0], y0 + size[:, 1]])
+    rows = np.clip(rows, 0.0, [1080.0, 720.0, 1080.0, 720.0])
+    rows = rows[(rows[:, 2] > rows[:, 0]) & (rows[:, 3] > rows[:, 1])]
+    # a few jittered copies, so large boxes suppress as well as small ones
+    copies = rows[rng.integers(0, len(rows), len(rows) // 3)] if len(rows) else rows[:0]
+    copies = copies + rng.uniform(-0.1, 0.1, copies.shape) * np.tile(copies[:, 2:] - copies[:, :2], 2)
+    copies = np.clip(copies, 0.0, [1080.0, 720.0, 1080.0, 720.0])
+    copies = copies[(copies[:, 2] > copies[:, 0]) & (copies[:, 3] > copies[:, 1])]
+    boxes = np.concatenate([rows, copies])
+    scores = rng.choice([0.5, 0.75, 1.0], len(boxes)) if draw(st.booleans()) else rng.uniform(
+        0.0, 1.0, len(boxes))
+    return DetectionSet(np.column_stack([boxes, scores]))
+
+
 class TestRankBlockedNms:
-    """The blocked sweep against the per-kept-box loop and the scalar loop."""
+    """The pair sweep, in rounds of ranked candidates, against the per-kept-box
+    loop and the scalar loop."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -371,20 +402,31 @@ class TestRankBlockedNms:
         rows = _clustered_rows(np.random.default_rng(seed), n, ties=ties)
         _assert_matches_both_oracles(DetectionSet(rows), thr)
 
-    @pytest.mark.parametrize("n", [NMS_BLOCK - 1, NMS_BLOCK, NMS_BLOCK + 1,
-                                   2 * NMS_BLOCK, 2 * NMS_BLOCK + 1])
+    @given(_sized_boxes(), st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 1)),
+           st.sampled_from(_BUDGETS))
+    @settings(max_examples=60, deadline=None)
+    def test_box_sizes_from_one_pixel_to_the_frame(self, dets, thr, budget):
+        _assert_matches_both_oracles(dets, thr, budget)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
     @pytest.mark.parametrize("thr", [0.5, 1.0])
     @pytest.mark.parametrize("ties", [False, True])
     def test_block_edge_sizes(self, n, thr, ties):
-        for seed in range(3):
-            rows = _clustered_rows(np.random.default_rng(seed), n, ties=ties)
-            _assert_matches_both_oracles(DetectionSet(rows), thr)
+        # each budget puts round edges in other places, budget 1 after every candidate
+        for budget in _BUDGETS:
+            for seed in range(3):
+                rows = _clustered_rows(np.random.default_rng(seed), n, ties=ties)
+                _assert_matches_both_oracles(DetectionSet(rows), thr, budget)
 
     @pytest.mark.parametrize("thr", [0.5, 1.0])
     def test_full_ties_across_blocks(self, thr):
-        # one (score, x_min, y_min) for all; extents differ, so input order decides
+        # one (score, x_min, y_min) for all; extents differ, so input order decides.
+        # Every pair overlaps, so each box costs n - 1 pairs of the budget and
+        # the first round holds fewer than n / 2 of the n tied boxes.
         rng = np.random.default_rng(7)
-        ext = rng.integers(1, 4, size=(2 * NMS_BLOCK + 3, 2)).astype(float)
+        n = 2 * math.isqrt(NMS_PAIR_BUDGET) + 3
+        assert NMS_PAIR_BUDGET // (n - 1) < n // 2
+        ext = rng.integers(1, 4, size=(n, 2)).astype(float)
         rows = np.column_stack([np.full(len(ext), 5.0), np.full(len(ext), 5.0),
                                 5.0 + ext[:, 0], 5.0 + ext[:, 1], np.full(len(ext), 0.5)])
         _assert_matches_both_oracles(DetectionSet(rows), thr)
@@ -420,8 +462,14 @@ def _thin_full_width_boxes():
                             rng.uniform(0.2, 1.0, y0.size)])
 
 
-@pytest.mark.parametrize("make", [_identical_boxes, _thin_full_width_boxes],
-                         ids=["identical", "thin-full-width"])
+def _one_frame_box_among_small():
+    rows = _clustered_rows(np.random.default_rng(13), _MAX_CANDIDATES - 1)
+    return np.concatenate([[[0.0, 0.0, 1080.0, 720.0, 0.6]], rows])
+
+
+@pytest.mark.parametrize("make", [_identical_boxes, _thin_full_width_boxes,
+                                  _one_frame_box_among_small],
+                         ids=["identical", "thin-full-width", "one-frame-box"])
 def test_nms_bounded_cost_at_most_candidates(make):
     """No O(n^2) memory: the largest decodable set stays under 8 MB and 1 s."""
     dets = DetectionSet(make())

@@ -4,8 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digcrowd import (
+    ConfigError,
     DensityField,
     DepthMap,
     DetectionSet,
@@ -234,7 +237,7 @@ def _digf(path, values):
 
 
 class TestRasterChecks:
-    """The one-min, one-max checks give the messages of the full scans."""
+    """The checks in front of the full scans give the messages of the full scans."""
 
     @pytest.mark.parametrize("values, rule", [
         ([0.5, np.nan, 2.0, 0.25], "be finite"),
@@ -280,6 +283,100 @@ class TestRasterChecks:
                 reader(depth)
         with pytest.raises(FormatError, match=r"f\.digf: payload is 8 bytes, expected 12$"):
             read_density_field(density)
+
+
+def _old_depth_rule(values):
+    """The min / max / isfinite check that the bit-pattern pass stands in front of."""
+    lo, hi = values.min(), values.max()
+    if lo >= 0.0 and hi <= 1.0:
+        return None
+    return "must be finite" if not np.isfinite(values).all() else "must lie in [0, 1]"
+
+
+def _old_density_rule(values):
+    lo, hi = values.min(), values.max()
+    if lo >= 0.0 and hi < np.inf:
+        return None
+    return "must be finite" if not np.isfinite(values).all() else "must be non-negative"
+
+
+def _outcome(make):
+    """None if ``make()`` accepts its values, else the rule its ConfigError names."""
+    try:
+        make()
+    except ConfigError as exc:
+        return str(exc).split(" values ", 1)[1]
+    return None
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_SUBNORMAL = float(np.float32(1e-45))  # smallest positive float32 subnormal, 2**-149
+_NEG_NAN = np.array([0xFFC00000], dtype=np.uint32).view(np.float32)[0]
+# bit patterns at the edges of the accepted ranges
+_PATTERNS = [0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x3F800000, 0x3F800001,
+             0x7F7FFFFF, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800001,
+             0xBF800000, 0xFFFFFFFF]
+
+
+class TestBitPatternCheck:
+    """One pass over the bit patterns accepts what the min / max scans accept."""
+
+    @pytest.mark.parametrize("value, rule", [
+        (0.0, None), (-0.0, None), (_SUBNORMAL, None), (1.0, None),
+        (float(np.nextafter(np.float32(1.0), np.float32(2.0))), "must lie in [0, 1]"),
+        (_F32_MAX, "must lie in [0, 1]"), (np.inf, "must be finite"),
+        (-np.inf, "must be finite"), (_NEG_NAN, "must be finite"),
+        (-_SUBNORMAL, "must lie in [0, 1]"),
+    ], ids=["+0", "-0", "subnormal", "1", "after-1", "f32-max", "inf", "-inf", "-nan",
+            "-subnormal"])
+    def test_depth_boundaries(self, tmp_path, value, rule):
+        values = np.array([0.5, value, 0.25], dtype=np.float32)
+        assert _outcome(lambda: DepthMap(GridShape(3, 1), values.reshape(1, 3))) == rule
+        path = _digd(tmp_path / "d.digd", values, 3)
+        if rule is None:
+            assert read_depth(path).values.view(np.uint32).tolist() == [
+                values.view(np.uint32).tolist()]
+        else:
+            with pytest.raises(FormatError, match=rf"d\.digd: depth values {re.escape(rule)}$"):
+                read_depth(path)
+
+    @pytest.mark.parametrize("value, rule", [
+        (0.0, None), (-0.0, None), (_SUBNORMAL, None), (1.0, None), (_F32_MAX, None),
+        (np.inf, "must be finite"), (-np.inf, "must be finite"),
+        (_NEG_NAN, "must be finite"), (-_SUBNORMAL, "must be non-negative"),
+    ], ids=["+0", "-0", "subnormal", "1", "f32-max", "inf", "-inf", "-nan", "-subnormal"])
+    def test_density_boundaries(self, tmp_path, value, rule):
+        values = np.array([0.5, value, 0.25], dtype=np.float32)
+        assert _outcome(lambda: DensityField(GridShape(3, 1), values.reshape(1, 3))) == rule
+        if rule is None:
+            back = read_density_field(_digf(tmp_path / "f.digf", values))
+            assert back.values.view(np.uint32).tolist() == [values.view(np.uint32).tolist()]
+            assert back.warnings == ()
+
+    @given(st.lists(st.one_of(st.sampled_from(_PATTERNS), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_same_rule_as_min_max(self, patterns):
+        values = np.array(patterns, dtype=np.uint32).view(np.float32).reshape(1, -1)
+        shape = GridShape(values.shape[1], 1)
+        assert _outcome(lambda: DepthMap(shape, values)) == _old_depth_rule(values)
+        assert _outcome(lambda: DensityField(shape, values)) == _old_density_rule(values)
+        with np.errstate(invalid="ignore"):  # a signalling NaN stays NaN
+            wide = values.astype(np.float64)
+        assert _outcome(lambda: DepthMap(shape, wide)) == _old_depth_rule(wide)
+        assert _outcome(lambda: DensityField(shape, wide)) == _old_density_rule(wide)
+
+    def test_density_negatives_clamped_and_counted(self, tmp_path):
+        # -0.0 is not below 0 and stays; -inf is no such value and is rejected
+        values = np.array([-0.25, -0.0, -_SUBNORMAL, 0.5, -3.0, 0.0], dtype=np.float32)
+        path = _digf(tmp_path / "f.digf", values)
+        back = read_density_field(path)
+        assert back.warnings == (f"{path}: clamped 3 negative density values to 0",)
+        assert back.values.view(np.uint32).tolist() == [[0, 0x80000000, 0, 0x3F000000, 0, 0]]
+        assert back.values.dtype == np.float32 and not back.values.flags.writeable
+        values[0] = -np.inf
+        with pytest.raises(FormatError, match=r"f\.digf: density values must be finite$"):
+            read_density_field(_digf(path, values))
 
 
 class TestDetectionText:

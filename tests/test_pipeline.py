@@ -461,7 +461,9 @@ class TestRunDataset:
         assert [o.status for o in report.outcomes] == ["ok", "failed", "ok"]
         # the line grid partitions; its predictions are for another grid
         assert report.outcomes[1].threshold_used is not None
-        assert "does not match" in report.outcomes[1].error
+        error = report.outcomes[1].error
+        assert error.startswith(f"{manifest.entries[1].density}: density file grid ")
+        assert "does not match" in error
 
     def test_render_debug_accepts_str_out_dir(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
