@@ -368,20 +368,20 @@ _BUDGETS = (1, 64, 1024, NMS_PAIR_BUDGET)
 @st.composite
 def _sized_boxes(draw):
     """Boxes on a 1080 x 720 frame whose sides run from 1 to 1080 px (log-uniform)."""
+    def in_frame(boxes):
+        boxes = np.clip(boxes, 0.0, [1080.0, 720.0, 1080.0, 720.0])
+        return boxes[(boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])]
+
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 200))
     size = np.exp(rng.uniform(0.0, math.log(1080.0), (n, 2)))
     x0 = rng.uniform(-0.5, 1.0, n) * 1080.0
     y0 = rng.uniform(-0.5, 1.0, n) * 720.0
-    rows = np.column_stack([x0, y0, x0 + size[:, 0], y0 + size[:, 1]])
-    rows = np.clip(rows, 0.0, [1080.0, 720.0, 1080.0, 720.0])
-    rows = rows[(rows[:, 2] > rows[:, 0]) & (rows[:, 3] > rows[:, 1])]
+    rows = in_frame(np.column_stack([x0, y0, x0 + size[:, 0], y0 + size[:, 1]]))
     # a few jittered copies, so large boxes suppress as well as small ones
-    copies = rows[rng.integers(0, len(rows), len(rows) // 3)] if len(rows) else rows[:0]
-    copies = copies + rng.uniform(-0.1, 0.1, copies.shape) * np.tile(copies[:, 2:] - copies[:, :2], 2)
-    copies = np.clip(copies, 0.0, [1080.0, 720.0, 1080.0, 720.0])
-    copies = copies[(copies[:, 2] > copies[:, 0]) & (copies[:, 3] > copies[:, 1])]
-    boxes = np.concatenate([rows, copies])
+    copies = rows[rng.integers(0, max(len(rows), 1), len(rows) // 3)]
+    jitter = rng.uniform(-0.1, 0.1, copies.shape) * np.tile(copies[:, 2:] - copies[:, :2], 2)
+    boxes = np.concatenate([rows, in_frame(copies + jitter)])
     scores = rng.choice([0.5, 0.75, 1.0], len(boxes)) if draw(st.booleans()) else rng.uniform(
         0.0, 1.0, len(boxes))
     return DetectionSet(np.column_stack([boxes, scores]))
