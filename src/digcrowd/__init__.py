@@ -58,7 +58,6 @@ from .scene import (
     DepthMap,
     GridShape,
     Polyline,
-    Region,
     RegionMask,
     SceneConfig,
     SceneRecord,

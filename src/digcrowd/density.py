@@ -17,8 +17,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _kernels
-from .errors import ConfigError, DigCrowdError, FormatError
-from .scene import GridShape, Region, RegionMask, _bits_at_most, _frozen, check_heads
+from .errors import ConfigError, DigCrowdError
+from .scene import GridShape, RegionMask, _checked_raster, check_heads
 
 __all__ = [
     "DensityField",
@@ -43,11 +43,6 @@ class DensityField:
     float32 values (a DIGF payload) are kept as they are and widened,
     exactly, only where they are summed; any other type is stored as
     float64.
-
-    Values are checked with one pass over their bit patterns, which
-    accepts every finite non-negative value. Only when that fails (a
-    negative value, -0.0, NaN or an infinity) do min, max and ``isfinite``
-    scans decide: -0.0 passes, and the message says which rule broke.
     """
 
     shape: GridShape
@@ -55,20 +50,8 @@ class DensityField:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.dtype != np.float32:
-            vals = vals.astype(np.float64, copy=False)
-        if vals.shape != self.shape.array_shape:
-            raise ConfigError(
-                f"density grid {vals.shape} does not match {self.shape.array_shape}"
-            )
-        if not _bits_at_most(vals, np.finfo(vals.dtype).max):
-            lo, hi = vals.min(), vals.max()  # a NaN propagates to both
-            if not (lo >= 0.0 and hi < np.inf):
-                if not np.isfinite(vals).all():
-                    raise ConfigError("density values must be finite")
-                raise ConfigError("density values must be non-negative")
-        object.__setattr__(self, "values", _frozen(vals, self.values))
+        values = _checked_raster(self.values, self.shape, "density", np.inf, "be non-negative")
+        object.__setattr__(self, "values", values)
 
     @cached_property
     def total_mass(self) -> float:
@@ -165,8 +148,8 @@ def rasterize_density(
     return DensityField(shape, field)
 
 
-def integrate(field: DensityField, mask: RegionMask, region: Region) -> float:
-    """Sum of density values over the far region, or over the frame for ``Region.ALL``.
+def integrate(field: DensityField, mask: RegionMask) -> float:
+    """Sum of density values over the far region; the frame's is ``field.total_mass``.
 
     Far pixels are gathered row-major, as ``values[mask.far]`` gives them, and
     widened after the gather; ``sum(dtype=np.float64)`` would sum in another order.
@@ -175,10 +158,6 @@ def integrate(field: DensityField, mask: RegionMask, region: Region) -> float:
         raise DigCrowdError(
             f"density grid {field.shape} does not match mask grid {mask.shape}"
         )
-    if region is Region.ALL:
-        return field.total_mass
-    if region is not Region.FAR:
-        raise ConfigError(f"region must be Region.FAR or Region.ALL, got {region!r}")
     rows = mask.far_rows
     lo, hi = int(rows.min()), int(rows.max())
     band = field.values[lo:hi][np.arange(lo, hi)[:, None] < rows]
@@ -187,8 +166,4 @@ def integrate(field: DensityField, mask: RegionMask, region: Region) -> float:
 
 def far_count_from_external(field: DensityField, mask: RegionMask) -> float:
     """Integrate a predicted density field over the far region of a scene."""
-    if field.shape != mask.shape:
-        raise FormatError(
-            f"density file grid {field.shape} does not match scene grid {mask.shape}"
-        )
-    return integrate(field, mask, Region.FAR)
+    return integrate(field, mask)

@@ -74,19 +74,6 @@ class GridPrediction:
             )
         object.__setattr__(self, "values", _frozen(vals, self.values))
 
-    @classmethod
-    def from_flat(
-        cls, spec: DetectorGridSpec, shape: GridShape, flat: np.ndarray
-    ) -> "GridPrediction":
-        flat = np.array(flat, dtype=np.float64).ravel()
-        expected = spec.s * spec.s * spec.cell_values
-        if flat.size != expected:
-            raise FormatError(
-                f"prediction tensor has {flat.size} values, expected {expected}"
-            )
-        flat.flags.writeable = False
-        return cls(spec, shape, flat.reshape(spec.s, spec.s, spec.cell_values))
-
 
 def first_invalid_row(rows: np.ndarray) -> tuple[int, str] | None:
     """Index of the first row breaking a box rule, with the rule it breaks.

@@ -55,9 +55,7 @@ from .scene import (
 
 __all__ = [
     "read_depth",
-    "read_depth_digd",
     "write_depth_digd",
-    "read_depth_pgm16",
     "write_depth_pgm16",
     "read_prediction_tensor",
     "write_prediction_tensor",
@@ -129,10 +127,6 @@ def _depth_digd(data, path) -> DepthMap:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def read_depth_digd(path) -> DepthMap:
-    return _depth_digd(_map_file(path), path)
-
-
 def write_depth_pgm16(path, depth: DepthMap) -> None:
     # widen first: a float32 product with 65535.0 rounds differently
     quantized = np.round(depth.values.astype(np.float64, copy=False) * 65535.0).astype(">u2")
@@ -174,10 +168,6 @@ def _depth_pgm16(data, path) -> DepthMap:
     return DepthMap(shape, values)
 
 
-def read_depth_pgm16(path) -> DepthMap:
-    return _depth_pgm16(Path(path).read_bytes(), path)
-
-
 def read_depth(path) -> DepthMap:
     """Load depth from a DIGD or 16-bit PGM file (sniffed by magic)."""
     data = _map_file(path)
@@ -214,7 +204,7 @@ def read_prediction_tensor(path) -> GridPrediction:
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     values = _payload_f32(data, 24, s * s * spec.cell_values, path)
-    return GridPrediction.from_flat(spec, shape, values)
+    return GridPrediction(spec, shape, values.reshape(s, s, spec.cell_values))
 
 
 # -- density field ----------------------------------------------------------
@@ -388,11 +378,8 @@ def read_scene_config(path) -> SceneConfig:
             threshold = None
         else:
             threshold = _json_number(threshold, "depth_threshold")
-        scene_id = payload["scene_id"]
-        if not isinstance(scene_id, str):
-            raise TypeError(f"scene_id must be a string, got {scene_id!r}")
         return SceneConfig(
-            scene_id=check_scene_id(scene_id),
+            scene_id=check_scene_id(payload["scene_id"]),
             polyline=polyline,
             depth_threshold=threshold,
         )

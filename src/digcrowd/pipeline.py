@@ -162,10 +162,7 @@ def load_manifest(path) -> Manifest:
     seen: set[str] = set()
     for raw in scenes:
         try:
-            scene_id = raw["scene_id"]
-            if not isinstance(scene_id, str):
-                raise TypeError(f"scene_id must be a string, got {scene_id!r}")
-            check_scene_id(scene_id)
+            scene_id = check_scene_id(raw["scene_id"])
             for key in ("depth", "config"):
                 if raw[key] in (None, ""):
                     raise TypeError(f"{key} path must be a non-empty string, got {raw[key]!r}")
@@ -229,8 +226,6 @@ def count_scene(
     warnings: list[str] = []
     try:
         cfg = dio.read_scene_config(entry.config)
-        # No reference to the depth map outlives the partition: malloc then
-        # reuses its pages for the density read instead of faulting in new ones.
         part = partition(dio.read_depth(entry.depth), cfg)
         warnings.extend(part.warnings)
         dets = _near_input(entry, params, part.mask.shape)
@@ -246,10 +241,10 @@ def count_scene(
         ground_truth = math.nan
         if entry.annotations is not None:
             _, ground_truth = dio.read_annotations(entry.annotations)
-        try:
-            far = far_count_from_external(field, part.mask)
-        except FormatError as exc:  # the density grid is not the scene's
-            raise FormatError(f"{entry.density}: {exc}") from exc
+        if field.shape != part.mask.shape:
+            raise FormatError(f"{entry.density}: density file grid {field.shape} "
+                              f"does not match scene grid {part.mask.shape}")
+        far = far_count_from_external(field, part.mask)
         estimate = fuse(report.kept, far, cfg.scene_id, ground_truth)
         if params.render_debug and out_dir is not None:
             _write_debug_rasters(out_dir, entry.scene_id, part, field)
@@ -476,7 +471,7 @@ def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list
         dataset_id = payload.get("dataset_id", spec_path.stem)
         if not isinstance(dataset_id, str):
             raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
-    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ConfigError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"{spec_path}: bad benchmark spec: {exc}") from exc
 
     try:
@@ -489,8 +484,6 @@ def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list
     for i, overrides in enumerate(scene_specs):
         scene_id = overrides.pop("scene_id", f"scene-{i:04d}")
         try:
-            if not isinstance(scene_id, str):
-                raise ConfigError(f"scene_id must be a string, got {scene_id!r}")
             check_scene_id(scene_id)
             spec = _spec_from_dict(defaults, overrides)
             if seed_offset:

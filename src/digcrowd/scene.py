@@ -9,7 +9,6 @@ far region is one run of rows per column, and a ``RegionMask`` stores that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, PolylineDomainError
 
 __all__ = [
-    "Region",
     "GridShape",
     "DepthMap",
     "Polyline",
@@ -29,11 +27,6 @@ __all__ = [
     "check_scene_id",
     "mask_from_polyline",
 ]
-
-
-class Region(Enum):
-    FAR = "far"
-    ALL = "all"
 
 
 def _frozen(arr: np.ndarray, given) -> np.ndarray:
@@ -61,6 +54,34 @@ def _bits_at_most(values: np.ndarray, limit: float) -> bool:
     """
     uint = np.dtype(f"u{values.itemsize}")
     return bool(values.view(uint).max() <= np.array(limit, values.dtype).view(uint))
+
+
+def _checked_raster(given, shape: GridShape, what: str, limit: float, rule: str) -> np.ndarray:
+    """``given`` as a read-only raster of ``shape`` whose values lie in [0, ``limit``].
+
+    float32 values are kept as they are; any other type is stored as
+    float64. An infinite ``limit`` stands for the largest finite value of
+    the stored type.
+
+    Values are checked with one pass over their bit patterns, which accepts
+    every value in [+0, limit]. Only when that fails (a negative value,
+    -0.0, NaN or anything above the limit) do min, max and ``isfinite`` scans
+    decide: -0.0 passes, and the message says "``what`` values must be
+    finite" or "``what`` values must ``rule``".
+    """
+    vals = np.asarray(given)
+    if vals.dtype != np.float32:
+        vals = vals.astype(np.float64, copy=False)
+    if vals.shape != shape.array_shape:
+        raise ConfigError(f"{what} grid {vals.shape} does not match shape {shape.array_shape}")
+    limit = min(limit, np.finfo(vals.dtype).max)
+    if not _bits_at_most(vals, limit):
+        lo, hi = vals.min(), vals.max()  # a NaN propagates to both
+        if not (lo >= 0.0 and hi <= limit):
+            if not np.isfinite(vals).all():
+                raise ConfigError(f"{what} values must be finite")
+            raise ConfigError(f"{what} values must {rule}")
+    return _frozen(vals, given)
 
 
 @dataclass(frozen=True)
@@ -94,31 +115,14 @@ class DepthMap:
     synthetic generator. float32 values (a DIGD payload) are kept as they
     are and widened, exactly, only where clustering needs float64; any
     other type is stored as float64.
-
-    Values are checked with one pass over their bit patterns, which
-    accepts every value in [+0, 1]. Only when that fails (a negative
-    value, -0.0, NaN or anything above 1) do min, max and ``isfinite``
-    scans decide: -0.0 passes, and the message says which rule broke.
     """
 
     shape: GridShape
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.dtype != np.float32:
-            vals = vals.astype(np.float64, copy=False)
-        if vals.shape != self.shape.array_shape:
-            raise ConfigError(
-                f"depth grid {vals.shape} does not match shape {self.shape.array_shape}"
-            )
-        if not _bits_at_most(vals, 1.0):
-            lo, hi = vals.min(), vals.max()  # a NaN propagates to both
-            if not (lo >= 0.0 and hi <= 1.0):
-                if not np.isfinite(vals).all():
-                    raise ConfigError("depth values must be finite")
-                raise ConfigError("depth values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(vals, self.values))
+        values = _checked_raster(self.values, self.shape, "depth", 1.0, "lie in [0, 1]")
+        object.__setattr__(self, "values", values)
 
 
 def check_heads(heads) -> np.ndarray:
@@ -283,12 +287,15 @@ def mask_from_polyline(p: Polyline, shape: GridShape) -> RegionMask:
     return RegionMask(shape, far_rows)
 
 
-def check_scene_id(scene_id: str) -> str:
+def check_scene_id(scene_id) -> str:
     """``scene_id`` as given if it is a plain file name, else ``ConfigError``.
 
-    Outputs are named by the scene id, so it must be non-empty, must not be
-    ``.`` or ``..``, and must not contain ``/``, ``\\`` or NUL.
+    Outputs are named by the scene id, so it must be a string, must be
+    non-empty, must not be ``.`` or ``..``, and must not contain ``/``,
+    ``\\`` or NUL.
     """
+    if not isinstance(scene_id, str):
+        raise ConfigError(f"scene_id must be a string, got {scene_id!r}")
     if scene_id in ("", ".", "..") or any(c in scene_id for c in "/\\\0"):
         raise ConfigError(f"scene_id must be a plain file name, got {scene_id!r}")
     return scene_id

@@ -81,6 +81,10 @@ class SynthSpec:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
+# numpy's Generator.poisson refuses a larger mean ("lam value too large")
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Prediction corruption levels; all zero means exact oracle output."""
@@ -93,8 +97,14 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0.0 <= self.p_miss <= 1.0):
             raise ConfigError(f"p_miss {self.p_miss} outside [0, 1]")
-        if self.fp_rate < 0.0 or self.box_jitter < 0.0 or self.density_noise_sigma < 0.0:
-            raise ConfigError("noise magnitudes must be >= 0")
+        for name in ("fp_rate", "box_jitter", "density_noise_sigma"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):  # NaN fails too
+                raise ConfigError(f"{name} {value} must be finite and >= 0")
+        if self.fp_rate > _POISSON_LAM_MAX:
+            raise ConfigError(
+                f"fp_rate {self.fp_rate} above {_POISSON_LAM_MAX!r}, numpy's largest Poisson mean"
+            )
 
 
 @dataclass(frozen=True, eq=False)

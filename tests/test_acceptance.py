@@ -16,7 +16,6 @@ from digcrowd import (
     GridPrediction,
     GridShape,
     NoiseSpec,
-    Region,
     SceneConfig,
     SynthSpec,
     adaptive_sigma,
@@ -61,8 +60,9 @@ def test_criterion_1_mass_conservation():
         rec = generate_scene(spec)
         sigmas = adaptive_sigma(knn_mean_distance(rec.heads, KNN_K), BETA)
         field = rasterize_density(rec.heads, sigmas, shape)
-        full = mask_from_polyline(Polyline.constant(0.0, x_end=float(shape.width)), shape)
-        assert abs(integrate(field, full, Region.ALL) - n) <= 1e-6
+        full = mask_from_polyline(
+            Polyline.constant(float(shape.height), x_end=float(shape.width)), shape)
+        assert abs(integrate(field, full) - n) <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"mass-conservation suite took {elapsed:.1f}s"
     _ok(1, f"mass conservation, 200 scenes in {elapsed:.1f}s")
@@ -227,7 +227,7 @@ def test_criterion_6_noise_response():
         part = partition(rec.depth, rec.config)
         preds = oracle_predictions(rec, part, NoiseSpec(p_miss=p_miss), seed=seed, spec=spec)
         report = apply_spatial_constraint(preds.detections, part.polyline)
-        far = integrate(preds.density, part.mask, Region.FAR)
+        far = integrate(preds.density, part.mask)
         total = len(report.kept) + far
         errors.append(abs(rec.ground_truth_count - total))
         near_counts.append(preds.near_head_count)

@@ -13,7 +13,6 @@ from digcrowd import (
     DigCrowdError,
     GridShape,
     Polyline,
-    Region,
     SynthSpec,
     adaptive_sigma,
     far_count_from_external,
@@ -148,8 +147,7 @@ class TestRasterizeDensity:
             support_mask=far_mask.far,
         )
         assert field.total_mass == 1.0
-        far = integrate(field, far_mask, Region.FAR)
-        assert integrate(field, far_mask, Region.ALL) == far == 1.0
+        assert integrate(field, far_mask) == 1.0
 
     def test_head_outside_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -175,9 +173,7 @@ class TestIntegrate:
         shape = GridShape(50, 40)
         pts = np.column_stack([rng.uniform(0, 50, 9), rng.uniform(0, 40, 9)])
         field = rasterize_density(pts, _uniform_sigmas(9), shape)
-        assert integrate(field, _full_mask(shape), Region.ALL) == field.total_mass
-        with pytest.raises(ConfigError, match="region must be Region.FAR or Region.ALL"):
-            integrate(field, _full_mask(shape), "all")
+        assert integrate(field, _full_mask(shape)) == field.total_mass
 
     def test_unit_kernel_inside_far_region(self):
         shape = GridShape(60, 60)
@@ -185,17 +181,17 @@ class TestIntegrate:
         field = rasterize_density(
             np.array([[30.0, 15.0]]), _uniform_sigmas(1, sigma=2.0), shape
         )
-        assert integrate(field, mask, Region.FAR) == pytest.approx(1.0, abs=1e-6)
+        assert integrate(field, mask) == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_far_region_zero(self):
         shape = GridShape(20, 20)
         field = rasterize_density(np.array([[10, 10]]), _uniform_sigmas(1), shape)
-        assert integrate(field, _full_mask(shape, far=False), Region.FAR) == 0.0
+        assert integrate(field, _full_mask(shape, far=False)) == 0.0
 
     def test_shape_mismatch_errors(self):
         field = DensityField.zeros(GridShape(10, 10))
         with pytest.raises(DigCrowdError):
-            integrate(field, _full_mask(GridShape(12, 10)), Region.ALL)
+            integrate(field, _full_mask(GridShape(12, 10)))
 
 
 class TestFarCountFromExternal:
@@ -324,13 +320,11 @@ class TestFloat32Field:
         height, width = field.shape.array_shape
         far = np.arange(height)[:, None] + 0.5 < line.eval_array(np.arange(width) + 0.5)
         assert np.array_equal(mask.far_rows, far.sum(axis=0))
-        assert _bits([integrate(field, mask, Region.FAR)]) == _bits(
+        assert _bits([integrate(field, mask)]) == _bits(
             [field.values[far].astype(np.float64).sum()])
         wide = DensityField(field.shape, field.values.astype(np.float64))
         assert field.values.dtype == np.float32 and wide.values.dtype == np.float64
-        for region in (Region.FAR, Region.ALL):
-            assert _bits([integrate(field, mask, region)]) == _bits(
-                [integrate(wide, mask, region)])
+        assert _bits([integrate(field, mask)]) == _bits([integrate(wide, mask)])
         assert _bits([field.total_mass]) == _bits([wide.total_mass])
 
     def test_read_density_field_is_a_read_only_float32_view(self, tmp_path):

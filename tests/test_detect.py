@@ -138,7 +138,7 @@ class TestDecode:
 
     def test_flat_length_mismatch(self):
         with pytest.raises(FormatError):
-            GridPrediction.from_flat(DetectorGridSpec(), GridShape(100, 100), np.zeros(17))
+            GridPrediction(DetectorGridSpec(), GridShape(100, 100), np.zeros(17))
 
     def test_roundtrip_centers_to_cell_offsets(self):
         rng = np.random.default_rng(5)
@@ -261,7 +261,7 @@ def _predictions(draw):
     shape = GridShape(draw(st.integers(1, 500)), draw(st.integers(1, 500)))
     n = spec.s * spec.s * spec.cell_values
     flat = draw(st.lists(_TENSOR_VALUES, min_size=n, max_size=n))
-    return GridPrediction.from_flat(spec, shape, np.array(flat))
+    return GridPrediction(spec, shape, np.reshape(flat, (spec.s, spec.s, spec.cell_values)))
 
 
 @st.composite

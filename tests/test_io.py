@@ -27,8 +27,6 @@ from digcrowd.io import (
     read_annotations,
     read_density_field,
     read_depth,
-    read_depth_digd,
-    read_depth_pgm16,
     read_detections_text,
     read_prediction_tensor,
     read_scene_config,
@@ -55,7 +53,7 @@ class TestDepthFiles:
         depth = _random_depth()
         path = tmp_path / "d.digd"
         write_depth_digd(path, depth)
-        back = read_depth_digd(path)
+        back = read_depth(path)
         assert back.shape == depth.shape
         assert np.array_equal(back.values, depth.values)
 
@@ -69,7 +67,7 @@ class TestDepthFiles:
         path = tmp_path / "bad.digd"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
-            read_depth_digd(path)
+            read_depth(path)
 
     def test_digd_nan_names_file(self, tmp_path):
         import struct
@@ -86,14 +84,14 @@ class TestDepthFiles:
             values = np.array([0.5, value, 0.25, 1.0], dtype="<f4")
             path.write_bytes(struct.pack("<4sIII", b"DIGD", 2, 2, 0) + values.tobytes())
             with pytest.raises(FormatError, match=rf"{name}\.digd: depth values must {rule}"):
-                read_depth_digd(path)
+                read_depth(path)
 
     def test_digd_auto_partition_matches_float64(self, tmp_path):
         """The float32 map read from DIGD partitions as its exact float64 widening."""
         rec = generate_scene(SynthSpec(shape=GridShape(360, 240), horizon_y=200.0, seed=5))
         path = tmp_path / "d.digd"
         write_depth_digd(path, rec.depth)
-        loaded = read_depth_digd(path)
+        loaded = read_depth(path)
         assert loaded.values.dtype == np.float32
         wide = DepthMap(loaded.shape, loaded.values.astype(np.float64))
         cfg = SceneConfig("auto")
@@ -112,7 +110,7 @@ class TestDepthFiles:
         write_depth_digd(path, depth)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
-            read_depth_digd(path)
+            read_depth(path)
 
     def test_pgm16_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -120,14 +118,14 @@ class TestDepthFiles:
         depth = DepthMap(GridShape(14, 9), quantized)
         path = tmp_path / "d.pgm"
         write_depth_pgm16(path, depth)
-        back = read_depth_pgm16(path)
+        back = read_depth(path)
         assert np.array_equal(back.values, depth.values)
 
     def test_pgm16_of_digd_depth_matches_float64(self, tmp_path):
         """A float32 map quantizes to 16 bits as its float64 widening does."""
         depth = _random_depth(w=300, h=200)
         write_depth_digd(tmp_path / "d.digd", depth)
-        write_depth_pgm16(tmp_path / "from32.pgm", read_depth_digd(tmp_path / "d.digd"))
+        write_depth_pgm16(tmp_path / "from32.pgm", read_depth(tmp_path / "d.digd"))
         write_depth_pgm16(tmp_path / "from64.pgm", depth)
         assert (tmp_path / "from32.pgm").read_bytes() == (tmp_path / "from64.pgm").read_bytes()
 
@@ -137,7 +135,7 @@ class TestDepthFiles:
         b"P5\n2 2\n65535\n",
         b"P5\n2 2\n65535\n" + b"\x00" * 10,
     ], ids=["odd-length", "header-only", "missing", "too-long"])
-    @pytest.mark.parametrize("reader", [read_depth, read_depth_pgm16])
+    @pytest.mark.parametrize("reader", [read_depth])
     def test_pgm16_payload_size_is_a_format_error(self, tmp_path, reader, data):
         path = tmp_path / "d.pgm"
         path.write_bytes(data)
@@ -244,7 +242,7 @@ class TestRasterChecks:
         ([2.0, 0.5, np.nan, 0.25], "be finite"),
         ([0.5, 1.5, 0.25, 1.0], r"lie in \[0, 1\]"),
     ], ids=["nan-then-2", "2-then-nan", "1.5"])
-    @pytest.mark.parametrize("reader", [read_depth, read_depth_digd])
+    @pytest.mark.parametrize("reader", [read_depth])
     def test_depth_message(self, tmp_path, reader, values, rule):
         path = _digd(tmp_path / "d.digd", values, 2)
         with pytest.raises(FormatError, match=rf"d\.digd: depth values must {rule}$"):
@@ -266,8 +264,10 @@ class TestRasterChecks:
     def test_empty_files(self, tmp_path):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
-        with pytest.raises(FormatError, match=r"empty\.bin: not a DIGD depth file$"):
-            read_depth_digd(empty)
+        header_only = tmp_path / "short.digd"
+        header_only.write_bytes(b"DIGD")
+        with pytest.raises(FormatError, match=r"short\.digd: not a DIGD depth file$"):
+            read_depth(header_only)
         with pytest.raises(FormatError, match=r"empty\.bin: not a DIGF density file$"):
             read_density_field(empty)
         with pytest.raises(FormatError, match=r"empty\.bin: unrecognized depth format"):
@@ -278,9 +278,8 @@ class TestRasterChecks:
         depth.write_bytes(depth.read_bytes()[:-3])
         density = _digf(tmp_path / "f.digf", [0.5, 0.25, 0.75])
         density.write_bytes(density.read_bytes()[:-4])
-        for reader in (read_depth, read_depth_digd):
-            with pytest.raises(FormatError, match=r"d\.digd: payload is 13 bytes, expected 16$"):
-                reader(depth)
+        with pytest.raises(FormatError, match=r"d\.digd: payload is 13 bytes, expected 16$"):
+            read_depth(depth)
         with pytest.raises(FormatError, match=r"f\.digf: payload is 8 bytes, expected 12$"):
             read_density_field(density)
 

@@ -181,6 +181,28 @@ class TestBenchGenerate:
             bench_generate(spec_path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "noise, reason",
+        [
+            ({"fp_rate": math.inf}, "fp_rate inf must be finite and >= 0"),
+            ({"fp_rate": math.nan}, "fp_rate nan must be finite and >= 0"),
+            ({"box_jitter": math.nan}, "box_jitter nan must be finite and >= 0"),
+            ({"density_noise_sigma": math.nan}, "density_noise_sigma nan must be finite and >= 0"),
+            ({"p_miss": 2}, "p_miss 2 outside [0, 1]"),
+        ],
+        ids=["fp_rate-inf", "fp_rate-nan", "box_jitter-nan", "density_noise_sigma-nan",
+             "p_miss-2"],
+    )
+    def test_bad_noise_is_a_spec_error(self, tmp_path, capsys, noise, reason):
+        spec_path = _write_spec(tmp_path / "spec.json", count=1, noise=noise)
+        message = f"{spec_path}: bad benchmark spec: {reason}"
+        with pytest.raises(FormatError, match=rf"^{re.escape(message)}$"):
+            bench_generate(spec_path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        argv = ["bench-gen", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("dataset_id", [7, None, True, ["a"]],
                              ids=["int", "null", "bool", "list"])
     def test_dataset_id_must_be_a_string(self, tmp_path, dataset_id):
@@ -464,6 +486,17 @@ class TestRunDataset:
         error = report.outcomes[1].error
         assert error.startswith(f"{manifest.entries[1].density}: density file grid ")
         assert "does not match" in error
+
+    def test_annotation_error_comes_before_density_grid_error(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        entry = load_manifest(manifest_path).entries[1]
+        dio.write_density_field(entry.density, digcrowd.DensityField.zeros(GridShape(8, 8)))
+        outcome = run_scene(entry)
+        assert outcome.error == (f"{entry.density}: density file grid "
+                                 f"{GridShape(8, 8)} does not match scene grid "
+                                 f"{GridShape(320, 240)}")
+        entry.annotations.write_text('{"heads": []}')
+        assert run_scene(entry).error.startswith(f"{entry.annotations}: bad annotation file")
 
     def test_render_debug_accepts_str_out_dir(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir

@@ -6,7 +6,6 @@ from digcrowd import (
     ConfigError,
     GridShape,
     NoiseSpec,
-    Region,
     SynthError,
     SynthSpec,
     apply_spatial_constraint,
@@ -121,7 +120,7 @@ class TestOraclePredictions:
         preds = oracle_predictions(rec, part, NoiseSpec(), seed=0, spec=SMALL)
         assert preds.near_head_count + preds.far_head_count == 50
         assert len(preds.detections) == preds.near_head_count
-        assert integrate(preds.density, part.mask, Region.FAR) == float(
+        assert integrate(preds.density, part.mask) == float(
             preds.far_head_count
         )
         # no oracle box may sit in the deleted region
@@ -177,6 +176,9 @@ class TestOraclePredictions:
             NoiseSpec(p_miss=1.5)
         with pytest.raises(ConfigError):
             NoiseSpec(fp_rate=-1.0)
+        NoiseSpec(fp_rate=9.2e18)  # numpy's Poisson sampler takes means up to ~9.22e18
+        with pytest.raises(ConfigError, match="numpy's largest Poisson mean"):
+            NoiseSpec(fp_rate=9.3e18)
 
 
 class TestRunRecord:
