@@ -9,7 +9,11 @@ simplified into the split polyline.
 
 The clustering runs on a decimated grid (every ``f``-th pixel, see
 ``decimation_factor``); the boundary it gives is then refined at full
-resolution, column by column, against the depth threshold.
+resolution, column by column, against the depth threshold. The clustering
+therefore only has to supply that threshold and a line within one
+superpixel step of the contour, and a superpixel about six coarse pixels
+across does both: a 1080x720 map with 256 clusters is clustered on a
+120x80 grid.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ __all__ = [
 
 CENTER_RESIDUAL_TOL = 1e-4
 ENERGY_RTOL = 5e-3  # stop once an iteration lowers the energy by at most this share
-COARSE_STEP = 12  # coarse pixels per full-resolution superpixel step
+COARSE_STEP = 6  # coarse pixels per full-resolution superpixel step
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +112,9 @@ def decimation_factor(shape: GridShape, target_cluster_count: int) -> int:
     """Stride of the coarse grid the clustering runs on.
 
     The full-resolution superpixel step over ``COARSE_STEP``, so a
-    superpixel stays about that many coarse pixels across: 4 on a 1080x720
-    map with 256 clusters, 1 (no decimation) on small grids. Never more than
+    superpixel stays about that many coarse pixels across: 9 on a 1080x720
+    map with 256 clusters, 2 on a 160x120 map with 64, and 1 (no
+    decimation) where the step is under ``2 * COARSE_STEP``. Never more than
     the grid's shorter side, so the coarse grid keeps a pixel; 1 where the
     cluster count is invalid, so ``cluster_depth`` reports it.
     """
@@ -396,12 +401,16 @@ def _refine_boundary(
     in rows ``[lo, hi)``, the band of +-S rows around that line, where S is
     the full-resolution superpixel step. Where depth falls monotonically
     down the column and the contour lies in the band, that is the contour.
+    On frames of at most three superpixel rows the band is the whole column.
     Only the band is widened to float64, so the test is exact for float32
     and float64 maps alike.
     """
     height, width = depth.values.shape
     coarse_h, coarse_w = coarse_shape
-    s = int(np.ceil(step * np.sqrt(height * width / (coarse_h * coarse_w))))
+    full_step = step * np.sqrt(height * width / (coarse_h * coarse_w))
+    # With at most three superpixel rows the clustered line can sit more than S
+    # rows off the contour, so there the band is the whole column.
+    s = height if 3.0 * full_step >= height else int(np.ceil(full_step))
     cols = np.arange(width)
     centre = np.rint(coarse[cols * coarse_w // width] * (height / coarse_h)).astype(np.intp)
     lo = np.clip(centre - s, 0, height)

@@ -270,11 +270,17 @@ def oracle_predictions(
     become detections sized by local depth; heads strictly above it are
     rasterized into a density field confined to the far mask, so the far
     integral equals the far head count. Misses, false positives, box jitter,
-    and pixel noise are applied from a seeded stream.
+    and pixel noise are applied from a seeded stream. An ``fp_rate`` above
+    the frame's pixel count is refused: false positives are drawn one at a
+    time, and such rates would take minutes to hours.
     """
+    width, height = rec.depth.shape.width, rec.depth.shape.height
+    if noise.fp_rate > width * height:
+        raise ConfigError(
+            f"fp_rate {noise.fp_rate} above the frame's {width * height} pixels"
+        )
     # crc32 keeps the stream stable across processes (str hash is randomized)
     rng = np.random.default_rng([seed, zlib.crc32(rec.config.scene_id.encode())])
-    width, height = rec.depth.shape.width, rec.depth.shape.height
     sizing = spec or SynthSpec(shape=rec.depth.shape)
     poly = part.polyline
 

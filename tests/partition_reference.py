@@ -9,10 +9,6 @@ and energies from ``cluster_depth``, the same automatic threshold from
 ``extract_polyline`` without its full-resolution refinement. Cluster mean
 depths are computed as ``classify_clusters`` once computed them: fresh
 pixel counts and depth sums over the final labels.
-
-``partition_reference`` clusters at full resolution and does not refine
-the line, so it agrees with ``partition`` only where the decimation factor
-is 1 and the refinement keeps the clustered boundary, as on clean steps.
 """
 
 import math
@@ -20,13 +16,12 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from digcrowd import ConfigError, DigCrowdError, PartitionError, Polyline, mask_from_polyline
+from digcrowd import ConfigError, PartitionError, Polyline
 from digcrowd.partition import (
     CENTER_RESIDUAL_TOL,
     ENERGY_RTOL,
     ClusterLabels,
     ClusterState,
-    PartitionResult,
     _attach_orphans,
     _douglas_peucker,
 )
@@ -255,22 +250,3 @@ def extract_polyline_reference(far_labels, state, shape, simplify_tol=2.0):
         poly = Polyline.from_points(vx, vy)
     return poly, tuple(warnings)
 
-
-def partition_reference(depth, cfg, *, target_cluster_count=256, compactness=0.1,
-                        max_iters=10, simplify_tol=2.0):
-    """``partition`` for an automatic config at decimation factor 1, unrefined."""
-    try:
-        state = cluster_depth_reference(depth, target_cluster_count, compactness, max_iters)
-        labels = classify_clusters_reference(state, cfg.depth_threshold)
-        poly, warnings = extract_polyline_reference(labels.far, state, depth.shape, simplify_tol)
-    except DigCrowdError as exc:
-        raise PartitionError(f"scene {cfg.scene_id!r}: {exc}") from exc
-    return PartitionResult(
-        mask=mask_from_polyline(poly, depth.shape),
-        polyline=poly,
-        cluster_mean_depths=state.mean_depths,
-        threshold_used=labels.threshold,
-        warnings=warnings,
-        cluster_assignments=state.assignments,
-        energy_history=state.energy_history,
-    )

@@ -10,7 +10,6 @@ from partition_reference import (
     classify_clusters_reference,
     cluster_depth_reference,
     extract_polyline_reference,
-    partition_reference,
 )
 
 from digcrowd import (
@@ -37,6 +36,7 @@ from digcrowd import io as dio
 from digcrowd.partition import (
     ENERGY_RTOL,
     ClusterState,
+    _decimate,
     _seed_grid,
     decimation_factor,
 )
@@ -209,8 +209,8 @@ def test_line_follows_iso_depth_contour(tmp_path):
 
 class TestCoarseGrid:
     def test_decimation_factor(self):
-        assert decimation_factor(GridShape(1080, 720), 256) == 4
-        assert decimation_factor(GridShape(160, 120), 64) == 1
+        assert decimation_factor(GridShape(1080, 720), 256) == 9
+        assert decimation_factor(GridShape(160, 120), 64) == 2
 
     def test_factor_never_exceeds_the_shorter_side(self):
         assert decimation_factor(GridShape(6000, 3), 2) == 3
@@ -220,7 +220,7 @@ class TestCoarseGrid:
     def test_clusters_on_the_coarse_grid(self):
         depth = generate_scene(SynthSpec(seed=1)).depth  # 1080x720
         res = partition(depth, SceneConfig("coarse"))
-        assert res.cluster_assignments.shape == (180, 270)
+        assert res.cluster_assignments.shape == (80, 120)
         assert res.cluster_count == res.cluster_mean_depths.size == res.cluster_assignments.max() + 1
         assert res.mask.far.shape == (720, 1080)
 
@@ -233,28 +233,37 @@ class TestCoarseGrid:
 
 
 
-@st.composite
-def _monotone_ramps(draw):
-    """Depth falling down every column, around a random-walk contour row.
-
-    Frames are one to two times as wide as tall, so 32 or more clusters
-    give at least four rows of superpixels, as a 1080x720 frame with 256
-    does (thirteen).
-    """
-    height = draw(st.integers(40, 150))
-    width = draw(st.integers(height, 2 * height))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _ramp(width, height, seed, spread, float32):
+    """Depth falling down every column, around a random-walk contour row."""
+    rng = np.random.default_rng(seed)
     walk = np.cumsum(rng.uniform(-1.5, 1.5, width))
     contour = np.clip(height * rng.uniform(0.2, 0.8) + walk - walk.mean(), 1, height - 1)
-    spread = draw(st.sampled_from([0.5, 4.0, 20.0]))  # rows per unit of squashed depth
     rows = np.arange(height, dtype=np.float64)[:, None]
     values = 1.0 / (1.0 + np.exp((rows - contour[None, :]) / spread))
-    if draw(st.booleans()):
+    if float32:
         values = values.astype(np.float32)
     return DepthMap(GridShape(width, height), values)
 
 
+@st.composite
+def _monotone_ramps(draw):
+    """Ramps one to two times as wide as tall.
+
+    32 or more clusters then give at least four rows of superpixels, as a
+    1080x720 frame with 256 does (thirteen).
+    """
+    height = draw(st.integers(40, 150))
+    width = draw(st.integers(height, 2 * height))
+    seed = draw(st.integers(0, 2**32 - 1))
+    spread = draw(st.sampled_from([0.5, 4.0, 20.0]))  # rows per unit of squashed depth
+    return _ramp(width, height, seed, spread, draw(st.booleans()))
+
+
 @given(_monotone_ramps(), st.integers(32, 96))
+# Under three superpixel rows, where the band is the whole column; with a
+# band of +-S rows these lines ended 5.0 and 4.0 px from the contour.
+@example(_ramp(177, 27, 26, 0.5, True), 11)
+@example(_ramp(35, 13, 1714, 20.0, False), 19)
 @settings(max_examples=60, deadline=None)
 def test_refined_line_within_2px_of_column_contour(depth, target):
     try:
@@ -516,16 +525,6 @@ def _assert_same_polyline(got, want):
     assert _hex(got.segments.ravel()) == _hex(want.segments.ravel())
 
 
-def _assert_same_partition(got, want):
-    _assert_same_polyline(got.polyline, want.polyline)
-    assert float(got.threshold_used).hex() == float(want.threshold_used).hex()
-    assert got.warnings == want.warnings
-    assert np.array_equal(got.mask.far, want.mask.far)
-    assert np.array_equal(got.cluster_assignments, want.cluster_assignments)
-    assert _hex(got.cluster_mean_depths) == _hex(want.cluster_mean_depths)
-    assert _hex(got.energy_history) == _hex(want.energy_history)
-
-
 class TestReferenceOracle:
     """cluster_depth / classify_clusters / extract_polyline against the versions they replaced."""
 
@@ -594,22 +593,48 @@ class TestReferenceOracle:
             assert got[1] == want[1]
 
     def test_step_depths_of_criterion_8_match_reference(self):
+        """Criterion 8's 160x120 steps cluster on an 80x60 grid (f = 2).
+
+        There the clustering, the threshold and the unrefined line match the
+        references bit for bit, and the refined split puts every column's
+        far rows on the step.
+        """
         rng = np.random.default_rng(88)
         for seed in range(50):
             boundary = int(rng.integers(30, 91))
             depth = generate_step_depth(GridShape(160, 120), boundary_row=boundary, seed=seed)
-            cfg = SceneConfig(f"step-{seed}")
-            got = partition(depth, cfg, target_cluster_count=64)
-            want = partition_reference(depth, cfg, target_cluster_count=64)
-            _assert_same_partition(got, want)
+            factor = decimation_factor(depth.shape, 64)
+            assert factor == 2
+            coarse = _decimate(depth, factor)
+            state = cluster_depth(coarse, 64)
+            _assert_same_state(state, cluster_depth_reference(coarse, 64))
+            labels = classify_clusters(state)
+            want = classify_clusters_reference(state)
+            assert np.array_equal(labels.far, want.far)
+            assert labels.threshold.hex() == want.threshold.hex()
+            got_line = extract_polyline(labels.far, state)
+            want_line = extract_polyline_reference(want.far, state, coarse.shape)
+            _assert_same_polyline(got_line[0], want_line[0])
+            assert got_line[1] == want_line[1]
+
+            res = partition(depth, SceneConfig(f"step-{seed}"), target_cluster_count=64)
+            assert np.array_equal(res.cluster_assignments, state.assignments)
+            assert res.threshold_used == labels.threshold
+            assert np.all(res.mask.far_rows == boundary), seed
 
 
 # -- the chunked window pass on bench grids ---------------------------------
 
-def _bench_grid_pass(seed):
-    """A bench scene's decimated 270x180 grid with ``cluster_depth``'s seeds."""
+# Bench scenes are clustered at f = 9 (120x80); f = 4 (270x180) is the
+# grid they were clustered on before, with about five times the pixels.
+_BENCH_GRIDS = {9: (80, 120), 4: (180, 270)}
+
+
+def _bench_grid_pass(seed, factor):
+    """A bench scene's grid decimated by ``factor``, with ``cluster_depth``'s seeds."""
     values = generate_scene(SynthSpec(seed=seed)).depth.values
-    grid = np.ascontiguousarray(values[2::4, 2::4], dtype=np.float64)
+    start = factor // 2
+    grid = np.ascontiguousarray(values[start::factor, start::factor], dtype=np.float64)
     feat, cpx, cpy = _seed_grid(grid, 256)
     step = float(np.sqrt(grid.size / 256))
     return grid, feat, cpx, cpy, (0.1 / step) ** 2, step
@@ -634,32 +659,34 @@ class TestChunkedWindowPass:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bench_grid_matches_reference(self, seed):
-        grid, feat, cpx, cpy, ratio2, step = _bench_grid_pass(seed)
-        assert grid.shape == (180, 270) and feat.size == 260
-        first = self._both(grid, feat, cpx, cpy, ratio2, step, _empty_start(grid.shape))
-        labels = first[1].ravel()
-        assert labels.min() >= 0  # every pixel lies in some window
+        for factor, shape in _BENCH_GRIDS.items():
+            grid, feat, cpx, cpy, ratio2, step = _bench_grid_pass(seed, factor)
+            assert grid.shape == shape and feat.size == 260
+            first = self._both(grid, feat, cpx, cpy, ratio2, step, _empty_start(shape))
+            labels = first[1].ravel()
+            assert labels.min() >= 0  # every pixel lies in some window
 
-        # The iteration's start state: centres moved to their pixels' means,
-        # every pixel holding its own centre's D^2, as cluster_depth sets it.
-        rows, cols = (a.ravel() for a in np.mgrid[0:180, 0:270].astype(np.float64))
-        counts = np.maximum(np.bincount(labels, minlength=feat.size), 1)
-        feat = np.bincount(labels, weights=grid.ravel(), minlength=feat.size) / counts
-        cpx = np.bincount(labels, weights=cols, minlength=feat.size) / counts
-        cpy = np.bincount(labels, weights=rows, minlength=feat.size) / counts
-        d2 = _current_distance_reference(
-            grid.ravel(), labels, feat, cpx, cpy, ratio2, cols, rows
-        ).reshape(grid.shape)
-        second = self._both(grid, feat, cpx, cpy, ratio2, step, (d2, first[1]))
-        assert not np.array_equal(second[1], first[1])
+            # The iteration's start state: centres moved to their pixels' means,
+            # every pixel holding its own centre's D^2, as cluster_depth sets it.
+            rows, cols = (a.ravel() for a in np.indices(shape, dtype=np.float64))
+            counts = np.maximum(np.bincount(labels, minlength=feat.size), 1)
+            feat = np.bincount(labels, weights=grid.ravel(), minlength=feat.size) / counts
+            cpx = np.bincount(labels, weights=cols, minlength=feat.size) / counts
+            cpy = np.bincount(labels, weights=rows, minlength=feat.size) / counts
+            d2 = _current_distance_reference(
+                grid.ravel(), labels, feat, cpx, cpy, ratio2, cols, rows
+            ).reshape(shape)
+            second = self._both(grid, feat, cpx, cpy, ratio2, step, (d2, first[1]))
+            assert not np.array_equal(second[1], first[1])
 
     def test_one_pass_scratch_stays_under_2_mb(self):
-        grid, feat, cpx, cpy, ratio2, step = _bench_grid_pass(1)
-        best_d2, best_id = _empty_start(grid.shape)
-        tracemalloc.start()
-        try:
-            _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2_000_000
+        for factor in _BENCH_GRIDS:
+            grid, feat, cpx, cpy, ratio2, step = _bench_grid_pass(1, factor)
+            best_d2, best_id = _empty_start(grid.shape)
+            tracemalloc.start()
+            try:
+                _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2_000_000, factor

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,21 @@ class TestBenchGenerate:
         argv = ["bench-gen", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_fp_rate_above_the_pixel_count_fails_its_scene(self, tmp_path):
+        # Boxes are drawn one at a time, about 27 us each: 1e8 would take 45 minutes.
+        spec_path = _write_spec(tmp_path / "spec.json", count=1, shape=(160, 120),
+                                noise={"fp_rate": 1e8})
+        start = time.perf_counter()
+        manifest_path, errors = bench_generate(spec_path, tmp_path / "out")
+        assert time.perf_counter() - start < 10.0
+        assert errors == ["scene-0000: fp_rate 100000000.0 above the frame's 19200 pixels"]
+        assert json.loads(manifest_path.read_text())["scenes"] == []
+
+        at_bound = _write_spec(tmp_path / "bound.json", count=1, shape=(160, 120),
+                               noise={"fp_rate": 19200})
+        manifest_path, errors = bench_generate(at_bound, tmp_path / "bound")
+        assert errors == [] and len(load_manifest(manifest_path).entries) == 1
 
     @pytest.mark.parametrize("dataset_id", [7, None, True, ["a"]],
                              ids=["int", "null", "bool", "list"])

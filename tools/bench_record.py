@@ -9,8 +9,8 @@ Each file is the saved output of one untraced ``perfbench/run.py`` run; its
 last line is the JSON result line. The i-th parent and the i-th change run
 form a pair, run back to back with alternating order. One record per side
 is appended: commit, workload, seed, ``scenes_per_s`` as median [q1, q3],
-the medians of ``scene_ms_p50`` and ``peak_rss_mb``, and the pairs in
-which that side had the higher ``scenes_per_s``. A run that was not
+the medians of ``scene_ms_p50``, ``peak_rss_mb``, ``mae`` and ``mse``, and
+the pairs in which that side had the higher ``scenes_per_s``. A run that was not
 ``correct`` is refused, so a broken run never enters the trajectory.
 """
 
@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_evaluate.json"
+MEDIANS = ("scene_ms_p50", "peak_rss_mb", "mae", "mse")  # recorded as the median of the runs
 
 
 def result_line(path: Path) -> dict:
@@ -35,7 +36,7 @@ def result_line(path: Path) -> dict:
         raise ValueError(f"{path}: run is not correct ({result.get('failed')} failed)")
     try:
         return {name: result["metrics"][name]["value"]
-                for name in ("scenes_per_s", "scene_ms_p50", "peak_rss_mb")}
+                for name in ("scenes_per_s", *MEDIANS)}
     except KeyError as exc:
         raise ValueError(f"{path}: no {exc} in the result line (a traced run?)") from exc
 
@@ -63,8 +64,7 @@ def records(workload: str, seed: int, parent: tuple[str, list[dict]],
             "seed": seed,
             "runs": len(runs),
             "scenes_per_s": quartiles([r["scenes_per_s"] for r in runs]),
-            "scene_ms_p50": statistics.median(r["scene_ms_p50"] for r in runs),
-            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            **{name: statistics.median(r[name] for r in runs) for name in MEDIANS},
             "pairs_won": won[side],
         }
         for side, (commit, runs) in (("parent", parent), ("change", change))
@@ -96,6 +96,7 @@ def main(argv=None) -> int:
         rate = rec["scenes_per_s"]
         print(f"{rec['side']} {rec['commit']}: {rate['median']:.2f} "
               f"[{rate['q1']:.2f}, {rate['q3']:.2f}] scenes/s, "
+              f"MAE {rec['mae']:.4g}, MSE {rec['mse']:.4g}, "
               f"{rec['pairs_won']} of {rec['runs']} pairs won")
     return 0
 
