@@ -408,8 +408,8 @@ def _refine_boundary(
     height, width = depth.values.shape
     coarse_h, coarse_w = coarse_shape
     full_step = step * np.sqrt(height * width / (coarse_h * coarse_w))
-    # With at most three superpixel rows the clustered line can sit more than S
-    # rows off the contour, so there the band is the whole column.
+    # With at most three superpixel rows the clustered line can sit more than
+    # S rows off the contour.
     s = height if 3.0 * full_step >= height else int(np.ceil(full_step))
     cols = np.arange(width)
     centre = np.rint(coarse[cols * coarse_w // width] * (height / coarse_h)).astype(np.intp)

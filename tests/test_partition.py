@@ -188,9 +188,10 @@ def test_line_follows_iso_depth_contour(tmp_path):
     """The automatic line stays on the column-wise contour at threshold_used.
 
     Depth is read back through DIGD, as ``evaluate`` reads it. Measured with
-    the full-resolution refinement: per-scene mean distance 0.31-0.63 px
-    (average 0.51), worst column 2.0 px, 7-14 segments per line. Without
-    it the superpixel boundary averaged 7.8 px and reached 19.9 px.
+    the full-resolution refinement on the 120x80 clustering grid (f = 9):
+    per-scene mean distance 0.41-0.57 px (average 0.50), worst column
+    2.0 px, 7-13 segments per line. Without the refinement the superpixel
+    boundary (at f = 4) averaged 7.8 px and reached 19.9 px.
     """
     means, worst = [], []
     for seed in range(1000, 1008):
@@ -260,7 +261,7 @@ def _monotone_ramps(draw):
 
 
 @given(_monotone_ramps(), st.integers(32, 96))
-# Under three superpixel rows, where the band is the whole column; with a
+# At most three superpixel rows, where the band is the whole column; with a
 # band of +-S rows these lines ended 5.0 and 4.0 px from the contour.
 @example(_ramp(177, 27, 26, 0.5, True), 11)
 @example(_ramp(35, 13, 1714, 20.0, False), 19)
@@ -625,8 +626,8 @@ class TestReferenceOracle:
 
 # -- the chunked window pass on bench grids ---------------------------------
 
-# Bench scenes are clustered at f = 9 (120x80); f = 4 (270x180) is the
-# grid they were clustered on before, with about five times the pixels.
+# Bench scenes are clustered at f = 9 (120x80); f = 4 (270x180) gives the
+# same 260 centres windows about twice as wide.
 _BENCH_GRIDS = {9: (80, 120), 4: (180, 270)}
 
 

@@ -9,9 +9,10 @@ Each file is the saved output of one untraced ``perfbench/run.py`` run; its
 last line is the JSON result line. The i-th parent and the i-th change run
 form a pair, run back to back with alternating order. One record per side
 is appended: commit, workload, seed, ``scenes_per_s`` as median [q1, q3],
-the medians of ``scene_ms_p50``, ``peak_rss_mb``, ``mae`` and ``mse``, and
-the pairs in which that side had the higher ``scenes_per_s``. A run that was not
-``correct`` is refused, so a broken run never enters the trajectory.
+the medians of ``scene_ms_p50``, ``peak_rss_mb``, ``mae`` and ``mse``,
+and the pairs in which that side had the higher ``scenes_per_s``. A run
+that was not ``correct`` is refused, so a broken run never enters the
+trajectory.
 """
 
 from __future__ import annotations
