@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _kernels
 from .errors import ConfigError, DigCrowdError
@@ -34,6 +33,7 @@ DEFAULT_TRUNCATION_RADIUS = 3.0
 # the kernel of bench-gen's oracle density; evaluation reads density from files
 KNN_K = 3
 BETA = 0.3
+KNN_BLOCK = 256  # heads per block of the neighbour search, so memory stays O(block * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +79,16 @@ def knn_mean_distance(heads: np.ndarray, k: int) -> np.ndarray:
     m = min(k, n - 1)
     if m == 0:
         return np.full(1, np.nan)
-    dists, _ = cKDTree(pts).query(pts, k=m + 1)
-    return np.atleast_2d(dists)[:, 1:].mean(axis=1)
+    means = np.empty(n)
+    for start in range(0, n, KNN_BLOCK):
+        dx = pts[start : start + KNN_BLOCK, :1] - pts[:, 0]
+        dy = pts[start : start + KNN_BLOCK, 1:] - pts[:, 1]
+        d2 = dx * dx + dy * dy
+        # sqrt is monotone, so it can wait until the m + 1 smallest are chosen;
+        # the first of them is the head's own zero distance.
+        nearest = np.sort(np.sqrt(np.partition(d2, m, axis=1)[:, : m + 1]), axis=1)
+        means[start : start + KNN_BLOCK] = nearest[:, 1:].mean(axis=1)
+    return means
 
 
 def adaptive_sigma(

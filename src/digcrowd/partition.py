@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from . import _kernels
 from .errors import ConfigError, DigCrowdError, PartitionError
@@ -421,6 +420,33 @@ def _refine_boundary(
     return (lo + np.count_nonzero(far, axis=0)).astype(np.float64)
 
 
+def _component_roots(mask: np.ndarray) -> np.ndarray:
+    """Each pixel's 4-connected component of ``mask``, named by its smallest flat index.
+
+    Union-find over row runs: two touching runs in adjacent rows are joined
+    once, at the first column where they overlap, which holds a run head in
+    one of the two rows. Pixels outside the mask keep their own index.
+    """
+    head = mask.copy()
+    head[:, 1:] &= ~mask[:, :-1]
+    tail = mask.copy()
+    tail[:, :-1] &= ~mask[:, 1:]
+    heads = np.flatnonzero(head)  # runs in raster order
+    upper = np.flatnonzero(mask[:-1] & mask[1:] & (head[:-1] | head[1:]))
+    a = np.searchsorted(heads, upper, side="right") - 1
+    b = np.searchsorted(heads, upper + mask.shape[1], side="right") - 1
+    roots = np.arange(heads.size)
+    while (apart := roots[a] != roots[b]).any():
+        ra, rb = roots[a[apart]], roots[b[apart]]
+        # Hook the larger root under the smaller, then flatten every chain.
+        np.minimum.at(roots, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := roots[roots], roots):
+            roots = jumped
+    named = np.arange(mask.size)
+    named[mask.ravel()] = np.repeat(heads[roots], np.flatnonzero(tail) + 1 - heads)
+    return named.reshape(mask.shape)
+
+
 def extract_polyline(
     far_labels: np.ndarray,
     state: ClusterState,
@@ -446,20 +472,19 @@ def extract_polyline(
     warnings: list[str] = []
     far_px = far_labels[state.assignments]
 
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    labeled, n_comp = ndimage.label(far_px, structure=structure)
-    if n_comp == 0:
+    if not far_px.any():  # the far clusters own no pixel
         raise PartitionError("far region empty after cluster labeling")
-    sizes = np.bincount(labeled.ravel())
-    sizes[0] = 0
-    # Fill holes: background components that do not touch the image edge
-    # (4-connected, as in ndimage.binary_fill_holes) become far.
-    background, n_bg = ndimage.label(labeled != int(np.argmax(sizes)), structure=structure)
-    open_bg = np.zeros(n_bg + 1, dtype=bool)
+    # A root is its component's first pixel in raster order, so argmax breaks
+    # size ties the way ndimage.label's raster numbering does.
+    roots = _component_roots(far_px)
+    largest = roots == np.argmax(np.bincount(roots[far_px]))
+    # Fill holes: 4-connected background components that do not touch the
+    # image edge (as in ndimage.binary_fill_holes) become far.
+    background = _component_roots(~largest)
+    open_bg = np.zeros(far_px.size, dtype=bool)
     for edge in (background[0], background[-1], background[:, 0], background[:, -1]):
         open_bg[edge] = True
-    open_bg[0] = False
-    far_clean = ~open_bg[background]
+    far_clean = largest | ~open_bg[background]
 
     all_far = far_clean.all(axis=0)
     boundary = np.where(all_far, grid[0], (~far_clean).argmax(axis=0)).astype(np.float64)

@@ -10,8 +10,8 @@ bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
 
-def _run(path, rate, p50=5.0, rss=100.0, mae=1.0, mse=2.0, correct=True):
-    metrics = {"scenes_per_s": rate, "scene_ms_p50": p50, "peak_rss_mb": rss,
+def _run(path, rate, p50=5.0, setup=0.5, rss=100.0, mae=1.0, mse=2.0, correct=True):
+    metrics = {"scenes_per_s": rate, "scene_ms_p50": p50, "setup_s": setup, "peak_rss_mb": rss,
                "mae": mae, "mse": mse, "ok_frac": 1.0}
     path.write_text("workload ...\nscenes_per_s 1.0 1/s\n" + json.dumps({
         "correct": correct, "attempted": 48, "failed": 0 if correct else 1,
@@ -23,8 +23,8 @@ def _run(path, rate, p50=5.0, rss=100.0, mae=1.0, mse=2.0, correct=True):
 def test_appends_one_record_per_side(tmp_path):
     parent = [_run(tmp_path / f"p{i}", r, p50=7.0, mae=m)
               for i, (r, m) in enumerate(zip([100, 110, 120, 90], [3.0, 1.0, 4.0, 2.0]))]
-    change = [_run(tmp_path / f"c{i}", r, rss=99.0, mse=1.5)
-              for i, r in enumerate([150, 105, 160, 90])]
+    change = [_run(tmp_path / f"c{i}", r, setup=s, rss=99.0, mse=1.5)
+              for i, (r, s) in enumerate(zip([150, 105, 160, 90], [0.2, 0.3, 0.1, 0.9]))]
     out = tmp_path / "BENCH_evaluate.json"
     out.write_text(json.dumps([{"earlier": True}]))
     argv = ["--workload", "manual_text", "--seed", "1", "--parent-commit", "aaa",
@@ -35,11 +35,13 @@ def test_appends_one_record_per_side(tmp_path):
     assert (p["commit"], p["side"], p["workload"], p["seed"], p["runs"]) == (
         "aaa", "parent", "manual_text", 1, 4)
     assert p["scenes_per_s"] == {"median": 105.0, "q1": 97.5, "q3": 112.5}
-    assert (p["scene_ms_p50"], p["peak_rss_mb"], p["pairs_won"]) == (7.0, 100.0, 1)
+    assert (p["scene_ms_p50"], p["setup_s"], p["peak_rss_mb"], p["pairs_won"]) == (
+        7.0, 0.5, 100.0, 1)
     assert (p["mae"], p["mse"]) == (2.5, 2.0)  # the median of four runs
     assert c["scenes_per_s"]["median"] == 127.5
     assert (c["commit"], c["scene_ms_p50"], c["peak_rss_mb"], c["pairs_won"]) == (
         "bbb", 5.0, 99.0, 2)  # the tied fourth pair counts for neither side
+    assert c["setup_s"] == 0.25  # the median of four runs
     assert (c["mae"], c["mse"]) == (1.0, 1.5)
 
 

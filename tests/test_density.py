@@ -241,6 +241,12 @@ def _head_sets(draw):
     return np.concatenate([pts, pts[repeats]])
 
 
+# 560 heads on a lattice of 2 x 3 px cells plus 40 repeated ones: more heads
+# than one KNN_BLOCK, with tied and zero neighbour distances.
+_LATTICE = np.stack(np.meshgrid(np.arange(28.0) * 2, np.arange(20.0) * 3), axis=-1).reshape(-1, 2)
+_MANY_HEADS = np.concatenate([_LATTICE, _LATTICE[::14]])
+
+
 def _bits(arr):
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64).tolist()
 
@@ -256,6 +262,7 @@ class TestHeadPathReference:
     @example(np.array([[0.0, 0.0], [3.0, 4.0]]), 16, 0.3, 1.0)  # n = 2, k clamped
     @example(np.zeros((6, 2)), 4, 0.3, 1.0)  # all duplicates: zero means
     @example(np.arange(80.0).reshape(40, 2) % 7.0, 16, 0.7, 0.5)  # k = 16 > block of 8
+    @example(_MANY_HEADS, 3, 1.0, 0.5)  # three blocks of the neighbour search
     @settings(max_examples=200, deadline=None)
     def test_sigmas_match_per_head_reference(self, heads, k, beta, floor):
         got = adaptive_sigma(knn_mean_distance(heads, k), beta, floor)

@@ -1,7 +1,13 @@
-"""Every exported name resolves: each module's ``__all__`` and the package namespace."""
+"""Every exported name resolves: each module's ``__all__`` and the package namespace.
+
+The package imports nothing beyond numpy and the standard library.
+"""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +35,12 @@ def test_package_namespace_is_module_exports():
         module = importlib.import_module(name)
         exported.update(getattr(module, "__all__", None) or _public(module))
     assert _public(digcrowd) - exported == set()
+
+
+def test_package_import_loads_no_scipy():
+    """scipy is a test oracle only; the package and its CLI run on numpy alone."""
+    code = ("import sys, digcrowd, digcrowd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(digcrowd.__path__[0]).parent)
+    assert out.stdout.strip() == "[]"

@@ -573,6 +573,24 @@ class TestReferenceOracle:
             [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0]], dtype=bool
         )
     )
+    @example(  # two far components of size 2: the first in raster order wins
+        np.array([[0, 0, 0, 1, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], dtype=bool)
+    )
+    @example(  # a winding far path whose runs join over three union rounds
+        np.array(
+            [
+                [1, 1, 1, 0, 1],
+                [0, 0, 1, 0, 1],
+                [1, 0, 1, 0, 1],
+                [1, 0, 1, 0, 1],
+                [1, 1, 1, 1, 1],
+            ],
+            dtype=bool,
+        )
+    )
+    @example(np.array([[1, 0, 1, 1, 0, 1]], dtype=bool))  # one row
+    @example(np.array([[1], [1], [0], [1], [0]], dtype=bool))  # one column
+    @example(np.array([[False]]))  # the far cluster owns no pixel: raises
     @settings(max_examples=300, deadline=None)
     def test_extract_polyline_fills_holes_like_reference(self, far_px):
         height, width = far_px.shape

@@ -9,9 +9,9 @@ Each file is the saved output of one untraced ``perfbench/run.py`` run; its
 last line is the JSON result line. The i-th parent and the i-th change run
 form a pair, run back to back with alternating order. One record per side
 is appended: commit, workload, seed, ``scenes_per_s`` as median [q1, q3],
-the medians of ``scene_ms_p50``, ``peak_rss_mb``, ``mae`` and ``mse``,
-and the pairs in which that side had the higher ``scenes_per_s``. A run
-that was not ``correct`` is refused, so a broken run never enters the
+the medians of ``scene_ms_p50``, ``setup_s``, ``peak_rss_mb``, ``mae`` and
+``mse``, and the pairs in which that side had the higher ``scenes_per_s``.
+A run that was not ``correct`` is refused, so a broken run never enters the
 trajectory.
 """
 
@@ -24,7 +24,8 @@ import sys
 from pathlib import Path
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_evaluate.json"
-MEDIANS = ("scene_ms_p50", "peak_rss_mb", "mae", "mse")  # recorded as the median of the runs
+# recorded as the median of the runs
+MEDIANS = ("scene_ms_p50", "setup_s", "peak_rss_mb", "mae", "mse")
 
 
 def result_line(path: Path) -> dict:
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
     for rec in new:
         rate = rec["scenes_per_s"]
         print(f"{rec['side']} {rec['commit']}: {rate['median']:.2f} "
-              f"[{rate['q1']:.2f}, {rate['q3']:.2f}] scenes/s, "
+              f"[{rate['q1']:.2f}, {rate['q3']:.2f}] scenes/s, setup {rec['setup_s']:.3f} s, "
               f"MAE {rec['mae']:.4g}, MSE {rec['mse']:.4g}, "
               f"{rec['pairs_won']} of {rec['runs']} pairs won")
     return 0
