@@ -137,31 +137,23 @@ def _decimate(depth: DepthMap, factor: int) -> DepthMap:
 def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regular-grid centers, each nudged to the flattest pixel of its 3x3 patch.
 
-    The gradient is evaluated only on the patches, with ``np.gradient``'s
-    formulas: a central difference over 2 inside, a one-sided difference
-    over 1 at an edge, and 0 along an axis of length 1.
+    The gradient is ``np.gradient`` along each axis, 0 along an axis of
+    length 1. Pixels off the image count as infinitely steep, and a tie goes
+    to the first pixel in row-major patch order.
     """
     height, width = depth.shape
     nx = int(np.clip(round(np.sqrt(target * width / height)), 1, width))
     ny = int(np.clip(round(target / nx), 1, height))
-    cx = np.rint((np.arange(nx) + 0.5) * width / nx - 0.5).astype(np.intp)
-    cy = np.rint((np.arange(ny) + 0.5) * height / ny - 0.5).astype(np.intp)
-    # One row per seed (row-major over the grid), one column per patch pixel
-    # in row-major patch order; pixels off the image get an infinite gradient.
+    cx = np.tile(np.rint((np.arange(nx) + 0.5) * width / nx - 0.5).astype(np.intp), ny)
+    cy = np.repeat(np.rint((np.arange(ny) + 0.5) * height / ny - 0.5).astype(np.intp), nx)
+    gy, gx = (np.gradient(depth, axis=axis) if n > 1 else np.zeros_like(depth)
+              for axis, n in enumerate(depth.shape))
+    grad = np.pad(np.sqrt(gx * gx + gy * gy), 1, constant_values=np.inf)
+    # one row per seed, one column per pixel of its patch on the padded grid
     dr, dc = np.divmod(np.arange(9), 3)
-    rows = np.repeat(cy, nx)[:, None] + (dr - 1)
-    cols = np.tile(cx, ny)[:, None] + (dc - 1)
-    inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-    rows = rows.clip(0, height - 1)
-    cols = cols.clip(0, width - 1)
-    r_lo, r_hi = np.maximum(rows - 1, 0), np.minimum(rows + 1, height - 1)
-    c_lo, c_hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, width - 1)
-    gy = (depth[r_hi, cols] - depth[r_lo, cols]) / np.maximum(r_hi - r_lo, 1)
-    gx = (depth[rows, c_hi] - depth[rows, c_lo]) / np.maximum(c_hi - c_lo, 1)
-    grad = np.where(inside, np.sqrt(gx * gx + gy * gy), np.inf)
-    flat = np.argmin(grad, axis=1)[:, None]
-    py = np.take_along_axis(rows, flat, axis=1)[:, 0]
-    px = np.take_along_axis(cols, flat, axis=1)[:, 0]
+    flat = np.argmin(grad[cy[:, None] + dr, cx[:, None] + dc], axis=1)
+    py = cy + dr[flat] - 1
+    px = cx + dc[flat] - 1
     return depth[py, px], px.astype(np.float64), py.astype(np.float64)
 
 

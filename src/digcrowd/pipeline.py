@@ -419,20 +419,16 @@ def write_report(report: RunReport, out_dir: Path) -> None:
 # -- benchmark generation ----------------------------------------------------
 
 def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
-    """One scene's ``SynthSpec``; a field of the wrong type is a ``ConfigError``."""
-    merged = dict(defaults)
-    merged.update(overrides)
-    shape = merged.pop("shape", None)
-    keys = ("n_people", "horizon_y", "near_head_size", "far_head_size",
-            "clustering_intensity", "seed", "exclusion_margin")
-    kwargs = {key: merged[key] for key in keys if key in merged}
+    """One scene's ``SynthSpec``; an unknown key or a wrong type is a ``ConfigError``."""
+    merged = {**defaults, **overrides}
     try:
-        if shape is not None:
+        if "shape" in merged:
+            shape = merged["shape"]
             width, height = shape
-            if (int(width), int(height)) != (width, height):
+            if any(isinstance(v, bool) or int(v) != v for v in (width, height)):
                 raise ValueError(f"shape values must be integers, got {shape!r}")
-            kwargs["shape"] = GridShape(int(width), int(height))
-        return SynthSpec(**kwargs)
+            merged["shape"] = GridShape(width, height)
+        return SynthSpec(**merged)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scene spec: {exc}") from exc
 

@@ -47,6 +47,13 @@ __all__ = [
 SPACING_FACTOR = 0.45  # fraction of the local head size kept clear around a head
 
 
+def _refuse_bools(spec, names):
+    """JSON true/false are not numbers, although Python compares them as 1 and 0."""
+    for name in names:
+        if isinstance(value := getattr(spec, name), bool):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Knobs for one synthetic scene."""
@@ -65,6 +72,8 @@ class SynthSpec:
         if (self.n_people < 1 or isinstance(self.n_people, bool)
                 or not isinstance(self.n_people, (int, np.integer))):
             raise ConfigError(f"n_people must be an integer >= 1, got {self.n_people!r}")
+        _refuse_bools(self, ("horizon_y", "near_head_size", "far_head_size",
+                             "clustering_intensity", "exclusion_margin"))
         if not (0.0 < self.horizon_y <= self.shape.height):
             raise ConfigError(
                 f"horizon_y {self.horizon_y} outside (0, {self.shape.height}]"
@@ -77,7 +86,8 @@ class SynthSpec:
             raise ConfigError("clustering_intensity must be >= 0")
         if self.exclusion_margin < 0.0:
             raise ConfigError("exclusion_margin must be >= 0")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
@@ -95,6 +105,7 @@ class NoiseSpec:
     density_noise_sigma: float = 0.0
 
     def __post_init__(self):
+        _refuse_bools(self, ("p_miss", "fp_rate", "box_jitter", "density_noise_sigma"))
         if not (0.0 <= self.p_miss <= 1.0):
             raise ConfigError(f"p_miss {self.p_miss} outside [0, 1]")
         for name in ("fp_rate", "box_jitter", "density_noise_sigma"):
@@ -166,10 +177,6 @@ def head_size_at(spec: SynthSpec, depth_value: float) -> float:
     )
 
 
-def _split_row(spec: SynthSpec) -> float:
-    return spec.horizon_y / 2.0
-
-
 def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
     """Deterministic scene from a seed: depth, heads, and a manual split line.
 
@@ -182,7 +189,7 @@ def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
     rng = np.random.default_rng(spec.seed)
     depth = _build_depth(spec, rng)
     width, height = spec.shape.width, spec.shape.height
-    split_y = _split_row(spec)
+    split_y = spec.horizon_y / 2.0
     polyline = Polyline.constant(split_y, x_end=float(width))
     config = SceneConfig(
         scene_id=scene_id or f"synth-{spec.seed}",

@@ -10,9 +10,11 @@ bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
 
-def _run(path, rate, p50=5.0, setup=0.5, rss=100.0, mae=1.0, mse=2.0, correct=True):
-    metrics = {"scenes_per_s": rate, "scene_ms_p50": p50, "setup_s": setup, "peak_rss_mb": rss,
-               "mae": mae, "mse": mse, "ok_frac": 1.0}
+def _run(path, rate, p50=5.0, setup=0.5, rss=100.0, mae=1.0, mse=2.0, correct=True,
+         tail=6.0, gen=20.0, ok=1.0):
+    metrics = {"scenes_per_s": rate, "scene_ms_p50": p50, "scene_ms_tail": tail,
+               "setup_s": setup, "gen_scenes_per_s": gen, "peak_rss_mb": rss,
+               "mae": mae, "mse": mse, "ok_frac": ok}
     path.write_text("workload ...\nscenes_per_s 1.0 1/s\n" + json.dumps({
         "correct": correct, "attempted": 48, "failed": 0 if correct else 1,
         "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()},
@@ -21,10 +23,12 @@ def _run(path, rate, p50=5.0, setup=0.5, rss=100.0, mae=1.0, mse=2.0, correct=Tr
 
 
 def test_appends_one_record_per_side(tmp_path):
-    parent = [_run(tmp_path / f"p{i}", r, p50=7.0, mae=m)
-              for i, (r, m) in enumerate(zip([100, 110, 120, 90], [3.0, 1.0, 4.0, 2.0]))]
-    change = [_run(tmp_path / f"c{i}", r, setup=s, rss=99.0, mse=1.5)
-              for i, (r, s) in enumerate(zip([150, 105, 160, 90], [0.2, 0.3, 0.1, 0.9]))]
+    parent = [_run(tmp_path / f"p{i}", r, p50=7.0, mae=m, tail=t, ok=ok)
+              for i, (r, m, t, ok) in enumerate(zip([100, 110, 120, 90], [3.0, 1.0, 4.0, 2.0],
+                                                    [8.0, 9.0, 7.0, 10.0], [1.0, 1.0, 0.5, 1.0]))]
+    change = [_run(tmp_path / f"c{i}", r, setup=s, rss=99.0, mse=1.5, gen=g)
+              for i, (r, s, g) in enumerate(zip([150, 105, 160, 90], [0.2, 0.3, 0.1, 0.9],
+                                                [18.0, 22.0, 30.0, 10.0]))]
     out = tmp_path / "BENCH_evaluate.json"
     out.write_text(json.dumps([{"earlier": True}]))
     argv = ["--workload", "manual_text", "--seed", "1", "--parent-commit", "aaa",
@@ -38,11 +42,13 @@ def test_appends_one_record_per_side(tmp_path):
     assert (p["scene_ms_p50"], p["setup_s"], p["peak_rss_mb"], p["pairs_won"]) == (
         7.0, 0.5, 100.0, 1)
     assert (p["mae"], p["mse"]) == (2.5, 2.0)  # the median of four runs
+    assert (p["scene_ms_tail"], p["gen_scenes_per_s"], p["ok_frac"]) == (8.5, 20.0, 1.0)
     assert c["scenes_per_s"]["median"] == 127.5
     assert (c["commit"], c["scene_ms_p50"], c["peak_rss_mb"], c["pairs_won"]) == (
         "bbb", 5.0, 99.0, 2)  # the tied fourth pair counts for neither side
     assert c["setup_s"] == 0.25  # the median of four runs
     assert (c["mae"], c["mse"]) == (1.0, 1.5)
+    assert (c["scene_ms_tail"], c["gen_scenes_per_s"], c["ok_frac"]) == (6.0, 20.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", ["incorrect", "unpaired"])

@@ -146,6 +146,29 @@ class TestClusterDepth:
             cluster_depth(_flat_depth(4, 4), 1)
 
 
+# 28 seeds on 400 pixels, nudged off their grid points (7, 21, 35, 50, ...)
+_THIN_SEEDS = [8, 21, 35, 49, 64, 78, 91, 108, 121, 135, 149, 163, 178, 191,
+               206, 222, 235, 249, 265, 278, 291, 306, 322, 335, 349, 363, 379, 392]
+
+
+@pytest.mark.parametrize(
+    "height, width, target, px, py",
+    [
+        (1, 400, 2, _THIN_SEEDS, [0] * 28),
+        (400, 1, 28, [0] * 28, _THIN_SEEDS),
+        (1, 2, 2, [0, 0], [0, 0]),  # equal gradients: both seeds take the first pixel
+        (3, 1, 2, [0, 0], [0, 1]),  # the pixel off the image never wins
+    ],
+    ids=["1x400", "400x1", "1x2", "3x1"],
+)
+def test_seed_grid_on_thin_grids(height, width, target, px, py):
+    """The gradient is 0 along an axis of length 1, which the oracle cannot compute."""
+    depth = (np.arange(height * width) * 0.37 % 1.0).reshape(height, width)
+    feat, cpx, cpy = _seed_grid(depth, target)
+    assert cpx.tolist() == px and cpy.tolist() == py
+    assert np.array_equal(feat, depth[py, px])
+
+
 def _gains(state):
     e = np.array(state.energy_history)
     return (e[:-1] - e[1:]) / e[:-1]

@@ -31,6 +31,9 @@ from digcrowd.cli import main as cli_main
 from digcrowd.pipeline import Manifest, PipelineParams, bench_generate
 
 
+# a small scene that generates quickly, for specs that must fail on one field
+SMALL_DEFAULTS = {"shape": [160, 120], "n_people": 10, "horizon_y": 100.0}
+
 # each breaks the plain-file-name rule for scene ids in its own way
 BAD_SCENE_IDS = ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\x00b"]
 
@@ -126,9 +129,27 @@ class TestBenchGenerate:
               "count": 1}, "shape values must be integers, got [160.9, 120]"),
             ({"defaults": {"shape": [float("inf"), 120]}, "count": 1},
              "cannot convert float infinity to integer"),
+            ({"defaults": {**SMALL_DEFAULTS, "n_peeple": 50}, "count": 1},
+             "unexpected keyword argument 'n_peeple'"),
+            ({"defaults": SMALL_DEFAULTS, "scenes": [{"seed": True}]},
+             "seed must be an integer >= 0, got True"),
+            ({"defaults": {**SMALL_DEFAULTS, "horizon_y": True}, "count": 1},
+             "horizon_y must be a number, got True"),
+            ({"defaults": {**SMALL_DEFAULTS, "near_head_size": True}, "count": 1},
+             "near_head_size must be a number, got True"),
+            ({"defaults": {**SMALL_DEFAULTS, "far_head_size": True}, "count": 1},
+             "far_head_size must be a number, got True"),
+            ({"defaults": {**SMALL_DEFAULTS, "clustering_intensity": True}, "count": 1},
+             "clustering_intensity must be a number, got True"),
+            ({"defaults": {**SMALL_DEFAULTS, "exclusion_margin": False}, "count": 1},
+             "exclusion_margin must be a number, got False"),
+            ({"defaults": {**SMALL_DEFAULTS, "shape": [160, True]}, "count": 1},
+             "shape values must be integers, got [160, True]"),
         ],
         ids=["override-type", "default-value", "shape-empty", "seed-str", "seed-float",
-             "n_people-float", "n_people-bool", "shape-float", "shape-inf"],
+             "n_people-float", "n_people-bool", "shape-float", "shape-inf", "unknown-key",
+             "seed-bool", "horizon_y-bool", "near_head_size-bool", "far_head_size-bool",
+             "clustering_intensity-bool", "exclusion_margin-bool", "shape-bool"],
     )
     def test_wrong_field_type_is_a_scene_error(self, tmp_path, capsys, payload, reason):
         spec_path = tmp_path / "spec.json"
@@ -190,9 +211,14 @@ class TestBenchGenerate:
             ({"box_jitter": math.nan}, "box_jitter nan must be finite and >= 0"),
             ({"density_noise_sigma": math.nan}, "density_noise_sigma nan must be finite and >= 0"),
             ({"p_miss": 2}, "p_miss 2 outside [0, 1]"),
+            ({"p_miss": True}, "p_miss must be a number, got True"),
+            ({"fp_rate": False}, "fp_rate must be a number, got False"),
+            ({"box_jitter": True}, "box_jitter must be a number, got True"),
+            ({"density_noise_sigma": True}, "density_noise_sigma must be a number, got True"),
         ],
         ids=["fp_rate-inf", "fp_rate-nan", "box_jitter-nan", "density_noise_sigma-nan",
-             "p_miss-2"],
+             "p_miss-2", "p_miss-bool", "fp_rate-bool", "box_jitter-bool",
+             "density_noise_sigma-bool"],
     )
     def test_bad_noise_is_a_spec_error(self, tmp_path, capsys, noise, reason):
         spec_path = _write_spec(tmp_path / "spec.json", count=1, noise=noise)

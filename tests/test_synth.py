@@ -49,7 +49,7 @@ class TestGenerateScene:
         with pytest.raises(ConfigError):
             SynthSpec(n_people=0)
 
-    @pytest.mark.parametrize("seed", ["x", 1.5, -1, None])
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, None, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             SynthSpec(seed=seed)
@@ -179,6 +179,11 @@ class TestOraclePredictions:
         NoiseSpec(fp_rate=9.2e18)  # numpy's Poisson sampler takes means up to ~9.22e18
         with pytest.raises(ConfigError, match="numpy's largest Poisson mean"):
             NoiseSpec(fp_rate=9.3e18)
+
+    @pytest.mark.parametrize("name", ["p_miss", "fp_rate", "box_jitter", "density_noise_sigma"])
+    def test_noise_levels_refuse_bools(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got True$"):
+            NoiseSpec(**{name: True})
 
 
 class TestRunRecord:

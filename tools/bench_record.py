@@ -9,8 +9,10 @@ Each file is the saved output of one untraced ``perfbench/run.py`` run; its
 last line is the JSON result line. The i-th parent and the i-th change run
 form a pair, run back to back with alternating order. One record per side
 is appended: commit, workload, seed, ``scenes_per_s`` as median [q1, q3],
-the medians of ``scene_ms_p50``, ``setup_s``, ``peak_rss_mb``, ``mae`` and
-``mse``, and the pairs in which that side had the higher ``scenes_per_s``.
+the medians of the other eight end-to-end metrics (``scene_ms_p50``,
+``scene_ms_tail``, ``setup_s``, ``gen_scenes_per_s``, ``peak_rss_mb``,
+``mae``, ``mse`` and ``ok_frac``), and the pairs in which that side had the
+higher ``scenes_per_s``.
 A run that was not ``correct`` is refused, so a broken run never enters the
 trajectory.
 """
@@ -25,7 +27,8 @@ from pathlib import Path
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_evaluate.json"
 # recorded as the median of the runs
-MEDIANS = ("scene_ms_p50", "setup_s", "peak_rss_mb", "mae", "mse")
+MEDIANS = ("scene_ms_p50", "scene_ms_tail", "setup_s", "gen_scenes_per_s", "peak_rss_mb",
+           "mae", "mse", "ok_frac")
 
 
 def result_line(path: Path) -> dict:
