@@ -114,10 +114,14 @@ def _nearest_valid(x, y, valid):
 def deposit_gaussians(field, xs, ys, sigmas, trunc, valid):
     """Accumulate one exactly-unit-mass truncated Gaussian per head.
 
-    Head i's support reaches ``trunc * sigmas[i]`` from its center.
+    Head i's support reaches ``trunc * sigmas[i]`` from its center. The
+    residual goes to the support pixel nearest the head, the first in
+    row-major order on a tie. When the head's own pixel is in the support,
+    that pixel is at most 0.5**0.5 px away and every pixel outside the 3x3
+    block around it at least 1.5 px, so the block alone is searched.
     """
     height, width = field.shape
-    for x, y, sig in zip(xs, ys, sigmas):
+    for x, y, sig in zip(xs.tolist(), ys.tolist(), sigmas.tolist()):
         radius = trunc * sig
         r2 = radius * radius
         inv2s = 1.0 / (2.0 * sig * sig)
@@ -126,20 +130,30 @@ def deposit_gaussians(field, xs, ys, sigmas, trunc, valid):
             br, bc = _nearest_valid(x, y, valid)
             field[br, bc] += 1.0
             continue
-        dx = np.arange(c_lo, c_hi + 1, dtype=np.float64) + 0.5 - x
-        dy = np.arange(r_lo, r_hi + 1, dtype=np.float64) + 0.5 - y
-        d2 = dy[:, None] * dy[:, None] + dx[None, :] * dx[None, :]
-        ok = (d2 <= r2) & (valid[r_lo : r_hi + 1, c_lo : c_hi + 1] != 0)
-        if not ok.any():
+        dx = np.arange(c_lo + 0.5, c_hi + 1) - x  # pixel centers are exact
+        dy = np.arange(r_lo + 0.5, r_hi + 1) - y
+        d2 = np.add.outer(dy * dy, dx * dx)
+        ok = d2 <= r2
+        np.logical_and(ok, valid[r_lo : r_hi + 1, c_lo : c_hi + 1], out=ok)
+        row, col = int(y) - r_lo, int(x) - c_lo  # the head's own pixel
+        own = 0 <= row < ok.shape[0] and 0 <= col < ok.shape[1] and bool(ok[row, col])
+        if not (own or ok.any()):
             br, bc = _nearest_valid(x, y, valid)
             field[br, bc] += 1.0
             continue
-        w = np.where(ok, np.exp(-d2 * inv2s), 0.0)
-        s = float(w.sum())
-        quanta = np.floor(w / s * MASS_SCALE + 0.5)
-        total = int(quanta.sum())
-        nearest = int(np.argmin(np.where(ok, d2, np.inf)))
-        nr = r_lo + nearest // (c_hi - c_lo + 1)
-        nc = c_lo + nearest % (c_hi - c_lo + 1)
-        field[r_lo : r_hi + 1, c_lo : c_hi + 1] += quanta * MASS_QUANTUM
-        field[nr, nc] += (MASS_SCALE_INT - total) * MASS_QUANTUM
+        # Outside the support d2 becomes inf, so exp gives the 0 weight there
+        # and argmin never picks it. The weights are quantized in place.
+        np.copyto(d2, np.inf, where=~ok)
+        w = np.multiply(d2, -inv2s)
+        np.exp(w, out=w)
+        w /= float(w.sum())
+        w *= MASS_SCALE
+        w += 0.5
+        np.floor(w, out=w)
+        total = int(w.sum())
+        top, left = (max(row - 1, 0), max(col - 1, 0)) if own else (0, 0)
+        near = d2[top : row + 2, left : col + 2] if own else d2
+        nr, nc = divmod(int(np.argmin(near)), near.shape[1])
+        w *= MASS_QUANTUM
+        field[r_lo : r_hi + 1, c_lo : c_hi + 1] += w
+        field[r_lo + top + nr, c_lo + left + nc] += (MASS_SCALE_INT - total) * MASS_QUANTUM

@@ -136,9 +136,9 @@ def rasterize_density(
         raise ConfigError("head positions must lie inside the grid")
     field = np.zeros((height, width), dtype=np.float64)
     if support_mask is None:
-        valid = np.ones((height, width), dtype=np.uint8)
+        valid = np.ones((height, width), dtype=bool)
     else:
-        valid = np.ascontiguousarray(np.asarray(support_mask, dtype=bool).astype(np.uint8))
+        valid = np.ascontiguousarray(support_mask, dtype=bool)
         if valid.shape != (height, width):
             raise ConfigError("support mask does not match the grid shape")
     try:

@@ -100,6 +100,18 @@ def _payload_f32(data, offset: int, count: int, path) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", offset=offset)
 
 
+def _write_raster(path, header: bytes, values: np.ndarray) -> None:
+    """``header``, then ``values`` as little-endian float32, to one open file.
+
+    The payload is written straight from the converted array: no bytes
+    copy and no header + payload concatenation.
+    """
+    payload = np.ascontiguousarray(values, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload.data)
+
+
 def _header_shape(width: int, height: int, path) -> GridShape:
     """The grid a raster header declares; one below 1x1 is a ``FormatError``."""
     try:
@@ -112,7 +124,7 @@ def _header_shape(width: int, height: int, path) -> GridShape:
 
 def write_depth_digd(path, depth: DepthMap) -> None:
     header = struct.pack("<4sIII", DIGD_MAGIC, depth.shape.width, depth.shape.height, 0)
-    Path(path).write_bytes(header + depth.values.astype("<f4").tobytes())
+    _write_raster(path, header, depth.values)
 
 
 def _depth_digd(data, path) -> DepthMap:
@@ -190,7 +202,7 @@ def write_prediction_tensor(path, pred: GridPrediction) -> None:
         pred.shape.width,
         pred.shape.height,
     )
-    Path(path).write_bytes(header + pred.values.astype("<f4").tobytes())
+    _write_raster(path, header, pred.values)
 
 
 def read_prediction_tensor(path) -> GridPrediction:
@@ -213,7 +225,7 @@ def write_density_field(path, field: DensityField) -> None:
     header = struct.pack(
         "<4sIIQ", DIGF_MAGIC, field.shape.width, field.shape.height, 0
     )
-    Path(path).write_bytes(header + field.values.astype("<f4").tobytes())
+    _write_raster(path, header, field.values)
 
 
 def read_density_field(path) -> DensityField:
@@ -250,7 +262,7 @@ def read_density_field(path) -> DensityField:
 # -- text detections --------------------------------------------------------
 
 def write_detections_text(path, dets: DetectionSet) -> None:
-    lines = [" ".join(repr(v) for v in row) for row in dets.rows.tolist()]
+    lines = ["%r %r %r %r %r" % tuple(row) for row in dets.rows.tolist()]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -307,12 +319,33 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _check_annotations(heads: np.ndarray, count: float) -> None:
+    """The rule an annotation file keeps, for the writer and the reader alike.
+
+    Head coordinates are finite, the count is finite and non-negative, and
+    with heads listed the count equals their number. ``ConfigError`` if not.
+    """
+    if not np.isfinite(heads).all():
+        raise ConfigError("head coordinates must be finite")
+    if not (math.isfinite(count) and count >= 0.0):
+        raise ConfigError(f"count must be finite and >= 0, got {count}")
+    if len(heads) and count != len(heads):
+        raise ConfigError(f"count {count} != {len(heads)} heads")
+
+
 def write_annotations(path, heads: np.ndarray, count: float) -> None:
-    payload = {
-        "heads": [{"x": x, "y": y} for x, y in check_heads(heads).tolist()],
-        "count": count,
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    """Heads and count in the layout of ``json.dumps(payload, indent=1)``.
+
+    The text is formatted directly (floats by ``repr``, as ``json`` writes
+    them), since ``indent`` sends ``json`` to its pure-Python encoder. A
+    count that is not a JSON number is a ``TypeError``; heads and count that
+    ``read_annotations`` would reject are a ``ConfigError``.
+    """
+    heads = check_heads(heads)
+    _check_annotations(heads, _json_number(count, "count"))
+    rows = ",\n".join(f'  {{\n   "x": {x!r},\n   "y": {y!r}\n  }}' for x, y in heads.tolist())
+    listing = f"[\n{rows}\n ]" if rows else "[]"
+    Path(path).write_text(f'{{\n "heads": {listing},\n "count": {json.dumps(count)}\n}}')
 
 
 def read_annotations(path) -> tuple[np.ndarray, float]:
@@ -331,12 +364,10 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
         count = _json_number(payload["count"], "count")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad annotation file: {exc}") from exc
-    if not np.isfinite(heads).all():
-        raise FormatError(f"{path}: head coordinates must be finite")
-    if not (math.isfinite(count) and count >= 0.0):
-        raise FormatError(f"{path}: count must be finite and >= 0, got {count}")
-    if len(heads) and count != len(heads):
-        raise FormatError(f"{path}: count {count} != {len(heads)} heads")
+    try:
+        _check_annotations(heads, count)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return heads, count
 
 

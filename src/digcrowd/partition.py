@@ -142,7 +142,7 @@ def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, 
     to the first pixel in row-major patch order.
     """
     height, width = depth.shape
-    nx = int(np.clip(round(np.sqrt(target * width / height)), 1, width))
+    nx = int(np.clip(round(np.sqrt(target * width / height)), 1, min(width, target)))
     ny = int(np.clip(round(target / nx), 1, height))
     cx = np.tile(np.rint((np.arange(nx) + 0.5) * width / nx - 0.5).astype(np.intp), ny)
     cy = np.repeat(np.rint((np.arange(ny) + 0.5) * height / ny - 0.5).astype(np.intp), nx)

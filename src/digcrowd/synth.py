@@ -143,7 +143,8 @@ def _build_depth(spec: SynthSpec, rng: np.random.Generator) -> DepthMap:
         freq = rng.uniform(1.0, 3.0)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         ripple += rng.uniform(0.005, 0.02) * np.sin(2.0 * math.pi * freq * xs + phase)
-    values = np.clip(base + ripple[None, :], 0.0, 1.0)
+    values = base + ripple[None, :]
+    np.clip(values, 0.0, 1.0, out=values)
     values.flags.writeable = False
     return DepthMap(spec.shape, values)
 
@@ -175,6 +176,21 @@ def head_size_at(spec: SynthSpec, depth_value: float) -> float:
     return spec.far_head_size + (spec.near_head_size - spec.far_head_size) * (
         1.0 - depth_value
     )
+
+
+def _clashes(cells, key: int, block, x: float, y: float, size: float) -> bool:
+    """Whether a head in the cells ``key + block`` is too close to (x, y).
+
+    The test is ``np.hypot(dx, dy) < SPACING_FACTOR * min(sizes)``; an axis
+    distance at or above the clearance already rules a clash out.
+    """
+    for offset in block:
+        for px, py, ps in cells.get(key + offset, ()):
+            min_sep = SPACING_FACTOR * min(ps, size)
+            dx, dy = px - x, py - y
+            if abs(dx) < min_sep and abs(dy) < min_sep and np.hypot(dx, dy) < min_sep:
+                return True
+    return False
 
 
 def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
@@ -210,7 +226,17 @@ def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
         )
 
     placed = np.empty((spec.n_people, 2), dtype=np.float64)
-    sizes = np.empty(spec.n_people, dtype=np.float64)
+    # Accepted heads as (x, y, size), bucketed by cells at least as wide as
+    # the clearance any head keeps (sizes never exceed near_head_size; the
+    # 1e-9 covers rounding in x / cell). A head outside the 3x3 cells around
+    # a candidate is a cell or more away along one axis, and hypot is never
+    # below either axis distance, so only those 9 cells can hold a clash.
+    # Cell (ix, iy) has key ix * stride + iy; iy is at most height // cell,
+    # so the keys of iy - 1 to iy + 1 never reach another column's cells.
+    cell = SPACING_FACTOR * spec.near_head_size * (1.0 + 1e-9)
+    stride = int(height // cell) + 3
+    block = [jx * stride + jy for jx in (-1, 0, 1) for jy in (-1, 0, 1)]
+    cells: dict[int, list[tuple[float, float, float]]] = {}
     count = 0
     attempts = 0
     max_attempts = max(2000, 600 * spec.n_people)
@@ -219,23 +245,22 @@ def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
         attempts += 1
         if centers is not None and rng.random() < p_cluster:
             cx, cy = centers[int(rng.integers(len(centers)))]
-            x = cx + rng.normal(0.0, spread)
-            y = cy + rng.normal(0.0, spread)
+            x = float(cx + rng.normal(0.0, spread))
+            y = float(cy + rng.normal(0.0, spread))
             if not (0.0 <= x < width and far_top <= y <= far_bottom):
                 continue
         else:
-            x = rng.uniform(0.0, width)
-            y = rng.uniform(0.0, height)
+            # rng.uniform(0.0, w) draws the same double, at several times the cost
+            x = width * rng.random()
+            y = height * rng.random()
         if abs(y - split_y) < spec.exclusion_margin:
             continue
         size = head_size_at(spec, float(depth.values[int(y), int(x)]))
-        if count:
-            d = np.hypot(placed[:count, 0] - x, placed[:count, 1] - y)
-            min_sep = SPACING_FACTOR * np.minimum(sizes[:count], size)
-            if (d < min_sep).any():
-                continue
+        key = int(x // cell) * stride + int(y // cell)
+        if _clashes(cells, key, block, x, y, size):
+            continue
+        cells.setdefault(key, []).append((x, y, size))
         placed[count] = (x, y)
-        sizes[count] = size
         count += 1
     if count < spec.n_people:
         raise SynthError(

@@ -51,7 +51,7 @@ def assign_windows_reference(depth, feat, cpx, cpy, ratio2, win, best_d2, best_i
 
 def seed_grid_reference(depth, target):
     height, width = depth.shape
-    nx = int(np.clip(round(np.sqrt(target * width / height)), 1, width))
+    nx = int(np.clip(round(np.sqrt(target * width / height)), 1, min(width, target)))
     ny = int(np.clip(round(target / nx), 1, height))
     if nx * ny < 2:
         if height >= 2:

@@ -43,12 +43,26 @@ def test_appends_one_record_per_side(tmp_path):
         7.0, 0.5, 100.0, 1)
     assert (p["mae"], p["mse"]) == (2.5, 2.0)  # the median of four runs
     assert (p["scene_ms_tail"], p["gen_scenes_per_s"], p["ok_frac"]) == (8.5, 20.0, 1.0)
+    assert p["gen_pairs_won"] == 2  # 20 > 18 and 20 > 10; 20 < 22 and 20 < 30
     assert c["scenes_per_s"]["median"] == 127.5
     assert (c["commit"], c["scene_ms_p50"], c["peak_rss_mb"], c["pairs_won"]) == (
         "bbb", 5.0, 99.0, 2)  # the tied fourth pair counts for neither side
     assert c["setup_s"] == 0.25  # the median of four runs
     assert (c["mae"], c["mse"]) == (1.0, 1.5)
     assert (c["scene_ms_tail"], c["gen_scenes_per_s"], c["ok_frac"]) == (6.0, 20.0, 1.0)
+    assert c["gen_pairs_won"] == 2
+
+
+def test_gen_pairs_won_counts_ties_for_neither_side(tmp_path):
+    parent = [_run(tmp_path / f"p{i}", 100.0, gen=g) for i, g in enumerate([14.0, 15.0, 16.0])]
+    change = [_run(tmp_path / f"c{i}", 100.0, gen=g) for i, g in enumerate([21.0, 15.0, 13.0])]
+    out = tmp_path / "BENCH_evaluate.json"
+    argv = ["--workload", "near_tensor", "--seed", "1", "--parent-commit", "a",
+            "--change-commit", "b", "--out", str(out), "--parent", *parent, "--change", *change]
+    assert bench_record.main(argv) == 0
+    p, c = json.loads(out.read_text())
+    assert (p["pairs_won"], c["pairs_won"]) == (0, 0)  # every scenes_per_s pair tied
+    assert (p["gen_pairs_won"], c["gen_pairs_won"]) == (1, 1)
 
 
 @pytest.mark.parametrize("bad", ["incorrect", "unpaired"])

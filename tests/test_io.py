@@ -446,6 +446,45 @@ class TestAnnotationAndConfig:
         assert not back_heads.flags.writeable
         assert count == 2.0
 
+    @pytest.mark.parametrize(
+        "heads, count, message",
+        [
+            ([[1.0, np.nan]], 1.0, "head coordinates must be finite"),
+            ([[np.inf, 2.0]], 1.0, "head coordinates must be finite"),
+            ([[1.0, 2.0]], np.nan, "count must be finite and >= 0, got nan"),
+            ([], np.inf, "count must be finite and >= 0, got inf"),
+            ([], -1.0, "count must be finite and >= 0, got -1.0"),
+            ([[1.0, 2.0], [3.0, 4.0]], 3.0, "count 3.0 != 2 heads"),
+        ],
+        ids=["nan-head", "inf-head", "nan-count", "inf-count", "negative-count", "count-mismatch"],
+    )
+    def test_write_annotations_refuses_what_the_reader_rejects(self, tmp_path, heads, count,
+                                                               message):
+        path = tmp_path / "ann.json"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            write_annotations(path, np.array(heads, dtype=np.float64).reshape(-1, 2), count)
+        assert not path.exists()
+        # the same content, written by hand, is what read_annotations refuses
+        path.write_text(json.dumps({"heads": [{"x": x, "y": y} for x, y in heads],
+                                    "count": count}))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            read_annotations(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        heads=st.lists(st.tuples(*[st.floats(0.0, 1e4, allow_subnormal=True)] * 2), max_size=8),
+        as_int=st.booleans(),
+        spare=st.one_of(st.integers(0, 50), st.floats(0.0, 1e3)),
+    )
+    def test_annotations_text_is_the_indented_json_layout(self, tmp_path_factory, heads,
+                                                          as_int, spare):
+        count = (len(heads) if as_int else float(len(heads))) if heads else spare
+        path = tmp_path_factory.mktemp("ann") / "ann.json"
+        write_annotations(path, np.array(heads, dtype=np.float64).reshape(-1, 2), count)
+        want = json.dumps({"heads": [{"x": x, "y": y} for x, y in heads], "count": count},
+                          indent=1)
+        assert path.read_text() == want
+
     def test_annotations_count_mismatch(self, tmp_path):
         path = tmp_path / "ann.json"
         path.write_text('{"heads": [{"x": 1, "y": 2}], "count": 5}')

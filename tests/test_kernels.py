@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from density_reference import deposit_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from digcrowd._kernels import ASSIGN_BLOCK, MASS_QUANTUM, assign_windows, deposit_gaussians
+from digcrowd.density import DEFAULT_SIGMA_FLOOR
 
 
 def _assign_oracle(depth, feat, cpx, cpy, ratio2, win, start=None):
@@ -213,3 +217,68 @@ class TestDepositGaussiansOracle:
         deposit_gaussians(field, np.array([x]), np.array([y]), np.array([sigma]), trunc, valid)
         assert field.sum() == 1.0
         assert field[cell] == 1.0
+
+
+@st.composite
+def _deposit_cases(draw):
+    """A small grid, a support mask and heads that stress the residual's pixel.
+
+    Coordinates are often integers or half-integers, where pixel centers tie
+    for the nearest; masks may cut each head's own pixel; sigmas reach down
+    to the floor and below, where the disc can hold no pixel center at all.
+    """
+    height = draw(st.integers(1, 14))
+    width = draw(st.integers(1, 14))
+
+    def coord(size):
+        return st.one_of(
+            st.integers(0, size - 1).map(float),
+            st.integers(0, 2 * size - 1).map(lambda k: k / 2.0),
+            st.floats(0.0, size, exclude_max=True, allow_subnormal=False),
+        )
+
+    n = draw(st.integers(1, 6))
+    xs = draw(st.lists(coord(width), min_size=n, max_size=n))
+    ys = draw(st.lists(coord(height), min_size=n, max_size=n))
+    sigmas = draw(st.lists(st.one_of(st.just(DEFAULT_SIGMA_FLOOR), st.floats(0.05, 6.0)),
+                           min_size=n, max_size=n))
+    trunc = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = rng.random((height, width)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    if draw(st.booleans()):  # cut every head's own pixel out of the support
+        valid[np.asarray(ys, dtype=int), np.asarray(xs, dtype=int)] = False
+    valid.flat[draw(st.integers(0, height * width - 1))] = True  # never empty
+    dtype = draw(st.sampled_from([np.uint8, np.bool_]))
+    return np.array(xs), np.array(ys), np.array(sigmas), trunc, valid.astype(dtype)
+
+
+def _ones(height, width, cut=None):
+    valid = np.ones((height, width), dtype=np.uint8)
+    if cut is not None:
+        valid[cut] = 0
+    return valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_deposit_cases())
+# own pixel cut from the support: four neighbours tie; with the whole 3x3
+# block cut the nearest pixel lies outside it
+@example((np.array([2.5]), np.array([2.5]), np.array([2.0]), 3.0, _ones(6, 6, (2, 2))))
+@example((np.array([2.5]), np.array([2.5]), np.array([2.0]), 3.0,
+          _ones(6, 6, (slice(1, 4), slice(1, 4)))))
+# integer coordinates: four pixel centers tie, the row-major first wins
+@example((np.array([3.0, 0.0, 5.0]), np.array([2.0, 0.0, 4.0]), np.array([1.0, 1.0, 1.0]), 3.0,
+          _ones(5, 6)))
+# windows clipped at every edge of a 3x3 grid
+@example((np.array([0.2, 2.9, 1.5]), np.array([0.1, 2.95, 1.5]), np.array([4.0, 4.0, 6.0]), 3.0,
+          _ones(3, 3)))
+# empty disc (sigma 0.05 off every pixel center) and a disc with no valid pixel
+@example((np.array([3.0, 6.5]), np.array([3.0, 6.5]), np.array([0.05, 1.0]), 1.0,
+          np.pad(np.ones((2, 2), dtype=np.uint8), ((0, 6), (0, 6)))))
+def test_deposit_matches_reference_bits(case):
+    xs, ys, sigmas, trunc, valid = case
+    field = np.zeros(valid.shape)
+    want = np.zeros(valid.shape)
+    deposit_gaussians(field, xs, ys, sigmas, trunc, valid)
+    deposit_reference(want, xs, ys, sigmas, trunc, valid)
+    assert np.array_equal(field.view(np.uint64), want.view(np.uint64))

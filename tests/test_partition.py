@@ -154,7 +154,7 @@ _THIN_SEEDS = [8, 21, 35, 49, 64, 78, 91, 108, 121, 135, 149, 163, 178, 191,
 @pytest.mark.parametrize(
     "height, width, target, px, py",
     [
-        (1, 400, 2, _THIN_SEEDS, [0] * 28),
+        (1, 400, 2, [99, 300], [0, 0]),  # at most `target` columns, nudged off 100 and 300
         (400, 1, 28, [0] * 28, _THIN_SEEDS),
         (1, 2, 2, [0, 0], [0, 0]),  # equal gradients: both seeds take the first pixel
         (3, 1, 2, [0, 0], [0, 1]),  # the pixel off the image never wins
@@ -167,6 +167,13 @@ def test_seed_grid_on_thin_grids(height, width, target, px, py):
     feat, cpx, cpy = _seed_grid(depth, target)
     assert cpx.tolist() == px and cpy.tolist() == py
     assert np.array_equal(feat, depth[py, px])
+
+
+@pytest.mark.parametrize("width, height", [(4, 1), (1, 4), (400, 1)])
+def test_thin_grids_get_at_most_the_target_clusters(width, height):
+    depth = DepthMap(GridShape(width, height),
+                     (np.arange(width * height) * 0.37 % 1.0).reshape(height, width))
+    assert len(cluster_depth(depth, target_cluster_count=2).feature) <= 2
 
 
 def _gains(state):

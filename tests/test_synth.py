@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sstats
+from synth_reference import heads_reference
 
 from digcrowd import (
     ConfigError,
@@ -100,6 +101,43 @@ class TestGenerateScene:
             far = sum(1 for _, y in rec.heads if y < 100.0)
             far_frac.append(far / len(rec.heads))
         assert far_frac[1] > far_frac[0]
+
+
+_PLACEMENT_SPECS = {
+    "uniform": SynthSpec(shape=GridShape(1080, 720), n_people=600, horizon_y=600.0, seed=1001),
+    "clustered": SynthSpec(shape=GridShape(320, 240), n_people=150, horizon_y=200.0,
+                           near_head_size=24.0, far_head_size=6.0,
+                           clustering_intensity=1.5, seed=4),
+    "clustered-no-margin": SynthSpec(shape=GridShape(400, 300), n_people=200, horizon_y=260.0,
+                                     clustering_intensity=3.0, exclusion_margin=0.0, seed=5),
+    "near-just-above-far": SynthSpec(shape=GridShape(400, 300), n_people=300, horizon_y=260.0,
+                                     near_head_size=10.01, far_head_size=10.0, seed=6),
+    "frame-64x48": SynthSpec(shape=GridShape(64, 48), n_people=20, horizon_y=40.0,
+                             near_head_size=8.0, far_head_size=3.0, seed=7),
+    "frame-64x48-clustered": SynthSpec(shape=GridShape(64, 48), n_people=12, horizon_y=48.0,
+                                       near_head_size=5.0, far_head_size=2.0,
+                                       clustering_intensity=0.5, exclusion_margin=0.0, seed=8),
+    "2000-heads": SynthSpec(shape=GridShape(1080, 720), n_people=2000, horizon_y=600.0, seed=40),
+}
+
+
+class TestPlacementMatchesReference:
+    """The cell-bucketed spacing check places the O(n) loop's heads, bit for bit."""
+
+    @pytest.mark.parametrize("spec", _PLACEMENT_SPECS.values(), ids=_PLACEMENT_SPECS.keys())
+    def test_same_heads(self, spec):
+        heads = generate_scene(spec).heads
+        assert heads.tobytes() == heads_reference(spec).tobytes()
+
+    def test_same_capacity_error(self):
+        spec = SynthSpec(shape=GridShape(40, 40), n_people=150, horizon_y=30.0,
+                         near_head_size=12.0, far_head_size=6.0, seed=1)
+        with pytest.raises(SynthError) as want:
+            heads_reference(spec)
+        with pytest.raises(SynthError) as got:
+            generate_scene(spec)
+        assert str(got.value) == str(want.value)
+        assert "could only place" in str(got.value)
 
 
 class TestStepDepth:

@@ -12,7 +12,8 @@ is appended: commit, workload, seed, ``scenes_per_s`` as median [q1, q3],
 the medians of the other eight end-to-end metrics (``scene_ms_p50``,
 ``scene_ms_tail``, ``setup_s``, ``gen_scenes_per_s``, ``peak_rss_mb``,
 ``mae``, ``mse`` and ``ok_frac``), and the pairs in which that side had the
-higher ``scenes_per_s``.
+higher ``scenes_per_s`` (``pairs_won``) and the higher ``gen_scenes_per_s``
+(``gen_pairs_won``).
 A run that was not ``correct`` is refused, so a broken run never enters the
 trajectory.
 """
@@ -54,13 +55,19 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _pairs_won(parent: list[dict], change: list[dict], name: str) -> dict[str, int]:
+    """Per side, the pairs in which it had the higher ``name``; a tie counts for neither."""
+    pairs = [(p[name], c[name]) for p, c in zip(parent, change)]
+    return {"parent": sum(p > c for p, c in pairs), "change": sum(c > p for p, c in pairs)}
+
+
 def records(workload: str, seed: int, parent: tuple[str, list[dict]],
             change: tuple[str, list[dict]]) -> list[dict]:
     """The parent and the change record; each side is (commit, runs in pair order)."""
     if len(parent[1]) != len(change[1]):
         raise ValueError(f"{len(parent[1])} parent runs but {len(change[1])} change runs")
-    pairs = [(p["scenes_per_s"], c["scenes_per_s"]) for p, c in zip(parent[1], change[1])]
-    won = {"parent": sum(p > c for p, c in pairs), "change": sum(c > p for p, c in pairs)}
+    won = {name: _pairs_won(parent[1], change[1], name)
+           for name in ("scenes_per_s", "gen_scenes_per_s")}
     return [
         {
             "commit": commit,
@@ -70,7 +77,8 @@ def records(workload: str, seed: int, parent: tuple[str, list[dict]],
             "runs": len(runs),
             "scenes_per_s": quartiles([r["scenes_per_s"] for r in runs]),
             **{name: statistics.median(r[name] for r in runs) for name in MEDIANS},
-            "pairs_won": won[side],
+            "pairs_won": won["scenes_per_s"][side],
+            "gen_pairs_won": won["gen_scenes_per_s"][side],
         }
         for side, (commit, runs) in (("parent", parent), ("change", change))
     ]
@@ -102,7 +110,8 @@ def main(argv=None) -> int:
         print(f"{rec['side']} {rec['commit']}: {rate['median']:.2f} "
               f"[{rate['q1']:.2f}, {rate['q3']:.2f}] scenes/s, setup {rec['setup_s']:.3f} s, "
               f"MAE {rec['mae']:.4g}, MSE {rec['mse']:.4g}, "
-              f"{rec['pairs_won']} of {rec['runs']} pairs won")
+              f"{rec['pairs_won']} of {rec['runs']} pairs won, "
+              f"gen {rec['gen_scenes_per_s']:.2f} scenes/s, {rec['gen_pairs_won']} won")
     return 0
 
 
