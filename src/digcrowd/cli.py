@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-gen", help="generate a synthetic benchmark directory")
     p.add_argument("--spec", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0, help="offset added to every scene seed")
 
     p = sub.add_parser("render", help="render a depth/density file as 8-bit PGM")
     p.add_argument("--input", required=True)
@@ -170,7 +169,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench_gen(args) -> int:
-    manifest_path, errors = bench_generate(args.spec, args.out_dir, seed_offset=args.seed)
+    manifest_path, errors = bench_generate(args.spec, args.out_dir)
     print(json.dumps({"manifest": str(manifest_path), "errors": errors}))
     return 0 if not errors else 1
 

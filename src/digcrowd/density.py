@@ -6,16 +6,24 @@ distance), so kernels shrink where the crowd is tight. Kernels are
 renormalized over their surviving support -- truncation window, image
 border, optional region mask -- so every person carries unit mass and
 integrals count people.
+
+Deposition quantizes the normalized kernel weights onto multiples of
+2**-40 and pushes the rounding residual onto the pixel nearest the head.
+Every head therefore deposits a total mass of exactly 1.0, and because all
+pixel values are dyadic rationals on that lattice, float64 sums over any
+pixel subset are exact and independent of summation order (totals stay far
+below the 2**13 bound where 53-bit significands would start dropping
+quanta).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DigCrowdError
 from .scene import GridShape, RegionMask, _checked_raster, check_heads
 
@@ -34,6 +42,11 @@ DEFAULT_TRUNCATION_RADIUS = 3.0
 KNN_K = 3
 BETA = 0.3
 KNN_BLOCK = 256  # heads per block of the neighbour search, so memory stays O(block * n)
+
+MASS_QUANTUM_BITS = 40
+MASS_SCALE = float(2**MASS_QUANTUM_BITS)
+MASS_SCALE_INT = 2**MASS_QUANTUM_BITS
+MASS_QUANTUM = 1.0 / MASS_SCALE
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +119,70 @@ def adaptive_sigma(
     return np.where(np.isfinite(means), np.maximum(beta * means, sigma_floor), sigma_floor)
 
 
+def _window_bounds(x, y, radius, width, height):
+    c_lo = max(0, int(math.ceil(x - radius - 0.5)))
+    c_hi = min(width - 1, int(math.floor(x + radius - 0.5)))
+    r_lo = max(0, int(math.ceil(y - radius - 0.5)))
+    r_hi = min(height - 1, int(math.floor(y + radius - 0.5)))
+    return c_lo, c_hi, r_lo, r_hi
+
+
+def _nearest_valid(x, y, valid):
+    height, width = valid.shape
+    cols = np.arange(width, dtype=np.float64) + 0.5 - x
+    rows = np.arange(height, dtype=np.float64) + 0.5 - y
+    d2 = rows[:, None] ** 2 + cols[None, :] ** 2
+    d2 = np.where(valid != 0, d2, np.inf)
+    flat = int(np.argmin(d2))
+    if not np.isfinite(d2.flat[flat]):
+        raise ConfigError("density support mask has no valid pixels")
+    return flat // width, flat % width
+
+
+def _deposit_gaussians(field, xs, ys, sigmas, trunc, valid):
+    """Accumulate one exactly-unit-mass truncated Gaussian per head.
+
+    Head i's support reaches ``trunc * sigmas[i]`` from its center. The
+    residual goes to the support pixel nearest the head, the first in
+    row-major order on a tie. When the head's own pixel is in the support,
+    that pixel is at most 0.5**0.5 px away and every pixel outside the 3x3
+    block around it at least 1.5 px, so the block alone is searched.
+    """
+    height, width = field.shape
+    for x, y, sig in zip(xs.tolist(), ys.tolist(), sigmas.tolist()):
+        radius = trunc * sig
+        r2 = radius * radius
+        inv2s = 1.0 / (2.0 * sig * sig)
+        c_lo, c_hi, r_lo, r_hi = _window_bounds(x, y, radius, width, height)
+        dx = np.arange(c_lo + 0.5, c_hi + 1) - x  # pixel centers are exact
+        dy = np.arange(r_lo + 0.5, r_hi + 1) - y
+        d2 = np.add.outer(dy * dy, dx * dx)
+        ok = d2 <= r2
+        np.logical_and(ok, valid[r_lo : r_hi + 1, c_lo : c_hi + 1], out=ok)
+        row, col = int(y) - r_lo, int(x) - c_lo  # the head's own pixel
+        own = 0 <= row < ok.shape[0] and 0 <= col < ok.shape[1] and bool(ok[row, col])
+        if not (own or ok.any()):
+            br, bc = _nearest_valid(x, y, valid)
+            field[br, bc] += 1.0
+            continue
+        # Outside the support d2 becomes inf, so exp gives the 0 weight there
+        # and argmin never picks it. The weights are quantized in place.
+        np.copyto(d2, np.inf, where=~ok)
+        w = np.multiply(d2, -inv2s)
+        np.exp(w, out=w)
+        w /= float(w.sum())
+        w *= MASS_SCALE
+        w += 0.5
+        np.floor(w, out=w)
+        total = int(w.sum())
+        top, left = (max(row - 1, 0), max(col - 1, 0)) if own else (0, 0)
+        near = d2[top : row + 2, left : col + 2] if own else d2
+        nr, nc = divmod(int(np.argmin(near)), near.shape[1])
+        w *= MASS_QUANTUM
+        field[r_lo : r_hi + 1, c_lo : c_hi + 1] += w
+        field[r_lo + top + nr, c_lo + left + nc] += (MASS_SCALE_INT - total) * MASS_QUANTUM
+
+
 def rasterize_density(
     heads: np.ndarray,
     sigmas: np.ndarray,
@@ -141,17 +218,7 @@ def rasterize_density(
         valid = np.ascontiguousarray(support_mask, dtype=bool)
         if valid.shape != (height, width):
             raise ConfigError("support mask does not match the grid shape")
-    try:
-        _kernels.deposit_gaussians(
-            field,
-            np.ascontiguousarray(pts[:, 0]),
-            np.ascontiguousarray(pts[:, 1]),
-            sigmas,
-            float(truncation_radius),
-            valid,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _deposit_gaussians(field, pts[:, 0], pts[:, 1], sigmas, float(truncation_radius), valid)
     field.flags.writeable = False
     return DensityField(shape, field)
 

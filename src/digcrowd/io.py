@@ -33,7 +33,6 @@ of being trimmed and faulted in again.
 from __future__ import annotations
 
 import json
-import math
 import mmap
 import os
 import struct
@@ -49,6 +48,7 @@ from .scene import (
     GridShape,
     Polyline,
     SceneConfig,
+    _check_annotations,
     check_heads,
     check_scene_id,
 )
@@ -128,7 +128,7 @@ def write_depth_digd(path, depth: DepthMap) -> None:
 
 
 def _depth_digd(data, path) -> DepthMap:
-    if len(data) < 16 or data[:4] != DIGD_MAGIC:
+    if len(data) < 16:
         raise FormatError(f"{path}: not a DIGD depth file")
     _, width, height, _ = struct.unpack("<4sIII", data[:16])
     shape = _header_shape(width, height, path)
@@ -147,8 +147,6 @@ def write_depth_pgm16(path, depth: DepthMap) -> None:
 
 
 def _depth_pgm16(data, path) -> DepthMap:
-    if data[:2] != b"P5":
-        raise FormatError(f"{path}: not a binary PGM file")
     fields: list[bytes] = []
     pos = 2
     while len(fields) < 3 and pos < len(data):
@@ -317,20 +315,6 @@ def _json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} must be a number, got {value!r}")
     return float(value)
-
-
-def _check_annotations(heads: np.ndarray, count: float) -> None:
-    """The rule an annotation file keeps, for the writer and the reader alike.
-
-    Head coordinates are finite, the count is finite and non-negative, and
-    with heads listed the count equals their number. ``ConfigError`` if not.
-    """
-    if not np.isfinite(heads).all():
-        raise ConfigError("head coordinates must be finite")
-    if not (math.isfinite(count) and count >= 0.0):
-        raise ConfigError(f"count must be finite and >= 0, got {count}")
-    if len(heads) and count != len(heads):
-        raise ConfigError(f"count {count} != {len(heads)} heads")
 
 
 def write_annotations(path, heads: np.ndarray, count: float) -> None:

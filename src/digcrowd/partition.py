@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DigCrowdError, PartitionError
 from .scene import (
     DepthMap,
@@ -49,6 +48,7 @@ __all__ = [
 CENTER_RESIDUAL_TOL = 1e-4
 ENERGY_RTOL = 5e-3  # stop once an iteration lowers the energy by at most this share
 COARSE_STEP = 6  # coarse pixels per full-resolution superpixel step
+ASSIGN_BLOCK = 32  # centers whose windows are built together
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +157,67 @@ def _seed_grid(depth: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, 
     return depth[py, px], px.astype(np.float64), py.astype(np.float64)
 
 
+def _assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
+    """Update (best_d2, best_id) in place with every center's 2*win window.
+
+    One pass of windowed minimum-distance labeling, with
+    D^2 = (depth - feature)^2 + ratio2 * (dx^2 + dy^2); centers are visited
+    in id order and strict < keeps the smallest cluster id on exact ties.
+
+    Windows are built ``ASSIGN_BLOCK`` centers at a time: one gather from
+    the depth map gives a (block, side, side) stack, with row and column
+    indices clipped at the image edge, and D^2 is the formula above,
+    operation for operation. Each window is then merged in id order with
+    masked copies; the clipped cells lie outside the part that is merged.
+    A block's temporaries are about 58 KB on a 120x80 grid and none is kept;
+    a whole pass peaks at about 0.6 MB there, 1.6 MB on 270x180.
+    """
+    height, width = depth.shape
+    side = int(2.0 * win) + 3  # ceil(c + win) - floor(c - win) + 1 never exceeds it
+    c0 = np.floor(cpx - win)
+    r0 = np.floor(cpy - win)
+    c_lo = np.maximum(c0, 0.0)
+    r_lo = np.maximum(r0, 0.0)
+    c_hi = np.minimum(np.ceil(cpx + win), width - 1.0)
+    r_hi = np.minimum(np.ceil(cpy + win), height - 1.0)
+    live = np.flatnonzero((c_lo <= c_hi) & (r_lo <= r_hi))
+    if live.size == 0:
+        return
+    # A live window starts at most side - 1 cells before the image, so its
+    # start is a small integer.
+    c0, r0 = c0[live], r0[live]
+    steps = np.arange(side, dtype=np.float64)
+    cols = c0[:, None] + steps
+    rows = r0[:, None] + steps
+    col_idx = np.clip(cols, 0, width - 1).astype(np.intp)
+    row_idx = np.clip(rows, 0, height - 1).astype(np.intp) * width
+    dx2 = (cols - cpx[live, None]) ** 2
+    dy2 = (rows - cpy[live, None]) ** 2
+    f = feat[live]
+    flat = depth.ravel()
+    bounds = list(zip(
+        live.tolist(),
+        r_lo[live].astype(np.intp).tolist(),
+        (r_hi[live] + 1).astype(np.intp).tolist(),
+        c_lo[live].astype(np.intp).tolist(),
+        (c_hi[live] + 1).astype(np.intp).tolist(),
+        r0.astype(np.intp).tolist(),
+        c0.astype(np.intp).tolist(),
+    ))
+
+    for start in range(0, live.size, ASSIGN_BLOCK):
+        part = slice(start, start + ASSIGN_BLOCK)
+        idx = row_idx[part, :, None] + col_idx[part, None, :]
+        sp = (dx2[part, None, :] + dy2[part, :, None]) * ratio2
+        d2 = (flat[idx] - f[part, None, None]) ** 2 + sp
+        for j, (k, rl, rh, cl, ch, top, left) in enumerate(bounds[part]):
+            sub_d2 = best_d2[rl:rh, cl:ch]
+            window = d2[j, rl - top : rh - top, cl - left : ch - left]
+            better = window < sub_d2
+            np.copyto(sub_d2, window, where=better)
+            np.copyto(best_id[rl:rh, cl:ch], k, where=better)
+
+
 def _attach_orphans(depth, feat, cpx, cpy, ratio2, cols, rows, best_d2, best_id):
     orphan = best_id < 0
     if not orphan.any():
@@ -232,7 +293,7 @@ def cluster_depth(
     # malloc trim and re-fault about 10 MB of heap per scene.
     best_d2 = np.full((height, width), np.inf)
     labels = np.full((height, width), -1, dtype=np.int32)
-    _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
+    _assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
     bd = best_d2.ravel()
     assign = labels.ravel()
     _attach_orphans(flat_depth, feat, cpx, cpy, ratio2, cols, rows, bd, assign)
@@ -259,7 +320,7 @@ def cluster_depth(
         bd[:] = (flat_depth - feat.take(ids)) ** 2 + (
             (cols - cpx.take(ids)) ** 2 + (rows - cpy.take(ids)) ** 2
         ) * ratio2
-        _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
+        _assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, labels)
         energies.append(float(bd.sum()))
         if residual < CENTER_RESIDUAL_TOL:
             stop = "residual"

@@ -440,7 +440,7 @@ def _spec_int(value, what: str) -> int:
     return value
 
 
-def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list[str]]:
+def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
     """Materialize a self-contained synthetic benchmark directory.
 
     The spec file is JSON: ``dataset_id``, optional ``defaults`` (synthetic
@@ -482,8 +482,6 @@ def bench_generate(spec_path, out_dir, seed_offset: int = 0) -> tuple[Path, list
         try:
             check_scene_id(scene_id)
             spec = _spec_from_dict(defaults, overrides)
-            if seed_offset:
-                spec = dataclasses.replace(spec, seed=spec.seed + seed_offset)
             rec = generate_scene(spec, scene_id=scene_id)
             part = partition(rec.depth, rec.config)
             preds = oracle_predictions(rec, part, noise, seed=spec.seed, spec=spec)

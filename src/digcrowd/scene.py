@@ -8,6 +8,7 @@ far region is one run of rows per column, and a ``RegionMask`` stores that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -137,6 +138,20 @@ def check_heads(heads) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConfigError(f"head array must be (N, 2), got {arr.shape}")
     return arr
+
+
+def _check_annotations(heads: np.ndarray, count: float) -> None:
+    """The rule annotations keep: in a ``SceneRecord`` and in an annotation file.
+
+    Head coordinates are finite, the count is finite and non-negative, and
+    with heads listed the count equals their number. ``ConfigError`` if not.
+    """
+    if not np.isfinite(heads).all():
+        raise ConfigError("head coordinates must be finite")
+    if not (math.isfinite(count) and count >= 0.0):
+        raise ConfigError(f"count must be finite and >= 0, got {count}")
+    if len(heads) and count != len(heads):
+        raise ConfigError(f"count {count} != {len(heads)} heads")
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,9 +348,4 @@ class SceneRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "heads", _frozen(check_heads(self.heads), self.heads))
-        if len(self.heads) and self.ground_truth_count != len(self.heads):
-            raise ConfigError(
-                f"ground truth {self.ground_truth_count} != {len(self.heads)} annotated heads"
-            )
-        if self.ground_truth_count < 0:
-            raise ConfigError("ground truth count must be >= 0")
+        _check_annotations(self.heads, self.ground_truth_count)

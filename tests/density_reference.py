@@ -8,7 +8,7 @@ the floor for a head that has no neighbors or a non-finite mean.
 
 ``deposit_reference`` is Gaussian deposition as it was before its in-place
 rewrite, with its two helpers, kept verbatim: a full-window argmin for the
-residual's pixel and a fresh array per step. ``_kernels.deposit_gaussians``
+residual's pixel and a fresh array per step. ``density._deposit_gaussians``
 must leave the same bit pattern in every pixel.
 """
 

@@ -1,7 +1,7 @@
 """Reference implementations of depth clustering, classification and polyline extraction.
 
-These are the straightforward versions that ``digcrowd.partition`` and
-``digcrowd._kernels.assign_windows`` replaced with in-place, incremental
+These are the straightforward versions that ``digcrowd.partition``, its
+window pass ``_assign_windows`` included, replaced with in-place, incremental
 numpy. The oracle tests in ``test_partition.py`` require the library to
 return exactly what these return, bit for bit: the same labels, centres
 and energies from ``cluster_depth``, the same automatic threshold from

@@ -24,8 +24,8 @@ from digcrowd import (
     partition,
     rasterize_density,
 )
-from digcrowd._kernels import deposit_gaussians
 from digcrowd.density import BETA, DEFAULT_TRUNCATION_RADIUS, KNN_K
+from digcrowd.density import _deposit_gaussians as deposit_gaussians
 from digcrowd.io import read_density_field, write_density_field
 
 

@@ -142,6 +142,24 @@ class TestDepthFiles:
         with pytest.raises(FormatError, match=r"d\.pgm: PGM payload size mismatch$"):
             reader(path)
 
+    def test_pgm16_header_comments_are_skipped(self, tmp_path):
+        payload = np.array([[0, 65535], [32768, 1]], dtype=">u2").tobytes()
+        plain, commented = tmp_path / "plain.pgm", tmp_path / "commented.pgm"
+        plain.write_bytes(b"P5\n2 2\n65535\n" + payload)
+        commented.write_bytes(b"P5\n# made by hand\n2 2\n# 16 bit\n65535\n" + payload)
+        assert np.array_equal(read_depth(commented).values, read_depth(plain).values)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 2", "truncated PGM header"),
+        (b"P5\n# only a comment\n2", "truncated PGM header"),
+        (b"P5\n2 2\n255\n" + b"\x00" * 4, "expected 16-bit PGM (maxval 65535), got 255"),
+    ], ids=["no-maxval", "comment-then-width", "maxval-255"])
+    def test_pgm16_header_errors(self, tmp_path, data, message):
+        path = tmp_path / "d.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+            read_depth(path)
+
     def test_read_depth_sniffs_format(self, tmp_path):
         depth = _random_depth(w=8, h=8)
         digd = tmp_path / "a.bin"
@@ -174,6 +192,13 @@ class TestTensorFiles:
         path = tmp_path / "x.digy"
         path.write_bytes(b"DIGX" + b"\x00" * 40)
         with pytest.raises(FormatError):
+            read_prediction_tensor(path)
+
+    @pytest.mark.parametrize("s, width", [(0, 64), (4, 0)], ids=["s0", "width0"])
+    def test_header_dimension_of_zero_names_file(self, tmp_path, s, width):
+        path = tmp_path / "x.digy"
+        path.write_bytes(struct.pack("<4sIIIII", b"DIGY", s, 1, 1, width, 48))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: "):
             read_prediction_tensor(path)
 
 

@@ -6,8 +6,10 @@ from density_reference import deposit_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from digcrowd._kernels import ASSIGN_BLOCK, MASS_QUANTUM, assign_windows, deposit_gaussians
-from digcrowd.density import DEFAULT_SIGMA_FLOOR
+from digcrowd.density import DEFAULT_SIGMA_FLOOR, MASS_QUANTUM
+from digcrowd.density import _deposit_gaussians as deposit_gaussians
+from digcrowd.partition import ASSIGN_BLOCK
+from digcrowd.partition import _assign_windows as assign_windows
 
 
 def _assign_oracle(depth, feat, cpx, cpy, ratio2, win, start=None):

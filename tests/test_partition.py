@@ -31,11 +31,11 @@ from digcrowd import (
     mask_from_polyline,
     partition,
 )
-from digcrowd import _kernels
 from digcrowd import io as dio
 from digcrowd.partition import (
     ENERGY_RTOL,
     ClusterState,
+    _assign_windows,
     _decimate,
     _seed_grid,
     decimation_factor,
@@ -694,13 +694,13 @@ def _empty_start(shape):
 
 
 class TestChunkedWindowPass:
-    """``_kernels.assign_windows`` against ``assign_windows_reference``, bit for bit."""
+    """``partition._assign_windows`` against ``assign_windows_reference``, bit for bit."""
 
     @staticmethod
     def _both(grid, feat, cpx, cpy, ratio2, step, start):
         got = start[0].copy(), start[1].copy()
         want = start[0].copy(), start[1].copy()
-        _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, *got)
+        _assign_windows(grid, feat, cpx, cpy, ratio2, step, *got)
         assign_windows_reference(grid, feat, cpx, cpy, ratio2, step, *want)
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
@@ -734,7 +734,7 @@ class TestChunkedWindowPass:
             best_d2, best_id = _empty_start(grid.shape)
             tracemalloc.start()
             try:
-                _kernels.assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
+                _assign_windows(grid, feat, cpx, cpy, ratio2, step, best_d2, best_id)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -23,6 +23,7 @@ from digcrowd import (
     GridPrediction,
     GridShape,
     load_manifest,
+    partition,
     run_dataset,
     run_scene,
 )
@@ -507,6 +508,19 @@ class TestRunDataset:
         assert "GridShape(width=3200, height=2400)" in error
         assert "GridShape(width=320, height=240)" in error
 
+    @pytest.mark.parametrize("s, width", [(0, 320), (4, 0)], ids=["s0", "width0"])
+    def test_tensor_header_of_zero_fails_only_its_scene(self, bench_dir, tmp_path, s, width):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        path = tmp_path / "zero.digy"
+        path.write_bytes(struct.pack("<4sIIIII", b"DIGY", s, 1, 1, width, 240))
+        entries = list(manifest.entries)
+        entries[1] = dataclasses.replace(entries[1], detections=None, tensor=path)
+
+        report = run_dataset(Manifest(manifest.dataset_id, tuple(entries)), PipelineParams())
+        assert [o.status for o in report.outcomes] == ["ok", "failed", "ok", "ok"]
+        assert report.outcomes[1].error.startswith(f"{path}: ")
+
     @pytest.mark.parametrize("width, height", [(400, 1), (1, 400)])
     def test_single_row_or_column_depth_fails_only_its_scene(self, tmp_path, width, height):
         spec = _write_spec(tmp_path / "spec.json", count=3)
@@ -539,6 +553,22 @@ class TestRunDataset:
                                  f"{GridShape(320, 240)}")
         entry.annotations.write_text('{"heads": []}')
         assert run_scene(entry).error.startswith(f"{entry.annotations}: bad annotation file")
+
+    def test_render_debug_writes_the_clusters_of_an_automatic_split(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        entry = load_manifest(manifest_path).entries[0]
+        cfg = json.loads(entry.config.read_text())
+        cfg["polyline"] = None
+        entry.config.write_text(json.dumps(cfg))
+        report = run_dataset(Manifest("one", (entry,)), PipelineParams(render_debug=True),
+                             tmp_path / "r")
+        assert report.n_succeeded == 1
+        part = partition(dio.read_depth(entry.depth), dio.read_scene_config(entry.config))
+        labels = part.cluster_assignments
+        raster = (tmp_path / "r" / "debug" / f"{entry.scene_id}_clusters.pgm").read_bytes()
+        height, width = labels.shape
+        header = f"P5\n{width} {height}\n255\n".encode()
+        assert raster == header + (labels % 256).astype(np.uint8).tobytes()
 
     def test_render_debug_accepts_str_out_dir(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
@@ -726,6 +756,23 @@ class TestCli:
         payload = json.loads((tmp_path / "r" / "report.json").read_text())
         assert payload["n_failed"] == 1
 
+    def test_evaluate_fails_scenes_without_ground_truth_or_near_input(self, bench_dir, tmp_path,
+                                                                      capsys):
+        _, manifest_path = bench_dir
+        payload = json.loads(manifest_path.read_text())
+        del payload["scenes"][1]["annotations"]
+        del payload["scenes"][2]["predictions"]["detections"]
+        manifest_path.write_text(json.dumps(payload))
+        argv = ["evaluate", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "r")]
+        assert cli_main(argv) == 1
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert [s["status"] for s in report["scenes"]] == ["ok", "failed", "failed", "ok"]
+        assert report["scenes"][1]["error"] == "ground truth absent (no annotations file)"
+        assert (report["scenes"][2]["error"]
+                == "near predictions absent (no detections or tensor file)")
+        assert (report["n_succeeded"], report["n_failed"]) == (2, 2)
+        assert report["mae"] < 1e-4
+
     def test_count_single_scene(self, tmp_path, capsys):
         spec = _write_spec(tmp_path / "spec.json", count=1)
         out = tmp_path / "bench"
@@ -776,6 +823,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "far predictions absent" in captured.err
         assert captured.out == ""
+
+    def test_count_without_near_input_fails(self, tmp_path, capsys):
+        args = self._count_args(tmp_path, omit="--detections")
+        capsys.readouterr()
+        assert cli_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: near predictions absent (no detections or tensor file)\n"
 
     def test_count_without_annotations_has_null_ground_truth(self, tmp_path, capsys):
         rc = cli_main(self._count_args(tmp_path, omit="--annotations"))
@@ -857,6 +912,19 @@ class TestCli:
         assert printed["threshold_used"] == scene["threshold_used"]
         assert printed["iterations"] == scene["partition_iterations"]
 
+    def test_partition_subcommand_on_a_manual_split(self, bench_dir, tmp_path, capsys):
+        out, _ = bench_dir
+        scene = out / "scene-0000"
+        argv = ["partition", "--depth", str(scene / "depth.digd"), "--config",
+                str(scene / "config.json"), "--out-dir", str(tmp_path / "p")]
+        assert cli_main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["cluster_mean_depths"] == []
+        for key in ("threshold_used", "iterations", "partition_clusters", "partition_stop"):
+            assert printed[key] is None, key
+        manual = dio.read_scene_config(scene / "config.json").polyline
+        assert dio.polyline_from_json(printed["polyline"]) == manual
+
     def test_partition_subcommand_has_no_clustering_flags(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["partition", "--help"])
@@ -872,6 +940,15 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "h.pgm").read_bytes().startswith(b"P5")
+
+    @pytest.mark.parametrize("writer", [dio.write_depth_digd, dio.write_depth_pgm16])
+    def test_render_depth_file(self, tmp_path, writer):
+        values = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        writer(tmp_path / "depth", DepthMap(GridShape(4, 3), values))
+        argv = ["render", "--input", str(tmp_path / "depth"), "--output", str(tmp_path / "h.pgm")]
+        assert cli_main(argv) == 0
+        want = np.round(values * 255.0).astype(np.uint8)
+        assert (tmp_path / "h.pgm").read_bytes() == b"P5\n4 3\n255\n" + want.tobytes()
 
     def test_render_logs_density_clamp_once(self, tmp_path, bench_dir, caplog):
         out, _ = bench_dir
@@ -943,7 +1020,7 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: bad ")
 
-    def test_numpy_fallback_subprocess(self, tmp_path):
+    def test_evaluate_runs_in_a_fresh_interpreter(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json", count=1, n_people=25)
         out = tmp_path / "bench"
         cli_main(["bench-gen", "--spec", str(spec), "--out-dir", str(out)])

@@ -217,6 +217,17 @@ class TestTypes:
         with pytest.raises(ConfigError):
             SceneRecord(cfg, depth, heads, 3.0)
 
+    @pytest.mark.parametrize("heads, count, message", [
+        ([[1.0, np.nan]], 1.0, "head coordinates must be finite"),
+        ([[np.inf, 2.0]], 1.0, "head coordinates must be finite"),
+        ([[1.0, 2.0]], np.nan, "count must be finite and >= 0, got nan"),
+        ([], np.nan, "count must be finite and >= 0, got nan"),
+    ])
+    def test_scene_record_keeps_the_annotation_rule(self, heads, count, message):
+        depth = DepthMap(GridShape(4, 4), np.zeros((4, 4)))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SceneRecord(SceneConfig("s"), depth, heads, count)
+
 
 _SHAPE = GridShape(5, 4)
 # The caller's (4, 5) array: valid box rows, every value in [0, 1].

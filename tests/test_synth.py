@@ -15,6 +15,7 @@ from digcrowd import (
     integrate,
     oracle_predictions,
     partition,
+    rasterize_density,
     run_record,
 )
 
@@ -217,6 +218,11 @@ class TestOraclePredictions:
         NoiseSpec(fp_rate=9.2e18)  # numpy's Poisson sampler takes means up to ~9.22e18
         with pytest.raises(ConfigError, match="numpy's largest Poisson mean"):
             NoiseSpec(fp_rate=9.3e18)
+
+    def test_support_mask_without_a_pixel_is_a_config_error(self):
+        empty = np.zeros((5, 6), dtype=bool)
+        with pytest.raises(ConfigError, match="^density support mask has no valid pixels$"):
+            rasterize_density([[2.0, 2.0]], [1.0], GridShape(6, 5), support_mask=empty)
 
     @pytest.mark.parametrize("name", ["p_miss", "fp_rate", "box_jitter", "density_noise_sigma"])
     def test_noise_levels_refuse_bools(self, name):
