@@ -161,16 +161,26 @@ def _assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
     """Update (best_d2, best_id) in place with every center's 2*win window.
 
     One pass of windowed minimum-distance labeling, with
-    D^2 = (depth - feature)^2 + ratio2 * (dx^2 + dy^2); centers are visited
-    in id order and strict < keeps the smallest cluster id on exact ties.
+    D^2 = (depth - feature)^2 + ratio2 * (dx^2 + dy^2). The result is that
+    of visiting the centers in id order with a strict <: each pixel ends
+    with the smallest D^2 over its start value and the windows that cover
+    it, a tie keeps the start's holder, and a tie between windows goes to
+    the smallest id. That rule needs no order of visits, so each block of
+    windows is merged at once. ``best_d2`` and ``best_id`` are C-contiguous
+    (height, width) arrays.
 
-    Windows are built ``ASSIGN_BLOCK`` centers at a time: one gather from
-    the depth map gives a (block, side, side) stack, with row and column
-    indices clipped at the image edge, and D^2 is the formula above,
-    operation for operation. Each window is then merged in id order with
-    masked copies; the clipped cells lie outside the part that is merged.
-    A block's temporaries are about 58 KB on a 120x80 grid and none is kept;
-    a whole pass peaks at about 0.6 MB there, 1.6 MB on 270x180.
+    Windows are built ``ASSIGN_BLOCK`` centers at a time, fewer where they
+    are wider than the 15x15 of the coarse step, so a block never holds
+    more cells than 32 such windows. One gather from the depth map gives a
+    (block, side, side) stack, with row and column indices clipped at the
+    image edge, and D^2 is the formula above, operation for operation. A
+    clipped cell, or one past the window's far edge, has an infinite dx^2
+    or dy^2, so its D^2 never passes the strict <. The cells whose D^2
+    beats their current value are merged with one ``np.minimum.at`` of
+    D^2; of those that reach the new minimum, one ``np.minimum.at`` of the
+    window ids picks the smallest. Blocks are merged in id order, so a
+    later block wins only with a strictly smaller D^2. A pass peaks at
+    about 0.8 MB of scratch on a 120x80 grid with 260 centers.
     """
     height, width = depth.shape
     side = int(2.0 * win) + 3  # ceil(c + win) - floor(c - win) + 1 never exceeds it
@@ -193,29 +203,40 @@ def _assign_windows(depth, feat, cpx, cpy, ratio2, win, best_d2, best_id):
     row_idx = np.clip(rows, 0, height - 1).astype(np.intp) * width
     dx2 = (cols - cpx[live, None]) ** 2
     dy2 = (rows - cpy[live, None]) ** 2
+    dx2[(cols < c_lo[live, None]) | (cols > c_hi[live, None])] = np.inf
+    dy2[(rows < r_lo[live, None]) | (rows > r_hi[live, None])] = np.inf
     f = feat[live]
     flat = depth.ravel()
-    bounds = list(zip(
-        live.tolist(),
-        r_lo[live].astype(np.intp).tolist(),
-        (r_hi[live] + 1).astype(np.intp).tolist(),
-        c_lo[live].astype(np.intp).tolist(),
-        (c_hi[live] + 1).astype(np.intp).tolist(),
-        r0.astype(np.intp).tolist(),
-        c0.astype(np.intp).tolist(),
-    ))
+    bd = best_d2.reshape(-1)
+    bi = best_id.reshape(-1)
+    # ufunc.at is fast only with index, target and values 1-D and of one
+    # dtype, so the ids are merged in intp and then written to best_id.
+    low_id = np.empty(bd.shape, dtype=np.intp)
+    cells = side * side
+    block = max(1, min(ASSIGN_BLOCK, ASSIGN_BLOCK * (2 * COARSE_STEP + 3) ** 2 // cells))
 
-    for start in range(0, live.size, ASSIGN_BLOCK):
-        part = slice(start, start + ASSIGN_BLOCK)
-        idx = row_idx[part, :, None] + col_idx[part, None, :]
-        sp = (dx2[part, None, :] + dy2[part, :, None]) * ratio2
-        d2 = (flat[idx] - f[part, None, None]) ** 2 + sp
-        for j, (k, rl, rh, cl, ch, top, left) in enumerate(bounds[part]):
-            sub_d2 = best_d2[rl:rh, cl:ch]
-            window = d2[j, rl - top : rh - top, cl - left : ch - left]
-            better = window < sub_d2
-            np.copyto(sub_d2, window, where=better)
-            np.copyto(best_id[rl:rh, cl:ch], k, where=better)
+    for start in range(0, live.size, block):
+        part = slice(start, start + block)
+        idx = (row_idx[part, :, None] + col_idx[part, None, :]).ravel()
+        sp = dx2[part, None, :] + dy2[part, :, None]
+        sp *= ratio2
+        d2 = flat.take(idx).reshape(sp.shape)
+        d2 -= f[part, None, None]
+        np.square(d2, out=d2)
+        d2 += sp
+        d2 = d2.ravel()
+        better = np.flatnonzero(d2 < bd.take(idx))
+        if better.size == 0:
+            continue
+        at = idx.take(better)
+        cand = d2.take(better)
+        np.minimum.at(bd, at, cand)
+        won = np.flatnonzero(cand == bd.take(at))
+        at = at.take(won)
+        ids = live[part].take(better.take(won) // cells)
+        low_id[at] = ids
+        np.minimum.at(low_id, at, ids)
+        bi[at] = low_id.take(at)
 
 
 def _attach_orphans(depth, feat, cpx, cpy, ratio2, cols, rows, best_d2, best_id):
@@ -467,9 +488,11 @@ def _refine_boundary(
     centre = np.rint(coarse[cols * coarse_w // width] * (height / coarse_h)).astype(np.intp)
     lo = np.clip(centre - s, 0, height)
     hi = np.clip(centre + s, 0, height)
-    rows = lo + np.arange(2 * s)[:, None]
-    band = depth.values[np.minimum(rows, height - 1), cols].astype(np.float64)
-    far = (band >= threshold) & (rows < hi)
+    # The band's rows, shifted up where they would run off the bottom.
+    n = min(2 * s, height)
+    rows = np.minimum(lo, height - n) + np.arange(n)[:, None]
+    band = depth.values.ravel().take(rows * width + cols).astype(np.float64)
+    far = (band >= threshold) & (rows >= lo) & (rows < hi)
     return (lo + np.count_nonzero(far, axis=0)).astype(np.float64)
 
 

@@ -93,8 +93,10 @@ class PipelineParams:
     def __post_init__(self):
         check_score_threshold(self.score_threshold)
         check_nms_iou(self.nms_iou)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if (isinstance(self.workers, bool) or not isinstance(self.workers, (int, np.integer))
+                or self.workers < 1):
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+        object.__setattr__(self, "workers", int(self.workers))  # numpy ints do not dump to JSON
 
 
 @dataclass(frozen=True)

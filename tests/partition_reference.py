@@ -6,7 +6,8 @@ numpy. The oracle tests in ``test_partition.py`` require the library to
 return exactly what these return, bit for bit: the same labels, centres
 and energies from ``cluster_depth``, the same automatic threshold from
 ``classify_clusters``, and the same polyline and warnings from
-``extract_polyline`` without its full-resolution refinement. Cluster mean
+``extract_polyline`` without its full-resolution refinement, and the same
+boundary rows from that refinement. Cluster mean
 depths are computed as ``classify_clusters`` once computed them: fresh
 pixel counts and depth sums over the final labels.
 """
@@ -198,6 +199,22 @@ def classify_clusters_reference(state, threshold=None):
     elif not (0.0 <= threshold <= 1.0):
         raise ConfigError(f"depth threshold {threshold} outside [0, 1]")
     return ClusterLabels(far=means >= threshold, threshold=float(threshold))
+
+
+def refine_boundary_reference(coarse, coarse_shape, step, depth, threshold):
+    """``partition._refine_boundary`` as a 2-D gather of a band clamped at the bottom edge."""
+    height, width = depth.values.shape
+    coarse_h, coarse_w = coarse_shape
+    full_step = step * np.sqrt(height * width / (coarse_h * coarse_w))
+    s = height if 3.0 * full_step >= height else int(np.ceil(full_step))
+    cols = np.arange(width)
+    centre = np.rint(coarse[cols * coarse_w // width] * (height / coarse_h)).astype(np.intp)
+    lo = np.clip(centre - s, 0, height)
+    hi = np.clip(centre + s, 0, height)
+    rows = lo + np.arange(2 * s)[:, None]
+    band = depth.values[np.minimum(rows, height - 1), cols].astype(np.float64)
+    far = (band >= threshold) & (rows < hi)
+    return (lo + np.count_nonzero(far, axis=0)).astype(np.float64)
 
 
 def extract_polyline_reference(far_labels, state, shape, simplify_tol=2.0):

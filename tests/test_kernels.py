@@ -147,6 +147,34 @@ class TestAssignWindowsOracle:
         start[0][::5, ::3] = np.inf  # some pixels still unheld
         self._check(depth, feat, cpx, cpy, 1e-3, 4.0, start)
 
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_duplicate_centres_tie_within_and_across_blocks(self, prefilled):
+        rng = np.random.default_rng(13)
+        height, width, win = 20, 24, 4.0  # side 11: blocks of ASSIGN_BLOCK centres
+        k = 2 * ASSIGN_BLOCK + 6
+        depth = rng.random((height, width))
+        cpx = rng.uniform(0, width, k)
+        cpy = rng.uniform(0, height, k)
+        feat = rng.random(k)
+        # ids 3 and 4 share a block, ids 5 and 5 + ASSIGN_BLOCK do not; each
+        # pair is one centre twice, on a pixel whose depth is its feature
+        pairs = [(3, 4, (6, 7)), (5, 5 + ASSIGN_BLOCK, (13, 16))]
+        for a, b, (r, c) in pairs:
+            cpx[[a, b]], cpy[[a, b]], feat[[a, b]] = c, r, depth[r, c]
+        start = None
+        if prefilled:
+            # foreign holders, so any pixel of b's would be one its window won
+            start = (rng.random(depth.shape) * 0.2, rng.integers(k, 2 * k, depth.shape))
+            start[0][::4, ::3] = np.inf
+            for _, _, cell in pairs:  # the centre's own D^2, 0, held by a foreign id
+                start[0][cell], start[1][cell] = 0.0, 2 * k
+        got_d2, got_id = self._check(depth, feat, cpx, cpy, 1e-3, win, start)
+        for a, b, cell in pairs:
+            assert got_d2[cell] == 0.0
+            assert got_id[cell] == (2 * k if prefilled else a)
+            assert not (got_id == b).any()  # a covers every pixel b does, at equal D^2
+            assert (got_id == a).sum() > 1
+
 
 class TestAssignWindowsOracleIntp(TestAssignWindowsOracle):
     id_dtype = np.intp  # what cluster_depth passes

@@ -10,6 +10,7 @@ from partition_reference import (
     classify_clusters_reference,
     cluster_depth_reference,
     extract_polyline_reference,
+    refine_boundary_reference,
 )
 
 from digcrowd import (
@@ -37,6 +38,7 @@ from digcrowd.partition import (
     ClusterState,
     _assign_windows,
     _decimate,
+    _refine_boundary,
     _seed_grid,
     decimation_factor,
 )
@@ -528,6 +530,33 @@ def _cluster_means(draw):
     return np.ascontiguousarray(means, dtype=np.float64)
 
 
+@st.composite
+def _refine_cases(draw):
+    """A float32 or float64 frame, a clustering grid and a coarse boundary on it.
+
+    Frames go down to one row or one column. The step ranges from under a
+    pixel to many frames, so the band runs from +-1 row to wider than the
+    frame; the threshold is often one of the frame's own depths.
+    """
+    height = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = rng.random((height, width)).astype(dtype)
+    if draw(st.booleans()):  # depth falling down every column
+        values = -np.sort(-values, axis=0)
+    coarse_h = draw(st.integers(1, height))
+    coarse_w = draw(st.integers(1, width))
+    coarse = rng.integers(0, coarse_h + 1, coarse_w).astype(np.float64)
+    step = draw(st.floats(0.1, 60.0))
+    if draw(st.booleans()):
+        threshold = float(values.flat[draw(st.integers(0, values.size - 1))])
+    else:
+        threshold = draw(st.floats(0.0, 1.0))
+    depth = DepthMap(GridShape(width, height), values)
+    return coarse, (coarse_h, coarse_w), step, depth, threshold
+
+
 _SKINNY = DepthMap(GridShape(2, 30), np.random.default_rng(7).random((30, 2)))
 
 
@@ -641,6 +670,21 @@ class TestReferenceOracle:
             _assert_same_polyline(got[0], want[0])
             assert got[1] == want[1]
 
+    @given(_refine_cases())
+    @example((np.array([1.0, 0.0]), (1, 2), 3.0,  # one row, band wider than the frame
+              DepthMap(GridShape(5, 1), np.linspace(0, 1, 5, dtype=np.float32)[None, :]), 0.5))
+    @example((np.array([2.0]), (3, 1), 1.0,  # one column
+              DepthMap(GridShape(1, 9), np.linspace(1, 0, 9)[:, None]), 0.625))
+    @example((np.array([0.0, 10.0, 5.0]), (10, 3), 1.0,  # bands off the top and bottom edges
+              DepthMap(GridShape(30, 40), np.repeat(np.linspace(1, 0, 40)[:, None], 30, axis=1)),
+              0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_refine_boundary_matches_reference(self, case):
+        got = _refine_boundary(*case)
+        want = refine_boundary_reference(*case)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+
     def test_step_depths_of_criterion_8_match_reference(self):
         """Criterion 8's 160x120 steps cluster on an 80x60 grid (f = 2).
 
@@ -729,8 +773,17 @@ class TestChunkedWindowPass:
             assert not np.array_equal(second[1], first[1])
 
     def test_one_pass_scratch_stays_under_2_mb(self):
-        for factor in _BENCH_GRIDS:
-            grid, feat, cpx, cpy, ratio2, step = _bench_grid_pass(1, factor)
+        passes = [_bench_grid_pass(1, factor) for factor in _BENCH_GRIDS]
+        # The widest window decimation_factor lets through: f = 1 with a step
+        # just under 2 * COARSE_STEP, side 26.
+        depth = generate_step_depth(GridShape(160, 120), boundary_row=60)
+        assert decimation_factor(depth.shape, 136) == 1
+        grid = depth.values
+        feat, cpx, cpy = _seed_grid(grid, 136)
+        step = float(np.sqrt(grid.size / 136))
+        assert int(2.0 * step) + 3 == 26 and feat.size == 130
+        passes.append((grid, feat, cpx, cpy, (0.1 / step) ** 2, step))
+        for grid, feat, cpx, cpy, ratio2, step in passes:
             best_d2, best_id = _empty_start(grid.shape)
             tracemalloc.start()
             try:
@@ -738,4 +791,4 @@ class TestChunkedWindowPass:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2_000_000, factor
+            assert peak <= 2_000_000, grid.shape

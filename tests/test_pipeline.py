@@ -630,6 +630,15 @@ class TestRunDataset:
         with pytest.raises(ConfigError):
             PipelineParams(**kwargs)
 
+    @pytest.mark.parametrize("workers", [0, -2, True, False, 2.5, 2.0, "2", None])
+    def test_params_reject_workers_that_are_not_integers_of_at_least_one(self, workers):
+        with pytest.raises(ConfigError, match="workers must be an integer >= 1, got "):
+            PipelineParams(workers=workers)
+
+    def test_params_take_numpy_integer_workers_as_int(self):
+        workers = PipelineParams(workers=np.int64(2)).workers
+        assert workers == 2 and type(workers) is int
+
     def test_workers_match_serial(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
         manifest = load_manifest(manifest_path)
@@ -733,7 +742,7 @@ class TestCli:
         argv = ["evaluate", "--manifest", str(manifest_path), "--out-dir", str(tmp_path / "r"),
                 "--workers", workers]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers}\n"
         assert not (tmp_path / "r").exists()
 
     def test_evaluate_nonzero_exit_on_failed_scene(self, tmp_path):
