@@ -50,6 +50,7 @@ from .scene import (
     SceneConfig,
     _check_annotations,
     check_heads,
+    check_number,
     check_scene_id,
 )
 
@@ -76,6 +77,8 @@ __all__ = [
 DIGD_MAGIC = b"DIGD"
 DIGY_MAGIC = b"DIGY"
 DIGF_MAGIC = b"DIGF"
+_DIGD_HEADER = struct.Struct("<4sIII")
+_DIGF_HEADER = struct.Struct("<4sIIQ")
 
 
 def _map_file(path) -> mmap.mmap | bytes:
@@ -120,21 +123,26 @@ def _header_shape(width: int, height: int, path) -> GridShape:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _read_raster(data, header: struct.Struct, magic: bytes, what: str, path):
+    """A DIGD or DIGF file's grid and its payload as a read-only (height, width) view."""
+    if len(data) < header.size or data[:4] != magic:
+        raise FormatError(f"{path}: not a {magic.decode()} {what}")
+    _, width, height, _ = header.unpack(data[: header.size])
+    shape = _header_shape(width, height, path)
+    return shape, _payload_f32(data, header.size, shape.pixel_count, path).reshape(height, width)
+
+
 # -- depth ------------------------------------------------------------------
 
 def write_depth_digd(path, depth: DepthMap) -> None:
-    header = struct.pack("<4sIII", DIGD_MAGIC, depth.shape.width, depth.shape.height, 0)
+    header = _DIGD_HEADER.pack(DIGD_MAGIC, depth.shape.width, depth.shape.height, 0)
     _write_raster(path, header, depth.values)
 
 
 def _depth_digd(data, path) -> DepthMap:
-    if len(data) < 16:
-        raise FormatError(f"{path}: not a DIGD depth file")
-    _, width, height, _ = struct.unpack("<4sIII", data[:16])
-    shape = _header_shape(width, height, path)
-    values = _payload_f32(data, 16, shape.pixel_count, path)
+    shape, values = _read_raster(data, _DIGD_HEADER, DIGD_MAGIC, "depth file", path)
     try:
-        return DepthMap(shape, values.reshape(height, width))
+        return DepthMap(shape, values)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -220,9 +228,7 @@ def read_prediction_tensor(path) -> GridPrediction:
 # -- density field ----------------------------------------------------------
 
 def write_density_field(path, field: DensityField) -> None:
-    header = struct.pack(
-        "<4sIIQ", DIGF_MAGIC, field.shape.width, field.shape.height, 0
-    )
+    header = _DIGF_HEADER.pack(DIGF_MAGIC, field.shape.width, field.shape.height, 0)
     _write_raster(path, header, field.values)
 
 
@@ -232,12 +238,7 @@ def read_density_field(path) -> DensityField:
     Valid values cost the one check of ``DensityField``; negatives are
     looked for only when that check fails.
     """
-    data = _map_file(path)
-    if len(data) < 20 or data[:4] != DIGF_MAGIC:
-        raise FormatError(f"{path}: not a DIGF density file")
-    _, width, height, _ = struct.unpack("<4sIIQ", data[:20])
-    shape = _header_shape(width, height, path)
-    values = _payload_f32(data, 20, shape.pixel_count, path).reshape(height, width)
+    shape, values = _read_raster(_map_file(path), _DIGF_HEADER, DIGF_MAGIC, "density file", path)
     try:
         return DensityField(shape, values)
     except ConfigError:
@@ -310,23 +311,16 @@ def read_detections_text(path) -> DetectionSet:
 
 # -- annotations ------------------------------------------------------------
 
-def _json_number(value, what: str) -> float:
-    """A JSON number as a float; a bool, string or anything else is a ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def write_annotations(path, heads: np.ndarray, count: float) -> None:
     """Heads and count in the layout of ``json.dumps(payload, indent=1)``.
 
     The text is formatted directly (floats by ``repr``, as ``json`` writes
     them), since ``indent`` sends ``json`` to its pure-Python encoder. A
-    count that is not a JSON number is a ``TypeError``; heads and count that
-    ``read_annotations`` would reject are a ``ConfigError``.
+    count that is not a JSON number, and heads and count that
+    ``read_annotations`` would reject, are a ``ConfigError``.
     """
     heads = check_heads(heads)
-    _check_annotations(heads, _json_number(count, "count"))
+    _check_annotations(heads, check_number(count, "count"))
     rows = ",\n".join(f'  {{\n   "x": {x!r},\n   "y": {y!r}\n  }}' for x, y in heads.tolist())
     listing = f"[\n{rows}\n ]" if rows else "[]"
     Path(path).write_text(f'{{\n "heads": {listing},\n "count": {json.dumps(count)}\n}}')
@@ -341,12 +335,12 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
         ys = [h["y"] for h in raw]
         if not {*map(type, xs), *map(type, ys)} <= {int, float}:  # type(True) is bool
             for x, y in zip(xs, ys):
-                _json_number(x, "head x")
-                _json_number(y, "head y")
+                check_number(x, "head x")
+                check_number(y, "head y")
         heads = check_heads(np.array([xs, ys], dtype=np.float64).T.copy())
         heads.flags.writeable = False
-        count = _json_number(payload["count"], "count")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        count = check_number(payload["count"], "count")
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad annotation file: {exc}") from exc
     try:
         _check_annotations(heads, count)
@@ -368,7 +362,7 @@ def polyline_to_json(p: Polyline) -> list[dict]:
 def polyline_from_json(raw) -> Polyline:
     """Inverse of ``polyline_to_json``."""
     return Polyline(
-        [[_json_number(s[key], f"polyline {key}") for key in _SEGMENT_KEYS] for s in raw]
+        [[check_number(s[key], f"polyline {key}") for key in _SEGMENT_KEYS] for s in raw]
     )
 
 
@@ -392,7 +386,7 @@ def read_scene_config(path) -> SceneConfig:
         if threshold in (None, "auto"):
             threshold = None
         else:
-            threshold = _json_number(threshold, "depth_threshold")
+            threshold = check_number(threshold, "depth_threshold")
         return SceneConfig(
             scene_id=check_scene_id(payload["scene_id"]),
             polyline=polyline,

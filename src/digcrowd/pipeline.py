@@ -40,7 +40,7 @@ from .detect import (
 from .errors import ConfigError, DigCrowdError, FormatError
 from .metrics import EvaluationRecord, SceneEstimate, evaluate_pairs, fuse
 from .partition import PartitionResult, partition
-from .scene import GridShape, Polyline, SceneRecord, check_scene_id
+from .scene import GridShape, Polyline, SceneRecord, check_integer, check_scene_id
 from .spatial import apply_spatial_constraint
 from .synth import NoiseSpec, SynthSpec, generate_scene, oracle_predictions
 
@@ -93,10 +93,8 @@ class PipelineParams:
     def __post_init__(self):
         check_score_threshold(self.score_threshold)
         check_nms_iou(self.nms_iou)
-        if (isinstance(self.workers, bool) or not isinstance(self.workers, (int, np.integer))
-                or self.workers < 1):
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
-        object.__setattr__(self, "workers", int(self.workers))  # numpy ints do not dump to JSON
+        # stored as an int: numpy ints do not dump to JSON
+        object.__setattr__(self, "workers", check_integer(self.workers, "workers", 1))
 
 
 @dataclass(frozen=True)
@@ -198,6 +196,12 @@ def _write_debug_rasters(out_dir, scene_id: str, part: PartitionResult, density)
     dio.write_pgm8(debug / f"{scene_id}_density.pgm", dio.heatmap_u8(density.values))
 
 
+def _check_grid(path, what: str, shape: GridShape, scene: GridShape) -> None:
+    """``FormatError`` naming ``path`` when the ``what`` grid it holds is not the scene's."""
+    if shape != scene:
+        raise FormatError(f"{path}: {what} grid {shape} does not match scene grid {scene}")
+
+
 def _near_input(entry: ManifestEntry, params: PipelineParams, shape: GridShape) -> DetectionSet:
     """The entry's detection list, else its tensor decoded and NMS'd."""
     if entry.detections is not None:
@@ -205,10 +209,7 @@ def _near_input(entry: ManifestEntry, params: PipelineParams, shape: GridShape) 
     if entry.tensor is None:
         raise ConfigError("near predictions absent (no detections or tensor file)")
     pred = dio.read_prediction_tensor(entry.tensor)
-    if pred.shape != shape:
-        raise FormatError(
-            f"{entry.tensor}: tensor grid {pred.shape} does not match scene grid {shape}"
-        )
+    _check_grid(entry.tensor, "tensor", pred.shape, shape)
     return nms(decode(pred, params.score_threshold), params.nms_iou)
 
 
@@ -243,9 +244,7 @@ def count_scene(
         ground_truth = math.nan
         if entry.annotations is not None:
             _, ground_truth = dio.read_annotations(entry.annotations)
-        if field.shape != part.mask.shape:
-            raise FormatError(f"{entry.density}: density file grid {field.shape} "
-                              f"does not match scene grid {part.mask.shape}")
+        _check_grid(entry.density, "density file", field.shape, part.mask.shape)
         far = far_count_from_external(field, part.mask)
         estimate = fuse(report.kept, far, cfg.scene_id, ground_truth)
         if params.render_debug and out_dir is not None:
@@ -368,17 +367,33 @@ def run_dataset(
 
 def write_report(report: RunReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # one row per scene; report.csv takes the first six columns of the ok rows
+    scenes = [
+        {
+            "scene_id": o.scene_id,
+            "status": o.status,
+            "error": o.error,
+            "near_count": o.near_count,
+            "deleted_count": o.deleted_count,
+            "far_count": None if o.estimate is None else o.estimate.far_count,
+            "total": None if o.estimate is None else o.estimate.total,
+            "ground_truth": None if o.estimate is None else o.estimate.ground_truth,
+            "abs_error": None if o.estimate is None else o.estimate.abs_error,
+            "threshold_used": o.threshold_used,
+            "polyline": None if o.polyline is None else o.polyline.segments.tolist(),
+            "warnings": list(o.warnings),
+            "partition_iterations": o.partition_iterations,
+            "partition_energy": o.partition_energy,
+            "partition_clusters": o.partition_clusters,
+            "partition_stop": o.partition_stop,
+        }
+        for o in report.outcomes
+    ]
+    columns = ("scene_id", "near_count", "far_count", "total", "ground_truth", "abs_error")
     with (out_dir / "report.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["scene_id", "near_count", "far_count", "total", "ground_truth", "abs_error"]
-        )
-        for o in report.outcomes:
-            if o.ok and o.estimate is not None:
-                e = o.estimate
-                writer.writerow(
-                    [o.scene_id, e.near_count, e.far_count, e.total, e.ground_truth, e.abs_error]
-                )
+        writer.writerow(columns)
+        writer.writerows([row[k] for k in columns] for row in scenes if row["status"] == "ok")
     payload = {
         "dataset_id": report.dataset_id,
         "tool_version": report.tool_version,
@@ -393,27 +408,7 @@ def write_report(report: RunReport, out_dir: Path) -> None:
         "mae": None if report.evaluation is None else report.evaluation.mae,
         "mse": None if report.evaluation is None else report.evaluation.mse,
         "mse_definition": "sqrt(mean((observed - predicted)^2))",
-        "scenes": [
-            {
-                "scene_id": o.scene_id,
-                "status": o.status,
-                "error": o.error,
-                "near_count": o.near_count,
-                "deleted_count": o.deleted_count,
-                "far_count": None if o.estimate is None else o.estimate.far_count,
-                "total": None if o.estimate is None else o.estimate.total,
-                "ground_truth": None if o.estimate is None else o.estimate.ground_truth,
-                "abs_error": None if o.estimate is None else o.estimate.abs_error,
-                "threshold_used": o.threshold_used,
-                "polyline": None if o.polyline is None else o.polyline.segments.tolist(),
-                "warnings": list(o.warnings),
-                "partition_iterations": o.partition_iterations,
-                "partition_energy": o.partition_energy,
-                "partition_clusters": o.partition_clusters,
-                "partition_stop": o.partition_stop,
-            }
-            for o in report.outcomes
-        ],
+        "scenes": scenes,
     }
     (out_dir / "report.json").write_text(json.dumps(payload, indent=1))
 
@@ -433,13 +428,6 @@ def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
         return SynthSpec(**merged)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scene spec: {exc}") from exc
-
-
-def _spec_int(value, what: str) -> int:
-    """A JSON integer; a bool, a float or anything else is a ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
@@ -463,8 +451,8 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
         if "scenes" in payload:
             scene_specs = [dict(overrides) for overrides in payload["scenes"]]
         else:
-            count = _spec_int(payload.get("count", 10), "count")
-            start = _spec_int(payload.get("seed_start", 0), "seed_start")
+            count = check_integer(payload.get("count", 10), "count")
+            start = check_integer(payload.get("seed_start", 0), "seed_start")
             scene_specs = [{"seed": start + i} for i in range(count)]
         dataset_id = payload.get("dataset_id", spec_path.stem)
         if not isinstance(dataset_id, str):

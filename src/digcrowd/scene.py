@@ -25,6 +25,8 @@ __all__ = [
     "SceneConfig",
     "SceneRecord",
     "check_heads",
+    "check_integer",
+    "check_number",
     "check_scene_id",
     "mask_from_polyline",
 ]
@@ -314,6 +316,26 @@ def check_scene_id(scene_id) -> str:
     if scene_id in ("", ".", "..") or any(c in scene_id for c in "/\\\0"):
         raise ConfigError(f"scene_id must be a plain file name, got {scene_id!r}")
     return scene_id
+
+
+def check_number(value, what: str) -> float:
+    """``value`` as a float if it is an int or a float, else ``ConfigError``.
+
+    JSON true/false are not numbers, although Python compares them as 1 and 0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int if it is an integer, numpy ones included, of at least
+    ``minimum``; a bool or a float, even an integral one, is a ``ConfigError``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

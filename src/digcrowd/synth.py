@@ -33,6 +33,8 @@ from .scene import (
     Polyline,
     SceneConfig,
     SceneRecord,
+    check_integer,
+    check_number,
 )
 
 __all__ = [
@@ -45,13 +47,6 @@ __all__ = [
 ]
 
 SPACING_FACTOR = 0.45  # fraction of the local head size kept clear around a head
-
-
-def _refuse_bools(spec, names):
-    """JSON true/false are not numbers, although Python compares them as 1 and 0."""
-    for name in names:
-        if isinstance(value := getattr(spec, name), bool):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +63,10 @@ class SynthSpec:
     exclusion_margin: float = 2.0
 
     def __post_init__(self):
-        # the comparison comes first: a string still fails as a TypeError
-        if (self.n_people < 1 or isinstance(self.n_people, bool)
-                or not isinstance(self.n_people, (int, np.integer))):
-            raise ConfigError(f"n_people must be an integer >= 1, got {self.n_people!r}")
-        _refuse_bools(self, ("horizon_y", "near_head_size", "far_head_size",
-                             "clustering_intensity", "exclusion_margin"))
+        check_integer(self.n_people, "n_people", 1)
+        for name in ("horizon_y", "near_head_size", "far_head_size",
+                     "clustering_intensity", "exclusion_margin"):
+            check_number(getattr(self, name), name)
         if not (0.0 < self.horizon_y <= self.shape.height):
             raise ConfigError(
                 f"horizon_y {self.horizon_y} outside (0, {self.shape.height}]"
@@ -86,9 +79,7 @@ class SynthSpec:
             raise ConfigError("clustering_intensity must be >= 0")
         if self.exclusion_margin < 0.0:
             raise ConfigError("exclusion_margin must be >= 0")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_integer(self.seed, "seed", 0)
 
 
 # numpy's Generator.poisson refuses a larger mean ("lam value too large")
@@ -105,7 +96,8 @@ class NoiseSpec:
     density_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        _refuse_bools(self, ("p_miss", "fp_rate", "box_jitter", "density_noise_sigma"))
+        for name in ("p_miss", "fp_rate", "box_jitter", "density_noise_sigma"):
+            check_number(getattr(self, name), name)
         if not (0.0 <= self.p_miss <= 1.0):
             raise ConfigError(f"p_miss {self.p_miss} outside [0, 1]")
         for name in ("fp_rate", "box_jitter", "density_noise_sigma"):

@@ -117,7 +117,8 @@ class TestBenchGenerate:
     @pytest.mark.parametrize(
         "payload, reason",
         [
-            ({"scenes": [{"seed": 1, "n_people": "x"}]}, "'<' not supported"),
+            ({"scenes": [{"seed": 1, "n_people": "x"}]},
+             "n_people must be an integer >= 1, got 'x'"),
             ({"defaults": {"shape": "ab"}, "count": 1}, "invalid literal for int()"),
             ({"defaults": {"shape": []}, "count": 1}, "not enough values to unpack"),
             ({"scenes": [{"seed": "x"}]}, "seed must be an integer >= 0, got 'x'"),
