@@ -79,6 +79,10 @@ class SynthSpec:
             raise ConfigError("clustering_intensity must be >= 0")
         if self.exclusion_margin < 0.0:
             raise ConfigError("exclusion_margin must be >= 0")
+        # NaN and +inf (json reads NaN and Infinity) pass the comparisons above
+        for name in ("near_head_size", "clustering_intensity", "exclusion_margin"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigError(f"{name} {value} must be finite and >= 0")
         check_integer(self.seed, "seed", 0)
 
 
@@ -194,9 +198,20 @@ def generate_scene(spec: SynthSpec, scene_id: str | None = None) -> SceneRecord:
     ``clustering_intensity`` part of the crowd is drawn around far-band
     cluster centers instead of uniformly.
     """
+    width, height = spec.shape.width, spec.shape.height
+    # Accepted centres lie at least s apart (no head is smaller than
+    # far_head_size), so their discs of radius s/2 are disjoint inside the
+    # frame grown by s/2 on each side: more heads than that area holds can
+    # never be placed, however many attempts are made.
+    s = SPACING_FACTOR * spec.far_head_size
+    capacity = (width + s) * (height + s) / (math.pi * s * s / 4.0)
+    if spec.n_people > capacity:
+        raise SynthError(
+            f"n_people {spec.n_people} cannot fit: a {width}x{height} frame holds at most "
+            f"{math.floor(capacity)} heads at far_head_size {spec.far_head_size}"
+        )
     rng = np.random.default_rng(spec.seed)
     depth = _build_depth(spec, rng)
-    width, height = spec.shape.width, spec.shape.height
     split_y = spec.horizon_y / 2.0
     polyline = Polyline.constant(split_y, x_end=float(width))
     config = SceneConfig(

@@ -147,11 +147,22 @@ class TestBenchGenerate:
              "exclusion_margin must be a number, got False"),
             ({"defaults": {**SMALL_DEFAULTS, "shape": [160, True]}, "count": 1},
              "shape values must be integers, got [160, True]"),
+            # json writes and reads these as the literals NaN and Infinity
+            ({"defaults": {**SMALL_DEFAULTS, "clustering_intensity": math.nan}, "count": 1},
+             "clustering_intensity nan must be finite and >= 0"),
+            ({"defaults": {**SMALL_DEFAULTS, "exclusion_margin": math.nan}, "count": 1},
+             "exclusion_margin nan must be finite and >= 0"),
+            ({"defaults": {**SMALL_DEFAULTS, "exclusion_margin": math.inf}, "count": 1},
+             "exclusion_margin inf must be finite and >= 0"),
+            ({"defaults": {**SMALL_DEFAULTS, "near_head_size": math.inf}, "count": 1},
+             "near_head_size inf must be finite and >= 0"),
         ],
         ids=["override-type", "default-value", "shape-empty", "seed-str", "seed-float",
              "n_people-float", "n_people-bool", "shape-float", "shape-inf", "unknown-key",
              "seed-bool", "horizon_y-bool", "near_head_size-bool", "far_head_size-bool",
-             "clustering_intensity-bool", "exclusion_margin-bool", "shape-bool"],
+             "clustering_intensity-bool", "exclusion_margin-bool", "shape-bool",
+             "clustering_intensity-nan", "exclusion_margin-nan", "exclusion_margin-inf",
+             "near_head_size-inf"],
     )
     def test_wrong_field_type_is_a_scene_error(self, tmp_path, capsys, payload, reason):
         spec_path = tmp_path / "spec.json"
@@ -246,6 +257,17 @@ class TestBenchGenerate:
                                noise={"fp_rate": 19200})
         manifest_path, errors = bench_generate(at_bound, tmp_path / "bound")
         assert errors == [] and len(load_manifest(manifest_path).entries) == 1
+
+    def test_crowd_that_cannot_fit_fails_at_once(self, tmp_path):
+        # Heads of size >= 10 keep centres 4.5 apart, so at most 226 fit in
+        # 64x48. The placement loop alone would make 6e8 attempts here.
+        spec_path = _write_spec(tmp_path / "spec.json", count=1, n_people=10**6, shape=(64, 48))
+        start = time.perf_counter()
+        manifest_path, errors = bench_generate(spec_path, tmp_path / "out")
+        assert time.perf_counter() - start < 1.0
+        assert errors == ["scene-0000: n_people 1000000 cannot fit: a 64x48 frame holds at "
+                          "most 226 heads at far_head_size 10.0"]
+        assert json.loads(manifest_path.read_text())["scenes"] == []
 
     @pytest.mark.parametrize("dataset_id", [7, None, True, ["a"]],
                              ids=["int", "null", "bool", "list"])
