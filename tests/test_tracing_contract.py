@@ -1,16 +1,19 @@
-"""The benchmark's span table keeps resolving against the package.
+"""The benchmark's span table and its other uses of the package keep resolving.
 
 ``perfbench/spans.py`` wraps functions by module attribute and reads
 counters off their results (``len(dets)``, ``len(report.deleted)``). A
 renamed function or a changed result type would silently zero a per-layer
 metric; these tests load the table by path, without changing it, and run
-it over a small bench.
+it over a small bench. ``perfbench/inputs.py`` and ``perfbench/worker.py``
+are loaded the same way: the inputs they generate, the ``run_scene`` timer
+they swap in and the ``report.json`` keys they check must keep working.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +27,22 @@ from digcrowd import (
     run_dataset,
 )
 from digcrowd import io as dio
+from digcrowd import pipeline
 from digcrowd.pipeline import Manifest, PipelineParams, bench_generate
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _perfbench_module("spans")
 
 
 def test_every_traced_name_resolves_to_a_callable():
@@ -122,3 +131,32 @@ def test_partition_spans_recorded_on_an_automatic_scene(tmp_path):
     assert counts["partition.cluster_depth.iters"] == outcome.partition_iterations
     clusters = partition(dio.read_depth(entry.depth), cfg).cluster_mean_depths.size
     assert counts["partition.cluster_depth.clusters"] == clusters
+
+
+def test_worker_and_inputs_run_against_the_package(tmp_path):
+    """What ``inputs.generate`` writes, timed the way ``worker.py`` times it, passes its check.
+
+    ``generate`` calls ``bench_generate``, ``read_scene_config`` and
+    ``write_scene_config`` (auto) and ``write_prediction_tensor`` with a
+    ``DetectorGridSpec``, ``GridPrediction`` and ``GridShape`` (tensor).
+    ``check_report`` reads the report's ``n_scenes``, ``mae`` and ``mse`` and
+    each scene's counts (manual) or ``threshold_used`` and ``polyline`` (auto).
+    """
+    inputs = _perfbench_module("inputs")
+    worker = _perfbench_module("worker")
+    assert isinstance(PipelineParams().workers, int)  # traced runs divide by it
+    for workload in (inputs.Workload("manual", n_people=40, scenes=2, tensor=True),
+                     inputs.Workload("auto", n_people=40, scenes=1, auto=True)):
+        root = tmp_path / workload.name
+        manifest_path, _, expected = inputs.generate(workload, 1, root)
+        scene_ms = []
+        original = pipeline.run_scene
+        pipeline.run_scene = worker.scene_timer(original, scene_ms)
+        try:
+            pipeline.run_dataset(load_manifest(manifest_path), PipelineParams(), root / "out")
+        finally:
+            pipeline.run_scene = original
+        assert len(scene_ms) == workload.scenes
+        report = json.loads((root / "out" / "report.json").read_text())
+        want = inputs.expected_errors(expected)
+        assert worker.check_report(report, expected, inputs.FAR_TOL, inputs.WIDTH, want) == (0, [])
