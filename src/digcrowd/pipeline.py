@@ -457,7 +457,8 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
         dataset_id = payload.get("dataset_id", spec_path.stem)
         if not isinstance(dataset_id, str):
             raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
-    except (ConfigError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+        # a JSONDecodeError is a ValueError; an int too large for a float an OverflowError
         raise FormatError(f"{spec_path}: bad benchmark spec: {exc}") from exc
 
     try:

@@ -228,10 +228,11 @@ class TestBenchGenerate:
             ({"fp_rate": False}, "fp_rate must be a number, got False"),
             ({"box_jitter": True}, "box_jitter must be a number, got True"),
             ({"density_noise_sigma": True}, "density_noise_sigma must be a number, got True"),
+            ({"box_jitter": 10**400}, "int too large to convert to float"),
         ],
         ids=["fp_rate-inf", "fp_rate-nan", "box_jitter-nan", "density_noise_sigma-nan",
              "p_miss-2", "p_miss-bool", "fp_rate-bool", "box_jitter-bool",
-             "density_noise_sigma-bool"],
+             "density_noise_sigma-bool", "box_jitter-huge-int"],
     )
     def test_bad_noise_is_a_spec_error(self, tmp_path, capsys, noise, reason):
         spec_path = _write_spec(tmp_path / "spec.json", count=1, noise=noise)
