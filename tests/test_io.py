@@ -622,6 +622,33 @@ class TestAnnotationAndConfig:
         assert cfg.depth_threshold == 1.0
 
 
+class TestReaderMessages:
+    """A reader error is the file's path, then the reason, and nothing else."""
+
+    @pytest.mark.parametrize("reader, data, message", [
+        (read_depth, b"P5\nx 2\n65535\n",
+         "bad PGM header: invalid literal for int() with base 10: b'x'"),
+        (read_depth, b"P5\n0 2\n65535\n", "grid shape must be at least 1x1, got 0x2"),
+        (read_depth, struct.pack("<4sIII", b"DIGD", 0, 4, 0),
+         "grid shape must be at least 1x1, got 0x4"),
+        (read_density_field, struct.pack("<4sIIQ", b"DIGF", 3, 0, 0),
+         "grid shape must be at least 1x1, got 3x0"),
+        (read_prediction_tensor, struct.pack("<4sIIIII", b"DIGY", 0, 1, 1, 8, 8),
+         "grid spec values must be >= 1, got DetectorGridSpec(s=0, b=1, c=1)"),
+        (read_prediction_tensor, struct.pack("<4sIIIII", b"DIGY", 2, 1, 1, 0, 8),
+         "grid shape must be at least 1x1, got 0x8"),
+        (read_detections_text, b"1 2 3 4 0.5\n\xff\n",
+         "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 12:"
+         " invalid start byte"),
+    ], ids=["pgm-width-x", "pgm-width-0", "digd-0x4", "digf-3x0", "digy-s0", "digy-width-0",
+            "detections-0xff"])
+    def test_message_names_file(self, tmp_path, reader, data, message):
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+            reader(path)
+
+
 class TestRasters:
     def test_pgm8_header_and_payload(self, tmp_path):
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
