@@ -23,11 +23,10 @@ not be rewritten or truncated while it is in use; reading a page that a
 truncation removed raises SIGBUS, which kills the process and which no
 per-scene error handler can catch. A 16-bit PGM depth map is widened to a
 float64 copy and a DIGY tensor (86 KB at S=32) is read into memory, so
-neither stays mapped. The batch loops
-(``pipeline.run_dataset`` and ``bench_generate``) pin glibc's
-``M_MMAP_THRESHOLD`` at 16 MB and ``M_TRIM_THRESHOLD`` at 32 MB, so the
-few-MB arrays a scene frees stay on the heap for the next scene instead
-of being trimmed and faulted in again.
+neither stays mapped.
+
+Every reader error is a ``FormatError`` whose message starts with the
+file's path (``errors.naming_file``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 
 from .density import DensityField
 from .detect import DetectorGridSpec, GridPrediction, DetectionSet, first_invalid_row
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, naming_file
 from .scene import (
     DepthMap,
     GridShape,
@@ -78,7 +77,10 @@ DIGD_MAGIC = b"DIGD"
 DIGY_MAGIC = b"DIGY"
 DIGF_MAGIC = b"DIGF"
 _DIGD_HEADER = struct.Struct("<4sIII")
+_DIGY_HEADER = struct.Struct("<4sIIIII")
 _DIGF_HEADER = struct.Struct("<4sIIQ")
+# what a JSON payload of the wrong shape or type raises while it is read
+_JSON_ERRORS = (ConfigError, KeyError, TypeError, ValueError, OverflowError)
 
 
 def _map_file(path) -> mmap.mmap | bytes:
@@ -115,20 +117,20 @@ def _write_raster(path, header: bytes, values: np.ndarray) -> None:
         fh.write(payload.data)
 
 
-def _header_shape(width: int, height: int, path) -> GridShape:
-    """The grid a raster header declares; one below 1x1 is a ``FormatError``."""
-    try:
-        return GridShape(width, height)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+def _header_fields(data, header: struct.Struct, magic: bytes, what: str, path) -> tuple:
+    """The fields after the magic of a DIGD, DIGY or DIGF header; ``FormatError`` if absent."""
+    if len(data) < header.size or data[:4] != magic:
+        raise FormatError(f"{path}: not a {magic.decode()} {what}")
+    return header.unpack_from(data)[1:]
 
 
 def _read_raster(data, header: struct.Struct, magic: bytes, what: str, path):
-    """A DIGD or DIGF file's grid and its payload as a read-only (height, width) view."""
-    if len(data) < header.size or data[:4] != magic:
-        raise FormatError(f"{path}: not a {magic.decode()} {what}")
-    _, width, height, _ = header.unpack(data[: header.size])
-    shape = _header_shape(width, height, path)
+    """A DIGD or DIGF file's grid and its payload as a read-only (height, width) view.
+
+    A grid below 1x1 is a ``ConfigError``, left for the reader to name its file.
+    """
+    width, height, _ = _header_fields(data, header, magic, what, path)
+    shape = GridShape(width, height)
     return shape, _payload_f32(data, header.size, shape.pixel_count, path).reshape(height, width)
 
 
@@ -137,14 +139,6 @@ def _read_raster(data, header: struct.Struct, magic: bytes, what: str, path):
 def write_depth_digd(path, depth: DepthMap) -> None:
     header = _DIGD_HEADER.pack(DIGD_MAGIC, depth.shape.width, depth.shape.height, 0)
     _write_raster(path, header, depth.values)
-
-
-def _depth_digd(data, path) -> DepthMap:
-    shape, values = _read_raster(data, _DIGD_HEADER, DIGD_MAGIC, "depth file", path)
-    try:
-        return DepthMap(shape, values)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_depth_pgm16(path, depth: DepthMap) -> None:
@@ -170,14 +164,12 @@ def _depth_pgm16(data, path) -> DepthMap:
         fields.append(data[start:pos])
     if len(fields) < 3:
         raise FormatError(f"{path}: truncated PGM header")
-    try:
+    with naming_file(path, ValueError, "bad PGM header: "):
         width, height, maxval = (int(f) for f in fields)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad PGM header: {exc}") from exc
     pos += 1  # single whitespace after maxval
     if maxval != 65535:
         raise FormatError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval}")
-    shape = _header_shape(width, height, path)
+    shape = GridShape(width, height)  # a ConfigError here names the file in read_depth
     if len(data) - pos != 2 * shape.pixel_count:
         raise FormatError(f"{path}: PGM payload size mismatch")
     raw = np.frombuffer(data, dtype=">u2", offset=pos)
@@ -189,39 +181,30 @@ def _depth_pgm16(data, path) -> DepthMap:
 def read_depth(path) -> DepthMap:
     """Load depth from a DIGD or 16-bit PGM file (sniffed by magic)."""
     data = _map_file(path)
-    if data[:4] == DIGD_MAGIC:
-        return _depth_digd(data, path)
-    if data[:2] == b"P5":
-        return _depth_pgm16(data, path)
+    with naming_file(path, ConfigError):
+        if data[:4] == DIGD_MAGIC:
+            return DepthMap(*_read_raster(data, _DIGD_HEADER, DIGD_MAGIC, "depth file", path))
+        if data[:2] == b"P5":
+            return _depth_pgm16(data, path)
     raise FormatError(f"{path}: unrecognized depth format (expect DIGD or P5)")
 
 
 # -- prediction tensor ------------------------------------------------------
 
 def write_prediction_tensor(path, pred: GridPrediction) -> None:
-    header = struct.pack(
-        "<4sIIIII",
-        DIGY_MAGIC,
-        pred.spec.s,
-        pred.spec.b,
-        pred.spec.c,
-        pred.shape.width,
-        pred.shape.height,
-    )
+    spec, shape = pred.spec, pred.shape
+    header = _DIGY_HEADER.pack(DIGY_MAGIC, spec.s, spec.b, spec.c, shape.width, shape.height)
     _write_raster(path, header, pred.values)
 
 
 def read_prediction_tensor(path) -> GridPrediction:
     data = Path(path).read_bytes()
-    if len(data) < 24 or data[:4] != DIGY_MAGIC:
-        raise FormatError(f"{path}: not a DIGY prediction tensor")
-    _, s, b, c, width, height = struct.unpack("<4sIIIII", data[:24])
-    try:
+    s, b, c, width, height = _header_fields(
+        data, _DIGY_HEADER, DIGY_MAGIC, "prediction tensor", path)
+    with naming_file(path, ConfigError):
         spec = DetectorGridSpec(s, b, c)
         shape = GridShape(width, height)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    values = _payload_f32(data, 24, s * s * spec.cell_values, path)
+    values = _payload_f32(data, _DIGY_HEADER.size, s * s * spec.cell_values, path)
     return GridPrediction(spec, shape, values.reshape(s, s, spec.cell_values))
 
 
@@ -238,24 +221,23 @@ def read_density_field(path) -> DensityField:
     Valid values cost the one check of ``DensityField``; negatives are
     looked for only when that check fails.
     """
-    shape, values = _read_raster(_map_file(path), _DIGF_HEADER, DIGF_MAGIC, "density file", path)
-    try:
-        return DensityField(shape, values)
-    except ConfigError:
-        pass  # negative or non-finite values: clamp, then check again
-    warnings = ()
-    if values.min() < 0.0:  # False when a NaN is present: DensityField rejects it
-        # external predictors sometimes emit slightly negative densities;
-        # -inf is no such value and is left for DensityField to reject
-        values = values.copy()
-        negative = (values < 0.0) & (values > -np.inf)
-        warnings = (f"{path}: clamped {int(negative.sum())} negative density values to 0",)
-        values[negative] = 0.0
-        values.flags.writeable = False
-    try:
+    with naming_file(path, ConfigError):
+        shape, values = _read_raster(
+            _map_file(path), _DIGF_HEADER, DIGF_MAGIC, "density file", path)
+        try:
+            return DensityField(shape, values)
+        except ConfigError:
+            pass  # negative or non-finite values: clamp, then check again
+        warnings = ()
+        if values.min() < 0.0:  # False when a NaN is present: DensityField rejects it
+            # external predictors sometimes emit slightly negative densities;
+            # -inf is no such value and is left for DensityField to reject
+            values = values.copy()
+            negative = (values < 0.0) & (values > -np.inf)
+            warnings = (f"{path}: clamped {int(negative.sum())} negative density values to 0",)
+            values[negative] = 0.0
+            values.flags.writeable = False
         return DensityField(shape, values, warnings)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 # -- text detections --------------------------------------------------------
@@ -276,10 +258,8 @@ def read_detections_text(path) -> DetectionSet:
     linenos: list[int] = []
     warnings: list[str] = []
     parse_error = None
-    try:
+    with naming_file(path, UnicodeDecodeError, "not UTF-8 text: "):
         text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -328,7 +308,7 @@ def write_annotations(path, heads: np.ndarray, count: float) -> None:
 
 def read_annotations(path) -> tuple[np.ndarray, float]:
     """Head positions as a read-only (N, 2) float64 array, plus the count."""
-    try:
+    with naming_file(path, _JSON_ERRORS, "bad annotation file: "):
         payload = json.loads(Path(path).read_text())
         raw = payload["heads"]
         xs = [h["x"] for h in raw]
@@ -340,12 +320,8 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
         heads = check_heads(np.array([xs, ys], dtype=np.float64).T.copy())
         heads.flags.writeable = False
         count = check_number(payload["count"], "count")
-    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: bad annotation file: {exc}") from exc
-    try:
+    with naming_file(path, ConfigError):
         _check_annotations(heads, count)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
     return heads, count
 
 
@@ -376,7 +352,7 @@ def write_scene_config(path, cfg: SceneConfig) -> None:
 
 
 def read_scene_config(path) -> SceneConfig:
-    try:
+    with naming_file(path, _JSON_ERRORS, "bad scene config: "):
         payload = json.loads(Path(path).read_text())
         if not isinstance(payload, dict):
             raise FormatError(f"{path}: scene config must be a JSON object")
@@ -392,8 +368,6 @@ def read_scene_config(path) -> SceneConfig:
             polyline=polyline,
             depth_threshold=threshold,
         )
-    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: bad scene config: {exc}") from exc
 
 
 # -- debug rasters ----------------------------------------------------------

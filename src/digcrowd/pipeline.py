@@ -37,7 +37,7 @@ from .detect import (
     decode,
     nms,
 )
-from .errors import ConfigError, DigCrowdError, FormatError
+from .errors import ConfigError, DigCrowdError, FormatError, naming_file
 from .metrics import EvaluationRecord, SceneEstimate, evaluate_pairs, fuse
 from .partition import PartitionResult, partition
 from .scene import GridShape, Polyline, SceneRecord, check_integer, check_scene_id
@@ -145,7 +145,8 @@ def _resolve(base: Path, value) -> Path | None:
 def load_manifest(path) -> Manifest:
     """Parse and validate a manifest; a missing scene file fails only its scene."""
     path = Path(path)
-    try:
+    # decode errors are ValueErrors
+    with naming_file(path, (KeyError, TypeError, ValueError), "bad manifest: "):
         payload = json.loads(path.read_text())
         if not isinstance(payload, dict):
             raise TypeError("manifest must be a JSON object")
@@ -155,13 +156,12 @@ def load_manifest(path) -> Manifest:
         dataset_id = payload.get("dataset_id", path.stem)
         if not isinstance(dataset_id, str):
             raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
-    except (KeyError, TypeError, ValueError) as exc:  # decode errors are ValueErrors
-        raise FormatError(f"{path}: bad manifest: {exc}") from exc
     base = path.parent
     entries = []
     seen: set[str] = set()
     for raw in scenes:
-        try:
+        with naming_file(path, (ConfigError, KeyError, TypeError, AttributeError),
+                         "bad scene entry: "):
             scene_id = check_scene_id(raw["scene_id"])
             for key in ("depth", "config"):
                 if raw[key] in (None, ""):
@@ -176,8 +176,6 @@ def load_manifest(path) -> Manifest:
                 tensor=_resolve(base, preds.get("tensor")),
                 density=_resolve(base, preds.get("density")),
             )
-        except (ConfigError, KeyError, TypeError, AttributeError) as exc:
-            raise FormatError(f"{path}: bad scene entry: {exc}") from exc
         if scene_id in seen:
             raise FormatError(f"{path}: duplicate scene_id {scene_id!r}")
         seen.add(scene_id)
@@ -442,7 +440,9 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
     _pin_heap()
     spec_path = Path(spec_path)
     out_dir = Path(out_dir)
-    try:
+    # a JSONDecodeError is a ValueError; an int too large for a float an OverflowError
+    with naming_file(spec_path, (ConfigError, TypeError, ValueError, OverflowError),
+                     "bad benchmark spec: "):
         payload = json.loads(spec_path.read_text())
         if not isinstance(payload, dict):
             raise TypeError("benchmark spec must be a JSON object")
@@ -457,9 +457,6 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
         dataset_id = payload.get("dataset_id", spec_path.stem)
         if not isinstance(dataset_id, str):
             raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
-    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
-        # a JSONDecodeError is a ValueError; an int too large for a float an OverflowError
-        raise FormatError(f"{spec_path}: bad benchmark spec: {exc}") from exc
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
