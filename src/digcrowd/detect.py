@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .scene import GridShape, _frozen
+from .scene import GridShape, _check_real, _frozen
 
 __all__ = [
     "DetectorGridSpec",
@@ -131,16 +131,18 @@ def combine_confidence(class_prob: float, box_conf: float) -> float:
     return class_prob * box_conf
 
 
-def check_score_threshold(value: float) -> None:
-    """Reject a score threshold outside [0, 1], NaN included."""
-    if not 0.0 <= value <= 1.0:
+def check_score_threshold(value) -> float:
+    """``value`` as a float; a non-number or one outside [0, 1], NaN included, is refused."""
+    if not 0.0 <= _check_real(value, "score threshold") <= 1.0:
         raise ConfigError(f"score threshold must lie in [0, 1], got {value}")
+    return float(value)
 
 
-def check_nms_iou(value: float) -> None:
-    """Reject an NMS IoU threshold outside (0, 1], NaN included."""
-    if not 0.0 < value <= 1.0:
+def check_nms_iou(value) -> float:
+    """``value`` as a float; a non-number or one outside (0, 1], NaN included, is refused."""
+    if not 0.0 < _check_real(value, "NMS IoU threshold") <= 1.0:
         raise ConfigError(f"NMS IoU threshold must lie in (0, 1], got {value}")
+    return float(value)
 
 
 def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> DetectionSet:
@@ -150,7 +152,7 @@ def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOL
     Boxes with no pixel extent (w or h decoding to zero) are dropped.
     Boxes come out in row, col, slot order.
     """
-    check_score_threshold(score_threshold)
+    score_threshold = check_score_threshold(score_threshold)
     spec = pred.spec
     vals = pred.values
     warnings: list[str] = []
@@ -266,7 +268,7 @@ def nms(dets: DetectionSet, iou_threshold: float = DEFAULT_NMS_IOU) -> Detection
     and at most 5.2 MB each; 2048 full-width boxes crossing 2048
     full-height ones, where every crossing pair overlaps, take about 0.4 s.
     """
-    check_nms_iou(iou_threshold)
+    iou_threshold = check_nms_iou(iou_threshold)
     arr = dets.rows
     n = len(arr)
     if not n:

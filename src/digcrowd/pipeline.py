@@ -91,9 +91,9 @@ class PipelineParams:
     render_debug: bool = False
 
     def __post_init__(self):
-        check_score_threshold(self.score_threshold)
-        check_nms_iou(self.nms_iou)
-        # stored as an int: numpy ints do not dump to JSON
+        # stored as a float and an int: numpy scalars do not dump to JSON
+        object.__setattr__(self, "score_threshold", check_score_threshold(self.score_threshold))
+        object.__setattr__(self, "nms_iou", check_nms_iou(self.nms_iou))
         object.__setattr__(self, "workers", check_integer(self.workers, "workers", 1))
 
 

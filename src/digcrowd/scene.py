@@ -338,6 +338,18 @@ def check_integer(value, what: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _check_real(value, what: str) -> float:
+    """``value`` as a Python float if it is an int or a float, numpy ones
+    included; a bool or a non-number is a ``ConfigError``.
+
+    For values set from Python, which may be numpy scalars; JSON fields keep
+    ``check_number``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Per-scene knobs: manual split line and threshold mode.
@@ -352,8 +364,13 @@ class SceneConfig:
     depth_threshold: float | None = None
 
     def __post_init__(self):
-        if self.depth_threshold is not None and not (0.0 <= self.depth_threshold <= 1.0):
+        if self.depth_threshold is None:
+            return
+        threshold = _check_real(self.depth_threshold, "depth threshold")
+        if not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"depth threshold {self.depth_threshold} outside [0, 1]")
+        # stored as a float: numpy floats do not dump to JSON
+        object.__setattr__(self, "depth_threshold", threshold)
 
 
 @dataclass(frozen=True, eq=False)

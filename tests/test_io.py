@@ -621,6 +621,19 @@ class TestAnnotationAndConfig:
         assert cfg.polyline.segments.tolist() == [[0.0, 10.0, 0.0, 3.0]]
         assert cfg.depth_threshold == 1.0
 
+    @pytest.mark.parametrize("value", [True, False, "0.4", [0.4]])
+    def test_config_threshold_must_be_a_number(self, value):
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(f'depth threshold must be a number, got {value!r}')}$"):
+            SceneConfig("x", depth_threshold=value)
+
+    def test_config_numpy_threshold_is_a_float_that_round_trips(self, tmp_path):
+        cfg = SceneConfig("x", depth_threshold=np.float32(0.25))
+        assert type(cfg.depth_threshold) is float and cfg.depth_threshold == 0.25
+        path = tmp_path / "cfg.json"
+        write_scene_config(path, cfg)
+        assert read_scene_config(path) == cfg
+
 
 class TestReaderMessages:
     """A reader error is the file's path, then the reason, and nothing else."""

@@ -663,6 +663,22 @@ class TestRunDataset:
         workers = PipelineParams(workers=np.int64(2)).workers
         assert workers == 2 and type(workers) is int
 
+    @pytest.mark.parametrize("field, what", [("score_threshold", "score threshold"),
+                                             ("nms_iou", "NMS IoU threshold")])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+    def test_params_reject_thresholds_that_are_not_numbers(self, field, what, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(f'{what} must be a number, got {value!r}')}$"):
+            PipelineParams(**{field: value})
+
+    def test_numpy_thresholds_are_stored_as_floats_and_reported(self, bench_dir, tmp_path):
+        _, manifest_path = bench_dir
+        params = PipelineParams(score_threshold=np.float32(0.25), nms_iou=np.float64(0.5))
+        assert type(params.score_threshold) is float and type(params.nms_iou) is float
+        assert params.score_threshold == float(np.float32(0.25))
+        run_dataset(load_manifest(manifest_path), params, tmp_path / "out")
+        config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        assert config == {"score_threshold": 0.25, "nms_iou": 0.5, "workers": 1}
+
     def test_workers_match_serial(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
         manifest = load_manifest(manifest_path)
