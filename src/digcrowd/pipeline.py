@@ -428,14 +428,21 @@ def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
         raise ConfigError(f"bad scene spec: {exc}") from exc
 
 
+def _json_object(value, what: str) -> dict:
+    """A copy of ``value`` if it is a JSON object, else ``TypeError`` naming ``what``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
     """Materialize a self-contained synthetic benchmark directory.
 
-    The spec file is JSON: ``dataset_id``, optional ``defaults`` (synthetic
-    scene fields), optional ``noise``, and either an explicit ``scenes``
-    list of per-scene overrides or ``count`` + ``seed_start``. Returns the
-    manifest path plus per-scene generation errors (failed scenes are left
-    out of the manifest).
+    The spec file is a JSON object: ``dataset_id``, optional ``defaults``
+    (an object of synthetic scene fields), optional ``noise`` (an object),
+    and either an explicit ``scenes`` list of per-scene override objects or
+    ``count`` + ``seed_start``. Returns the manifest path plus per-scene
+    generation errors (failed scenes are left out of the manifest).
     """
     _pin_heap()
     spec_path = Path(spec_path)
@@ -446,10 +453,13 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
         payload = json.loads(spec_path.read_text())
         if not isinstance(payload, dict):
             raise TypeError("benchmark spec must be a JSON object")
-        defaults = dict(payload.get("defaults", {}))
-        noise = NoiseSpec(**payload.get("noise", {}))
+        defaults = _json_object(payload.get("defaults", {}), "defaults")
+        noise = NoiseSpec(**_json_object(payload.get("noise", {}), "noise"))
         if "scenes" in payload:
-            scene_specs = [dict(overrides) for overrides in payload["scenes"]]
+            scenes = payload["scenes"]
+            if not isinstance(scenes, list):
+                raise TypeError(f"scenes must be a list, got {scenes!r}")
+            scene_specs = [_json_object(o, f"scenes[{i}]") for i, o in enumerate(scenes)]
         else:
             count = check_integer(payload.get("count", 10), "count")
             start = check_integer(payload.get("seed_start", 0), "seed_start")

@@ -244,6 +244,29 @@ class TestBenchGenerate:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"defaults": [["n_people", 5], ["horizon_y", 100.0]], "count": 1},
+             "defaults must be a JSON object, got [['n_people', 5], ['horizon_y', 100.0]]"),
+            ({"defaults": None, "count": 1}, "defaults must be a JSON object, got None"),
+            ({"noise": [], "count": 1}, "noise must be a JSON object, got []"),
+            ({"scenes": {"a": 1}}, "scenes must be a list, got {'a': 1}"),
+            ({"scenes": [{"seed": 2}, [["seed", 3]]]},
+             "scenes[1] must be a JSON object, got [['seed', 3]]"),
+        ],
+        ids=["defaults-pairs", "defaults-null", "noise-list", "scenes-object", "scene-pairs"],
+    )
+    def test_spec_containers_must_be_objects_and_lists(self, tmp_path, fields, reason):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "defaults": {"shape": [160, 120], "n_people": 10, "horizon_y": 100.0}, **fields,
+        }))
+        message = f"{spec_path}: bad benchmark spec: {reason}"
+        with pytest.raises(FormatError, match=rf"^{re.escape(message)}$"):
+            bench_generate(spec_path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_fp_rate_above_the_pixel_count_fails_its_scene(self, tmp_path):
         # Boxes are drawn one at a time, about 27 us each: 1e8 would take 45 minutes.
         spec_path = _write_spec(tmp_path / "spec.json", count=1, shape=(160, 120),
