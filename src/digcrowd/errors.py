@@ -25,7 +25,6 @@ class SynthError(DigCrowdError):
     """Synthetic scene generation failure."""
 
 
-
 class naming_file:
     """In ``with naming_file(path, types, prefix):`` an exception of ``types``
     becomes ``FormatError(f"{path}: {prefix}{exc}")``, chained to it.
