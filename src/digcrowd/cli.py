@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -26,10 +25,13 @@ from .pipeline import (
     TOOL_VERSION,
     ManifestEntry,
     PipelineParams,
+    SceneOutcome,
     bench_generate,
     count_scene,
     load_manifest,
+    partition_fields,
     run_dataset,
+    scene_row,
 )
 
 log = logging.getLogger("digcrowd")
@@ -90,82 +92,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_partition(args) -> int:
     cfg = dio.read_scene_config(args.config)
-    depth = dio.read_depth(args.depth)
-    result = partition(depth, cfg)
+    result = partition(dio.read_depth(args.depth), cfg)
+    outcome = SceneOutcome(cfg.scene_id, "ok", warnings=result.warnings,
+                           **partition_fields(result))
+    row = scene_row(outcome, counts=False)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "scene_id": cfg.scene_id,
-        "polyline": dio.polyline_to_json(result.polyline),
-        "threshold_used": result.threshold_used,
-        "cluster_mean_depths": []
-        if result.cluster_mean_depths is None
-        else result.cluster_mean_depths.tolist(),
-        "iterations": result.iterations,
-        "partition_clusters": result.cluster_count,
-        "partition_stop": result.stop_reason,
-        "far_pixels": result.mask.far_count,
-        "near_pixels": result.mask.near_count,
-        "warnings": list(result.warnings),
-    }
-    (out / f"{cfg.scene_id}_partition.json").write_text(json.dumps(payload, indent=1))
+    (out / f"{cfg.scene_id}_partition.json").write_text(json.dumps(row, indent=1))
     dio.write_pgm8(out / f"{cfg.scene_id}_mask.pgm", np.where(result.mask.far, 255, 0))
     if args.render_debug and result.cluster_assignments is not None:
         dio.write_pgm8(out / f"{cfg.scene_id}_clusters.pgm", result.cluster_assignments % 256)
-    print(json.dumps(payload))
+    print(json.dumps(row))
     return 0
 
 
 def _cmd_count(args) -> int:
-    params = PipelineParams(
-        score_threshold=args.score_threshold,
-        nms_iou=args.nms_iou,
-    )
+    params = PipelineParams(score_threshold=args.score_threshold, nms_iou=args.nms_iou)
     optional = {
         name: Path(getattr(args, name)) if getattr(args, name) else None
         for name in ("annotations", "detections", "tensor", "density")
     }
+    cfg = dio.read_scene_config(args.config)
     entry = ManifestEntry(
-        scene_id=args.config, depth=Path(args.depth), config=Path(args.config), **optional
+        scene_id=cfg.scene_id, depth=Path(args.depth), config=Path(args.config), **optional
     )
     outcome = count_scene(entry, params)
     if not outcome.ok:
         raise DigCrowdError(outcome.error)
-    est = outcome.estimate
-    print(
-        json.dumps(
-            {
-                "scene_id": est.scene_id,
-                "near_count": est.near_count,
-                "far_count": est.far_count,
-                "total": est.total,
-                "deleted": outcome.deleted_count,
-                "ground_truth": None if math.isnan(est.ground_truth) else est.ground_truth,
-            }
-        )
-    )
+    print(json.dumps(scene_row(outcome)))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
-    params = PipelineParams(
-        score_threshold=args.score_threshold,
-        nms_iou=args.nms_iou,
-        workers=args.workers,
-        render_debug=args.render_debug,
-    )
-    report = run_dataset(manifest, params, Path(args.out_dir))
-    summary = {
-        "dataset_id": report.dataset_id,
-        "n_scenes": len(report.outcomes),
-        "n_succeeded": report.n_succeeded,
-        "n_failed": report.n_failed,
-        "mae": None if report.evaluation is None else report.evaluation.mae,
-        "mse": None if report.evaluation is None else report.evaluation.mse,
-    }
-    print(json.dumps(summary))
-    return 0 if report.n_failed == 0 else 1
+    params = PipelineParams(score_threshold=args.score_threshold, nms_iou=args.nms_iou,
+                            workers=args.workers, render_debug=args.render_debug)
+    out_dir = Path(args.out_dir)
+    run_dataset(manifest, params, out_dir)
+    payload = json.loads((out_dir / "report.json").read_text())
+    summary = ("dataset_id", "n_scenes", "n_succeeded", "n_failed", "mae", "mse")
+    print(json.dumps({key: payload[key] for key in summary}))
+    return 0 if payload["n_failed"] == 0 else 1
 
 
 def _cmd_bench_gen(args) -> int:

@@ -56,6 +56,8 @@ __all__ = [
     "run_scene",
     "run_record",
     "run_dataset",
+    "partition_fields",
+    "scene_row",
     "bench_generate",
 ]
 
@@ -112,6 +114,8 @@ class SceneOutcome:
     partition_energy: float | None = None
     partition_clusters: int | None = None
     partition_stop: str | None = None  # "residual", "energy" or "cap"
+    far_pixels: int | None = None
+    near_pixels: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -258,13 +262,24 @@ def count_scene(
         error=error,
         near_count=None if report is None else len(report.kept),
         deleted_count=None if report is None else len(report.deleted),
-        threshold_used=None if part is None else part.threshold_used,
-        polyline=None if part is None else part.polyline,
         warnings=tuple(warnings),
-        partition_iterations=None if part is None else part.iterations,
-        partition_energy=part.energy_history[-1] if part and part.energy_history else None,
-        partition_clusters=None if part is None else part.cluster_count,
-        partition_stop=None if part is None else part.stop_reason,
+        **partition_fields(part),
+    )
+
+
+def partition_fields(part: PartitionResult | None) -> dict:
+    """``SceneOutcome``'s partition fields from ``part``; none of them without one."""
+    if part is None:
+        return {}
+    return dict(
+        threshold_used=part.threshold_used,
+        polyline=part.polyline,
+        partition_iterations=part.iterations,
+        partition_energy=part.energy_history[-1] if part.energy_history else None,
+        partition_clusters=part.cluster_count,
+        partition_stop=part.stop_reason,
+        far_pixels=part.mask.far_count,
+        near_pixels=part.mask.near_count,
     )
 
 
@@ -339,17 +354,11 @@ def run_dataset(
     _pin_heap()
     if params.workers > 1:
         with ThreadPoolExecutor(max_workers=params.workers) as pool:
-            outcomes = list(
-                pool.map(lambda e: run_scene(e, params, out_dir), manifest.entries)
-            )
+            outcomes = list(pool.map(lambda e: run_scene(e, params, out_dir), manifest.entries))
     else:
         outcomes = [run_scene(e, params, out_dir) for e in manifest.entries]
 
-    pairs = [
-        (o.estimate.ground_truth, o.estimate.total)
-        for o in outcomes
-        if o.ok and o.estimate is not None
-    ]
+    pairs = [(o.estimate.ground_truth, o.estimate.total) for o in outcomes if o.ok]
     evaluation = evaluate_pairs(pairs) if pairs else None
     report = RunReport(
         dataset_id=manifest.dataset_id,
@@ -363,35 +372,56 @@ def run_dataset(
     return report
 
 
-def write_report(report: RunReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # one row per scene; report.csv takes the first six columns of the ok rows
-    scenes = [
-        {
-            "scene_id": o.scene_id,
+def _finite(x: float) -> float | None:
+    """``x``, or None for NaN and infinity, which strict JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
+def scene_row(o: SceneOutcome, counts: bool = True) -> dict:
+    """One scene's JSON row; every per-scene key is named here and nowhere else.
+
+    ``write_report`` writes the full row and CLI ``count`` prints it. With
+    ``counts=False`` the row holds the scene id and the partition keys only,
+    which CLI ``partition`` prints. Ground truth is NaN when a scene has no
+    annotations, and so is its error; both become None.
+    """
+    row = {"scene_id": o.scene_id}
+    if counts:
+        est = o.estimate
+        row.update({
             "status": o.status,
             "error": o.error,
             "near_count": o.near_count,
             "deleted_count": o.deleted_count,
-            "far_count": None if o.estimate is None else o.estimate.far_count,
-            "total": None if o.estimate is None else o.estimate.total,
-            "ground_truth": None if o.estimate is None else o.estimate.ground_truth,
-            "abs_error": None if o.estimate is None else o.estimate.abs_error,
-            "threshold_used": o.threshold_used,
-            "polyline": None if o.polyline is None else o.polyline.segments.tolist(),
-            "warnings": list(o.warnings),
-            "partition_iterations": o.partition_iterations,
-            "partition_energy": o.partition_energy,
-            "partition_clusters": o.partition_clusters,
-            "partition_stop": o.partition_stop,
-        }
-        for o in report.outcomes
-    ]
+            "far_count": None if est is None else est.far_count,
+            "total": None if est is None else est.total,
+            "ground_truth": None if est is None else _finite(est.ground_truth),
+            "abs_error": None if est is None else _finite(est.abs_error),
+        })
+    row.update({
+        "threshold_used": o.threshold_used,
+        "polyline": None if o.polyline is None else o.polyline.segments.tolist(),
+        "warnings": list(o.warnings),
+        "partition_iterations": o.partition_iterations,
+        "partition_energy": o.partition_energy,
+        "partition_clusters": o.partition_clusters,
+        "partition_stop": o.partition_stop,
+        "far_pixels": o.far_pixels,
+        "near_pixels": o.near_pixels,
+    })
+    return row
+
+
+def write_report(report: RunReport, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    scenes = [scene_row(o) for o in report.outcomes]
+    # report.csv holds six of the row's keys, for the scenes that succeeded
     columns = ("scene_id", "near_count", "far_count", "total", "ground_truth", "abs_error")
     with (out_dir / "report.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([row[k] for k in columns] for row in scenes if row["status"] == "ok")
+        writer.writerows([row[k] for k in columns]
+                         for o, row in zip(report.outcomes, scenes) if o.ok)
     payload = {
         "dataset_id": report.dataset_id,
         "tool_version": report.tool_version,
@@ -475,10 +505,14 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
 
     entries = []
     errors: list[str] = []
+    written: set[str] = set()
     for i, overrides in enumerate(scene_specs):
         scene_id = overrides.pop("scene_id", f"scene-{i:04d}")
         try:
             check_scene_id(scene_id)
+            # a second scene of one id would overwrite the first one's files
+            if scene_id in written:
+                raise ConfigError(f"duplicate scene_id {scene_id!r}")
             spec = _spec_from_dict(defaults, overrides)
             rec = generate_scene(spec, scene_id=scene_id)
             part = partition(rec.depth, rec.config)
@@ -486,6 +520,7 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
         except DigCrowdError as exc:
             errors.append(f"{scene_id}: {exc}")
             continue
+        written.add(scene_id)
         scene_dir = out_dir / scene_id
         scene_dir.mkdir(parents=True, exist_ok=True)
         dio.write_depth_digd(scene_dir / "depth.digd", rec.depth)
@@ -506,14 +541,6 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
             }
         )
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(
-            {
-                "dataset_id": dataset_id,
-                "tool_version": TOOL_VERSION,
-                "scenes": entries,
-            },
-            indent=1,
-        )
-    )
+    manifest = {"dataset_id": dataset_id, "tool_version": TOOL_VERSION, "scenes": entries}
+    manifest_path.write_text(json.dumps(manifest, indent=1))
     return manifest_path, errors

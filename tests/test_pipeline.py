@@ -22,6 +22,7 @@ from digcrowd import (
     FormatError,
     GridPrediction,
     GridShape,
+    Polyline,
     load_manifest,
     partition,
     run_dataset,
@@ -53,6 +54,13 @@ def _write_spec(path, count=4, n_people=40, noise=None, shape=(320, 240), seed_s
     }
     path.write_text(json.dumps(payload))
     return path
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which strict JSON has no words for."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _put_negative_density(path):
@@ -320,6 +328,30 @@ class TestBenchGenerate:
         assert [e.scene_id for e in load_manifest(manifest_path).entries] == ["kept"]
         written = {p for p in tmp_path.rglob("*") if p.is_file()} - {spec_path}
         assert {p.parent for p in written} == {out, out / "kept"}
+
+    def test_duplicate_scene_id_fails_the_later_scene(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "defaults": SMALL_DEFAULTS,
+            "scenes": [{"scene_id": "a", "seed": 1}, {"scene_id": "a", "seed": 2}, {"seed": 3},
+                       {"scene_id": "scene-0002", "seed": 4}],
+        }))
+        out = tmp_path / "out"
+        manifest_path, errors = bench_generate(spec_path, out)
+        assert errors == ["a: duplicate scene_id 'a'",
+                          "scene-0002: duplicate scene_id 'scene-0002'"]
+        assert [e.scene_id for e in load_manifest(manifest_path).entries] == ["a", "scene-0002"]
+        # the first scene of each id keeps its files
+        alone = tmp_path / "alone.json"
+        alone.write_text(json.dumps({
+            "defaults": SMALL_DEFAULTS,
+            "scenes": [{"scene_id": "a", "seed": 1}, {"scene_id": "scene-0002", "seed": 3}],
+        }))
+        bench_generate(alone, tmp_path / "alone")
+        for scene_id in ("a", "scene-0002"):
+            for name in ("depth.digd", "config.json", "annotations.json", "density.digf"):
+                got = (out / scene_id / name).read_bytes()
+                assert got == (tmp_path / "alone" / scene_id / name).read_bytes(), name
 
 
 def _bench_spec_1080(path, seeds):
@@ -866,8 +898,11 @@ class TestCli:
             ]
         )
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        payload = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["total"] == pytest.approx(payload["ground_truth"], abs=1e-4)
+        run_dataset(load_manifest(out / "manifest.json"), out_dir=tmp_path / "r")
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert payload == report["scenes"][0]
 
     def _count_args(self, tmp_path, omit):
         spec = _write_spec(tmp_path / "spec.json", count=1)
@@ -907,8 +942,9 @@ class TestCli:
     def test_count_without_annotations_has_null_ground_truth(self, tmp_path, capsys):
         rc = cli_main(self._count_args(tmp_path, omit="--annotations"))
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert payload["ground_truth"] is None
+        payload = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["ground_truth"] is None and payload["abs_error"] is None
+        assert payload["scene_id"] == "scene-0000" and payload["status"] == "ok"
         assert payload["far_count"] > 0.0
 
     def test_render_debug_reads_each_density_once(self, tmp_path, monkeypatch):
@@ -962,27 +998,35 @@ class TestCli:
         assert (tmp_path / "p" / "auto-scene_clusters.pgm").exists()
         printed = json.loads(capsys.readouterr().out)
         want = partition(dio.read_depth(tmp_path / "d.digd"), SceneConfig("auto-scene"))
-        assert printed["iterations"] == len(want.energy_history) - 1 > 0
+        assert printed["partition_iterations"] == len(want.energy_history) - 1 > 0
         assert printed["partition_clusters"] == want.cluster_mean_depths.size
         assert printed["partition_stop"] == want.stop_reason
-        assert dio.polyline_from_json(printed["polyline"]) == want.polyline
+        assert Polyline(printed["polyline"]) == want.polyline
         assert printed["threshold_used"] == want.threshold_used
+        assert (printed["far_pixels"], printed["near_pixels"]) == (
+            want.mask.far_count, want.mask.near_count)
+        written = (tmp_path / "p" / "auto-scene_partition.json").read_text()
+        assert json.loads(written) == printed
 
     def test_partition_subcommand_prints_the_split_evaluate_uses(self, bench_dir, tmp_path, capsys):
         out, manifest_path = bench_dir
-        entry = load_manifest(manifest_path).entries[0]
-        cfg = json.loads(entry.config.read_text())
+        auto, manual = load_manifest(manifest_path).entries[:2]
+        cfg = json.loads(auto.config.read_text())
         cfg["polyline"] = None
-        entry.config.write_text(json.dumps(cfg))
-        run_dataset(Manifest("one", (entry,)), PipelineParams(), tmp_path / "r")
-        scene = json.loads((tmp_path / "r" / "report.json").read_text())["scenes"][0]
-        argv = ["partition", "--depth", str(entry.depth), "--config", str(entry.config)]
-        assert cli_main(argv + ["--out-dir", str(tmp_path / "p")]) == 0
-        printed = json.loads(capsys.readouterr().out)
-        assert scene["status"] == "ok" and scene["partition_iterations"] > 0
-        assert dio.polyline_from_json(printed["polyline"]).segments.tolist() == scene["polyline"]
-        assert printed["threshold_used"] == scene["threshold_used"]
-        assert printed["iterations"] == scene["partition_iterations"]
+        auto.config.write_text(json.dumps(cfg))
+        run_dataset(Manifest("two", (auto, manual)), PipelineParams(), tmp_path / "r")
+        scenes = json.loads((tmp_path / "r" / "report.json").read_text())["scenes"]
+        assert scenes[0]["partition_iterations"] > 0 and scenes[1]["partition_iterations"] is None
+        for entry, scene in zip((auto, manual), scenes):
+            argv = ["partition", "--depth", str(entry.depth), "--config", str(entry.config)]
+            assert cli_main(argv + ["--out-dir", str(tmp_path / "p")]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert scene["status"] == "ok"
+            assert list(printed) == ["scene_id", "threshold_used", "polyline", "warnings",
+                                     "partition_iterations", "partition_energy",
+                                     "partition_clusters", "partition_stop", "far_pixels",
+                                     "near_pixels"]
+            assert printed == {key: scene[key] for key in printed}
 
     def test_partition_subcommand_on_a_manual_split(self, bench_dir, tmp_path, capsys):
         out, _ = bench_dir
@@ -991,11 +1035,11 @@ class TestCli:
                 str(scene / "config.json"), "--out-dir", str(tmp_path / "p")]
         assert cli_main(argv) == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed["cluster_mean_depths"] == []
-        for key in ("threshold_used", "iterations", "partition_clusters", "partition_stop"):
+        for key in ("threshold_used", "partition_iterations", "partition_energy",
+                    "partition_clusters", "partition_stop"):
             assert printed[key] is None, key
         manual = dio.read_scene_config(scene / "config.json").polyline
-        assert dio.polyline_from_json(printed["polyline"]) == manual
+        assert Polyline(printed["polyline"]) == manual
 
     def test_partition_subcommand_has_no_clustering_flags(self, capsys):
         with pytest.raises(SystemExit):

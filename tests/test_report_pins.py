@@ -51,7 +51,7 @@ DUP_SHIFTS = (0.2, 0.36, 0.5)
 
 SHA256 = {
     "report.csv": "47b0162b64af3cfcd66b9ed8b4ca5ebfd45a738f0cf0b95045df9e7498967e05",
-    "report.json": "4cb73d3de799328a644e0ca8a697c14ed8141f2b5428b3c85340e2c4a3f06c2a",
+    "report.json": "f791e9a0826e39e2c97de0f64d255573a0101e1df42624c3e22a35dbf40a6d99",
 }
 
 
@@ -121,3 +121,9 @@ def test_report_bytes_are_pinned(tmp_path):
                (tmp_path / "report" / name).read_bytes().replace(prefix, b"<tmp>")).hexdigest()
            for name in SHA256}
     assert got == SHA256
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    # NaN and Infinity are not JSON, and strict readers refuse them
+    json.loads((tmp_path / "report" / "report.json").read_text(), parse_constant=refuse)
