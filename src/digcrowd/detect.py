@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .scene import GridShape, _check_real, _frozen
+from .scene import GridShape, _frozen, _store, check_integer, check_number
 
 __all__ = [
     "DetectorGridSpec",
@@ -45,6 +45,8 @@ class DetectorGridSpec:
     c: int = 1
 
     def __post_init__(self):
+        _store(self, s=check_integer(self.s, "grid spec s"),
+               b=check_integer(self.b, "grid spec b"), c=check_integer(self.c, "grid spec c"))
         if min(self.s, self.b, self.c) < 1:
             raise ConfigError(f"grid spec values must be >= 1, got {self}")
 
@@ -132,17 +134,16 @@ def combine_confidence(class_prob: float, box_conf: float) -> float:
 
 
 def check_score_threshold(value) -> float:
-    """``value`` as a float; a non-number or one outside [0, 1], NaN included, is refused."""
-    if not 0.0 <= _check_real(value, "score threshold") <= 1.0:
-        raise ConfigError(f"score threshold must lie in [0, 1], got {value}")
-    return float(value)
+    """``value`` as a float in [0, 1]; a non-number, NaN included, is refused."""
+    return check_number(value, "score threshold", 0.0, 1.0)
 
 
 def check_nms_iou(value) -> float:
-    """``value`` as a float; a non-number or one outside (0, 1], NaN included, is refused."""
-    if not 0.0 < _check_real(value, "NMS IoU threshold") <= 1.0:
-        raise ConfigError(f"NMS IoU threshold must lie in (0, 1], got {value}")
-    return float(value)
+    """``value`` as a float in (0, 1]; a non-number, NaN included, is refused."""
+    iou = check_number(value, "NMS IoU threshold", 0.0, 1.0)
+    if iou == 0.0:
+        raise ConfigError(f"NMS IoU threshold {value} outside (0, 1]")
+    return iou
 
 
 def decode(pred: GridPrediction, score_threshold: float = DEFAULT_SCORE_THRESHOLD) -> DetectionSet:

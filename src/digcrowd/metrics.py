@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 from .detect import DetectionSet
 from .errors import ConfigError
+from .scene import _store, check_integer, check_number
 
 __all__ = ["SceneEstimate", "EvaluationRecord", "fuse", "mae", "mse", "evaluate_pairs"]
 
@@ -23,12 +24,19 @@ class SceneEstimate:
     scene_id: str
     near_count: int
     far_count: float
-    total: float
-    ground_truth: float
+    ground_truth: float = math.nan  # NaN: the scene has no annotations
 
     def __post_init__(self):
-        if self.near_count < 0 or self.far_count < 0.0:
-            raise ConfigError("counts must be non-negative")
+        _store(
+            self,
+            near_count=check_integer(self.near_count, "near count", 0),
+            far_count=check_number(self.far_count, "far count", 0.0),
+            ground_truth=check_number(self.ground_truth, "ground truth"),
+        )
+
+    @property
+    def total(self) -> float:  # near + far, with no rounding
+        return self.near_count + self.far_count
 
     @property
     def abs_error(self) -> float:
@@ -41,17 +49,8 @@ def fuse(
     scene_id: str = "",
     ground_truth: float = math.nan,
 ) -> SceneEstimate:
-    """near = surviving detections, total = near + far (no rounding)."""
-    if far_count < 0.0:
-        raise ConfigError(f"far count must be >= 0, got {far_count}")
-    near = len(kept_dets)
-    return SceneEstimate(
-        scene_id=scene_id,
-        near_count=near,
-        far_count=float(far_count),
-        total=near + float(far_count),
-        ground_truth=float(ground_truth),
-    )
+    """near = surviving detections, far = the density integral."""
+    return SceneEstimate(scene_id, len(kept_dets), far_count, ground_truth)
 
 
 def _as_pairs(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:

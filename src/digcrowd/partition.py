@@ -31,6 +31,7 @@ from .scene import (
     RegionMask,
     SceneConfig,
     _frozen,
+    check_number,
     mask_from_polyline,
 )
 
@@ -386,9 +387,9 @@ def classify_clusters(state: ClusterState, threshold: float | None = None) -> Cl
     means = state.mean_depths
     if threshold is None:
         threshold = _otsu_threshold(means)
-    elif not (0.0 <= threshold <= 1.0):
-        raise ConfigError(f"depth threshold {threshold} outside [0, 1]")
-    return ClusterLabels(far=means >= threshold, threshold=float(threshold))
+    else:
+        threshold = check_number(threshold, "depth threshold", 0.0, 1.0)
+    return ClusterLabels(far=means >= threshold, threshold=threshold)
 
 
 def _between_class_variance(means: np.ndarray, t: float) -> float:

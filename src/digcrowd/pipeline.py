@@ -450,8 +450,11 @@ def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
         if "shape" in merged:
             shape = merged["shape"]
             width, height = shape
-            if any(isinstance(v, bool) or int(v) != v for v in (width, height)):
-                raise ValueError(f"shape values must be integers, got {shape!r}")
+            int(width), int(height)  # int() names a string or an infinity in its own words
+            try:
+                width, height = check_integer(width, "width"), check_integer(height, "height")
+            except ConfigError:
+                raise ValueError(f"shape values must be integers, got {shape!r}") from None
             merged["shape"] = GridShape(width, height)
         return SynthSpec(**merged)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -47,6 +47,12 @@ def _frozen(arr: np.ndarray, given) -> np.ndarray:
     return arr
 
 
+def _store(obj, **values) -> None:
+    """Set the checked field ``values`` on ``obj``, an instance of a frozen dataclass."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 def _bits_at_most(values: np.ndarray, limit: float) -> bool:
     """Whether no value's IEEE 754 bit pattern is above ``limit``'s.
 
@@ -95,10 +101,10 @@ class GridShape:
     height: int
 
     def __post_init__(self):
-        if int(self.width) < 1 or int(self.height) < 1:
+        _store(self, width=check_integer(self.width, "grid width"),
+               height=check_integer(self.height, "grid height"))
+        if self.width < 1 or self.height < 1:
             raise ConfigError(f"grid shape must be at least 1x1, got {self.width}x{self.height}")
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
 
     @property
     def pixel_count(self) -> int:
@@ -318,14 +324,21 @@ def check_scene_id(scene_id) -> str:
     return scene_id
 
 
-def check_number(value, what: str) -> float:
-    """``value`` as a float if it is an int or a float, else ``ConfigError``.
-
-    JSON true/false are not numbers, although Python compares them as 1 and 0.
+def check_number(value, what: str, minimum=None, maximum=None) -> float:
+    """``value`` as a Python float if it is an int or a float, numpy ones
+    included, else ``ConfigError``; a bool is not a number here. With
+    ``minimum`` alone the value must be finite and ``>= minimum``; with both
+    bounds it must lie in [minimum, maximum]. NaN fails either bound.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if maximum is not None:
+        if not minimum <= number <= maximum:
+            raise ConfigError(f"{what} {value} outside [{minimum:g}, {maximum:g}]")
+    elif minimum is not None and not minimum <= number < math.inf:
+        raise ConfigError(f"{what} {value} must be finite and >= {minimum:g}")
+    return number
 
 
 def check_integer(value, what: str, minimum: int | None = None) -> int:
@@ -336,18 +349,6 @@ def check_integer(value, what: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
-
-
-def _check_real(value, what: str) -> float:
-    """``value`` as a Python float if it is an int or a float, numpy ones
-    included; a bool or a non-number is a ``ConfigError``.
-
-    For values set from Python, which may be numpy scalars; JSON fields keep
-    ``check_number``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -364,13 +365,9 @@ class SceneConfig:
     depth_threshold: float | None = None
 
     def __post_init__(self):
-        if self.depth_threshold is None:
-            return
-        threshold = _check_real(self.depth_threshold, "depth threshold")
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigError(f"depth threshold {self.depth_threshold} outside [0, 1]")
-        # stored as a float: numpy floats do not dump to JSON
-        object.__setattr__(self, "depth_threshold", threshold)
+        if self.depth_threshold is not None:
+            _store(self, depth_threshold=check_number(
+                self.depth_threshold, "depth threshold", 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,5 +383,6 @@ class SceneRecord:
     ground_truth_count: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "heads", _frozen(check_heads(self.heads), self.heads))
+        _store(self, heads=_frozen(check_heads(self.heads), self.heads),
+               ground_truth_count=check_number(self.ground_truth_count, "count"))
         _check_annotations(self.heads, self.ground_truth_count)

@@ -33,6 +33,7 @@ from .scene import (
     Polyline,
     SceneConfig,
     SceneRecord,
+    _store,
     check_integer,
     check_number,
 )
@@ -63,27 +64,21 @@ class SynthSpec:
     exclusion_margin: float = 2.0
 
     def __post_init__(self):
-        check_integer(self.n_people, "n_people", 1)
-        for name in ("horizon_y", "near_head_size", "far_head_size",
-                     "clustering_intensity", "exclusion_margin"):
-            check_number(getattr(self, name), name)
+        _store(
+            self,
+            n_people=check_integer(self.n_people, "n_people", 1),
+            horizon_y=check_number(self.horizon_y, "horizon_y"),
+            near_head_size=check_number(self.near_head_size, "near_head_size", 0.0),
+            far_head_size=check_number(self.far_head_size, "far_head_size"),
+            clustering_intensity=check_number(
+                self.clustering_intensity, "clustering_intensity", 0.0),
+            exclusion_margin=check_number(self.exclusion_margin, "exclusion_margin", 0.0),
+            seed=check_integer(self.seed, "seed", 0),
+        )
         if not (0.0 < self.horizon_y <= self.shape.height):
-            raise ConfigError(
-                f"horizon_y {self.horizon_y} outside (0, {self.shape.height}]"
-            )
+            raise ConfigError(f"horizon_y {self.horizon_y} outside (0, {self.shape.height}]")
         if not (0.0 < self.far_head_size < self.near_head_size):
-            raise ConfigError(
-                "head sizes must satisfy 0 < far_head_size < near_head_size"
-            )
-        if self.clustering_intensity < 0.0:
-            raise ConfigError("clustering_intensity must be >= 0")
-        if self.exclusion_margin < 0.0:
-            raise ConfigError("exclusion_margin must be >= 0")
-        # NaN and +inf (json reads NaN and Infinity) pass the comparisons above
-        for name in ("near_head_size", "clustering_intensity", "exclusion_margin"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ConfigError(f"{name} {value} must be finite and >= 0")
-        check_integer(self.seed, "seed", 0)
+            raise ConfigError("head sizes must satisfy 0 < far_head_size < near_head_size")
 
 
 # numpy's Generator.poisson refuses a larger mean ("lam value too large")
@@ -100,14 +95,13 @@ class NoiseSpec:
     density_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_miss", "fp_rate", "box_jitter", "density_noise_sigma"):
-            check_number(getattr(self, name), name)
-        if not (0.0 <= self.p_miss <= 1.0):
-            raise ConfigError(f"p_miss {self.p_miss} outside [0, 1]")
-        for name in ("fp_rate", "box_jitter", "density_noise_sigma"):
-            value = getattr(self, name)
-            if not (0.0 <= value < math.inf):  # NaN fails too
-                raise ConfigError(f"{name} {value} must be finite and >= 0")
+        _store(
+            self,
+            p_miss=check_number(self.p_miss, "p_miss", 0.0, 1.0),
+            fp_rate=check_number(self.fp_rate, "fp_rate", 0.0),
+            box_jitter=check_number(self.box_jitter, "box_jitter", 0.0),
+            density_noise_sigma=check_number(self.density_noise_sigma, "density_noise_sigma", 0.0),
+        )
         if self.fp_rate > _POISSON_LAM_MAX:
             raise ConfigError(
                 f"fp_rate {self.fp_rate} above {_POISSON_LAM_MAX!r}, numpy's largest Poisson mean"
