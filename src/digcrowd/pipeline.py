@@ -224,8 +224,10 @@ def count_scene(
 
     Ground truth is read when the entry has annotations and is NaN
     otherwise. Any failure produces a failed outcome carrying whatever
-    partial results were already computed. The stages return their
-    warnings; each is logged here once, under the manifest scene id.
+    partial results were already computed. The debug rasters are written
+    after a successful count; failing to write them is a warning. The stages
+    return their warnings; each is logged here once, under the manifest
+    scene id.
     """
     part = report = estimate = error = None
     warnings: list[str] = []
@@ -249,10 +251,13 @@ def count_scene(
         _check_grid(entry.density, "density file", field.shape, part.mask.shape)
         far = far_count_from_external(field, part.mask)
         estimate = fuse(report.kept, far, cfg.scene_id, ground_truth)
-        if params.render_debug and out_dir is not None:
-            _write_debug_rasters(out_dir, entry.scene_id, part, field)
     except (DigCrowdError, OSError) as exc:
         estimate, error = None, str(exc)
+    if estimate is not None and params.render_debug and out_dir is not None:
+        try:  # an output error costs the rasters, never the finished count
+            _write_debug_rasters(out_dir, entry.scene_id, part, field)
+        except OSError as exc:
+            warnings.append(f"debug rasters not written: {exc}")
     for msg in warnings:
         log.warning("scene %s: %s", entry.scene_id, msg)
     return SceneOutcome(

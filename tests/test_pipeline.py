@@ -658,6 +658,24 @@ class TestRunDataset:
             for kind in ("mask", "density"):
                 assert (tmp_path / "r" / "debug" / f"{entry.scene_id}_{kind}.pgm").exists()
 
+    def test_debug_raster_error_keeps_the_count(self, bench_dir, tmp_path, caplog):
+        out, manifest_path = bench_dir
+        manifest = load_manifest(manifest_path)
+        report_dir = tmp_path / "r"
+        report_dir.mkdir()
+        (report_dir / "debug").write_text("a file where the raster directory goes")
+        with caplog.at_level(logging.WARNING, logger="digcrowd"):
+            report = run_dataset(manifest, PipelineParams(render_debug=True), report_dir)
+        assert report.n_succeeded == len(manifest.entries) and report.evaluation is not None
+        assert report.evaluation == run_dataset(manifest).evaluation
+        logged = [r.getMessage() for r in caplog.records]
+        for outcome in report.outcomes:
+            [warning] = [w for w in outcome.warnings if w.startswith("debug rasters not written: ")]
+            assert "File exists" in warning
+            assert logged.count(f"scene {outcome.scene_id}: {warning}") == 1
+        payload = json.loads((report_dir / "report.json").read_text())
+        assert payload["n_succeeded"] == len(manifest.entries) and payload["mae"] is not None
+
     def test_outputs_named_by_manifest_id(self, bench_dir, tmp_path):
         out, manifest_path = bench_dir
         manifest = load_manifest(manifest_path)
