@@ -21,7 +21,7 @@ import numpy as np
 
 from digcrowd import io as dio
 from digcrowd.detect import DetectorGridSpec, GridPrediction
-from digcrowd.pipeline import bench_generate, load_manifest, run_dataset
+from digcrowd.pipeline import PipelineParams, bench_generate, load_manifest, run_dataset
 from digcrowd.scene import GridShape
 
 SPEC = {
@@ -127,3 +127,24 @@ def test_report_bytes_are_pinned(tmp_path):
 
     # NaN and Infinity are not JSON, and strict readers refuse them
     json.loads((tmp_path / "report" / "report.json").read_text(), parse_constant=refuse)
+
+
+def test_two_workers_write_the_same_report(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    out = tmp_path / "set"
+    manifest_path, errors = bench_generate(spec_path, out)
+    assert errors == []
+    _shape_set(out)
+    manifest = load_manifest(manifest_path)
+
+    run_dataset(manifest, out_dir=tmp_path / "one")
+    run_dataset(manifest, PipelineParams(workers=2), out_dir=tmp_path / "two")
+
+    prefix = str(tmp_path).encode()
+    csv = (tmp_path / "two" / "report.csv").read_bytes().replace(prefix, b"<tmp>")
+    assert hashlib.sha256(csv).hexdigest() == SHA256["report.csv"]
+    one, two = ((tmp_path / name / "report.json").read_text() for name in ("one", "two"))
+    # config.workers is the one field that tells the two runs apart
+    assert two.count('"workers": 2') == 1 and '"workers": 1' in one
+    assert two.replace('"workers": 2', '"workers": 1') == one
