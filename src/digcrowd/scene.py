@@ -95,7 +95,10 @@ def _checked_raster(given, shape: GridShape, what: str, limit: float, rule: str)
 
 @dataclass(frozen=True)
 class GridShape:
-    """Pixel extent of every raster in a scene (width, height)."""
+    """Pixel extent of every raster in a scene (width, height).
+
+    Each side is below 2**32, which the raster headers store as uint32.
+    """
 
     width: int
     height: int
@@ -105,6 +108,9 @@ class GridShape:
                height=check_integer(self.height, "grid height"))
         if self.width < 1 or self.height < 1:
             raise ConfigError(f"grid shape must be at least 1x1, got {self.width}x{self.height}")
+        if max(self.width, self.height) >= 2**32:
+            raise ConfigError(
+                f"grid shape sides must be below 2**32, got {self.width}x{self.height}")
 
     @property
     def pixel_count(self) -> int:

@@ -170,6 +170,7 @@ def test_numpy_float32_is_taken_alike_everywhere(build, attribute):
     "build, message",
     [
         (lambda: GridShape(0, 2), "grid shape must be at least 1x1, got 0x2"),
+        (lambda: GridShape(3, 2**32), "grid shape sides must be below 2**32, got 3x4294967296"),
         (lambda: DetectorGridSpec(0, 1, 1),
          "grid spec values must be >= 1, got DetectorGridSpec(s=0, b=1, c=1)"),
         (lambda: NoiseSpec(p_miss=2), "p_miss 2 outside [0, 1]"),
@@ -177,7 +178,7 @@ def test_numpy_float32_is_taken_alike_everywhere(build, attribute):
         (lambda: SceneConfig("s", depth_threshold=1.5), "depth threshold 1.5 outside [0, 1]"),
         (lambda: PipelineParams(nms_iou=0.0), "NMS IoU threshold 0.0 outside (0, 1]"),
     ],
-    ids=["grid-shape", "grid-spec", "p_miss", "fp_rate", "depth-threshold", "nms-iou-zero"],
+    ids=["grid-shape", "grid-shape-too-large", "grid-spec", "p_miss", "fp_rate", "depth-threshold", "nms-iou-zero"],
 )
 def test_range_messages(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

@@ -164,13 +164,15 @@ class TestBenchGenerate:
              "exclusion_margin inf must be finite and >= 0"),
             ({"defaults": {**SMALL_DEFAULTS, "near_head_size": math.inf}, "count": 1},
              "near_head_size inf must be finite and >= 0"),
+            ({"defaults": {**SMALL_DEFAULTS, "shape": [10**400, 120]}, "count": 1},
+             "grid shape sides must be below 2**32, got 1000"),
         ],
         ids=["override-type", "default-value", "shape-empty", "seed-str", "seed-float",
              "n_people-float", "n_people-bool", "shape-float", "shape-inf", "unknown-key",
              "seed-bool", "horizon_y-bool", "near_head_size-bool", "far_head_size-bool",
              "clustering_intensity-bool", "exclusion_margin-bool", "shape-bool",
              "clustering_intensity-nan", "exclusion_margin-nan", "exclusion_margin-inf",
-             "near_head_size-inf"],
+             "near_head_size-inf", "shape-too-large"],
     )
     def test_wrong_field_type_is_a_scene_error(self, tmp_path, capsys, payload, reason):
         spec_path = tmp_path / "spec.json"
