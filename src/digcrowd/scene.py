@@ -330,7 +330,8 @@ def check_scene_id(scene_id) -> str:
     return scene_id
 
 
-def check_number(value, what: str, minimum=None, maximum=None) -> float:
+def check_number(value, what: str, minimum: float | None = None,
+                 maximum: float | None = None) -> float:
     """``value`` as a Python float if it is an int or a float, numpy ones
     included, else ``ConfigError``; a bool is not a number here. With
     ``minimum`` alone the value must be finite and ``>= minimum``; with both
