@@ -20,7 +20,6 @@ from .detect import (
     DetectionSet,
     DetectorGridSpec,
     GridPrediction,
-    combine_confidence,
     decode,
     iou,
     nms,
@@ -42,6 +41,7 @@ from .partition import (
     extract_polyline,
     partition,
 )
+from .pipeline import TOOL_VERSION as __version__
 from .pipeline import (
     Manifest,
     ManifestEntry,
@@ -72,5 +72,3 @@ from .synth import (
     generate_step_depth,
     oracle_predictions,
 )
-
-__version__ = "0.1.0"

@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as dio
 from .detect import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESHOLD
 from .errors import DigCrowdError
@@ -32,6 +30,7 @@ from .pipeline import (
     partition_fields,
     run_dataset,
     scene_row,
+    write_split_rasters,
 )
 
 log = logging.getLogger("digcrowd")
@@ -62,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--render-debug", action="store_true")
 
     p = sub.add_parser("count", help="run the full pipeline on one scene")
     p.add_argument("--depth", required=True)
@@ -96,12 +94,8 @@ def _cmd_partition(args) -> int:
     outcome = SceneOutcome(cfg.scene_id, "ok", warnings=result.warnings,
                            **partition_fields(result))
     row = scene_row(outcome, counts=False)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{cfg.scene_id}_partition.json").write_text(json.dumps(row, indent=1))
-    dio.write_pgm8(out / f"{cfg.scene_id}_mask.pgm", np.where(result.mask.far, 255, 0))
-    if args.render_debug and result.cluster_assignments is not None:
-        dio.write_pgm8(out / f"{cfg.scene_id}_clusters.pgm", result.cluster_assignments % 256)
+    write_split_rasters(args.out_dir, cfg.scene_id, result)
+    (Path(args.out_dir) / f"{cfg.scene_id}_partition.json").write_text(json.dumps(row, indent=1))
     print(json.dumps(row))
     return 0
 

@@ -24,7 +24,6 @@ __all__ = [
     "DetectorGridSpec",
     "GridPrediction",
     "DetectionSet",
-    "combine_confidence",
     "decode",
     "first_invalid_row",
     "iou",
@@ -124,13 +123,6 @@ class DetectionSet:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def combine_confidence(class_prob: float, box_conf: float) -> float:
-    """Class-specific confidence: class probability times box confidence."""
-    if not (0.0 <= class_prob <= 1.0 and 0.0 <= box_conf <= 1.0):
-        raise ConfigError("confidence inputs must lie in [0, 1]")
-    return class_prob * box_conf
 
 
 def check_score_threshold(value) -> float:

@@ -26,7 +26,8 @@ float64 copy and a DIGY tensor (86 KB at S=32) is read into memory, so
 neither stays mapped.
 
 Every reader error is a ``FormatError`` whose message starts with the
-file's path (``errors.naming_file``).
+file's path (``errors.naming_file``). Every JSON reader checks that a value
+is an object, a list or a string with ``check_json``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ __all__ = [
     "write_scene_config",
     "polyline_to_json",
     "polyline_from_json",
+    "check_json",
     "write_pgm8",
     "heatmap_u8",
 ]
@@ -81,6 +83,16 @@ _DIGY_HEADER = struct.Struct("<4sIIIII")
 _DIGF_HEADER = struct.Struct("<4sIIQ")
 # what a JSON payload of the wrong shape or type raises while it is read
 _JSON_ERRORS = (ConfigError, KeyError, TypeError, ValueError, OverflowError)
+_JSON_KINDS = {dict: "a JSON object", list: "a list", str: "a string"}
+
+
+def check_json(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (``dict``, ``list`` or ``str``), else
+    ``TypeError("{what} must be a JSON object, got …")`` (or a list, or a string),
+    which the reader's ``naming_file`` turns into a ``FormatError`` naming its file."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _map_file(path) -> mmap.mmap | bytes:
@@ -300,7 +312,7 @@ def write_annotations(path, heads: np.ndarray, count: float) -> None:
     ``read_annotations`` would reject, are a ``ConfigError``.
     """
     heads = check_heads(heads)
-    _check_annotations(heads, check_number(count, "count"))
+    _check_annotations(heads, check_number(count, "count", 0.0))
     rows = ",\n".join(f'  {{\n   "x": {x!r},\n   "y": {y!r}\n  }}' for x, y in heads.tolist())
     listing = f"[\n{rows}\n ]" if rows else "[]"
     Path(path).write_text(f'{{\n "heads": {listing},\n "count": {json.dumps(count)}\n}}')
@@ -309,7 +321,7 @@ def write_annotations(path, heads: np.ndarray, count: float) -> None:
 def read_annotations(path) -> tuple[np.ndarray, float]:
     """Head positions as a read-only (N, 2) float64 array, plus the count."""
     with naming_file(path, _JSON_ERRORS, "bad annotation file: "):
-        payload = json.loads(Path(path).read_text())
+        payload = check_json(json.loads(Path(path).read_text()), dict, "annotation file")
         raw = payload["heads"]
         xs = [h["x"] for h in raw]
         ys = [h["y"] for h in raw]
@@ -319,7 +331,7 @@ def read_annotations(path) -> tuple[np.ndarray, float]:
                 check_number(y, "head y")
         heads = check_heads(np.array([xs, ys], dtype=np.float64).T.copy())
         heads.flags.writeable = False
-        count = check_number(payload["count"], "count")
+        count = check_number(payload["count"], "count", 0.0)
     with naming_file(path, ConfigError):
         _check_annotations(heads, count)
     return heads, count
@@ -353,20 +365,14 @@ def write_scene_config(path, cfg: SceneConfig) -> None:
 
 def read_scene_config(path) -> SceneConfig:
     with naming_file(path, _JSON_ERRORS, "bad scene config: "):
-        payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict):
-            raise FormatError(f"{path}: scene config must be a JSON object")
+        payload = check_json(json.loads(Path(path).read_text()), dict, "scene config")
         poly_raw = payload.get("polyline")
         polyline = None if poly_raw is None else polyline_from_json(poly_raw)
         threshold = payload.get("depth_threshold", "auto")
-        if threshold in (None, "auto"):
-            threshold = None
-        else:
-            threshold = check_number(threshold, "depth_threshold")
         return SceneConfig(
             scene_id=check_scene_id(payload["scene_id"]),
             polyline=polyline,
-            depth_threshold=threshold,
+            depth_threshold=None if threshold in (None, "auto") else threshold,
         )
 
 

@@ -58,6 +58,7 @@ __all__ = [
     "run_dataset",
     "partition_fields",
     "scene_row",
+    "write_split_rasters",
     "bench_generate",
 ]
 
@@ -151,15 +152,9 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     # decode errors are ValueErrors
     with naming_file(path, (KeyError, TypeError, ValueError), "bad manifest: "):
-        payload = json.loads(path.read_text())
-        if not isinstance(payload, dict):
-            raise TypeError("manifest must be a JSON object")
-        scenes = payload["scenes"]
-        if not isinstance(scenes, list):
-            raise TypeError(f"'scenes' must be a list, got {scenes!r}")
-        dataset_id = payload.get("dataset_id", path.stem)
-        if not isinstance(dataset_id, str):
-            raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
+        payload = dio.check_json(json.loads(path.read_text()), dict, "manifest")
+        scenes = dio.check_json(payload["scenes"], list, "scenes")
+        dataset_id = dio.check_json(payload.get("dataset_id", path.stem), str, "dataset_id")
     base = path.parent
     entries = []
     seen: set[str] = set()
@@ -189,12 +184,23 @@ def load_manifest(path) -> Manifest:
     return Manifest(dataset_id=dataset_id, entries=tuple(entries))
 
 
+def write_split_rasters(out_dir, scene_id: str, part: PartitionResult) -> None:
+    """``<scene_id>_mask.pgm`` (far 255, near 0) and, for an automatic split,
+    ``<scene_id>_clusters.pgm`` (cluster id mod 256) in ``out_dir``, made if absent.
+
+    ``evaluate --render-debug`` writes them into ``debug/``, CLI ``partition``
+    into its ``--out-dir``.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dio.write_pgm8(out_dir / f"{scene_id}_mask.pgm", np.where(part.mask.far, 255, 0))
+    if part.cluster_assignments is not None:
+        dio.write_pgm8(out_dir / f"{scene_id}_clusters.pgm", part.cluster_assignments % 256)
+
+
 def _write_debug_rasters(out_dir, scene_id: str, part: PartitionResult, density):
     debug = Path(out_dir) / "debug"
-    debug.mkdir(parents=True, exist_ok=True)
-    dio.write_pgm8(debug / f"{scene_id}_mask.pgm", np.where(part.mask.far, 255, 0))
-    if part.cluster_assignments is not None:
-        dio.write_pgm8(debug / f"{scene_id}_clusters.pgm", part.cluster_assignments % 256)
+    write_split_rasters(debug, scene_id, part)
     dio.write_pgm8(debug / f"{scene_id}_density.pgm", dio.heatmap_u8(density.values))
 
 
@@ -453,24 +459,11 @@ def _spec_from_dict(defaults: dict, overrides: dict) -> SynthSpec:
     merged = {**defaults, **overrides}
     try:
         if "shape" in merged:
-            shape = merged["shape"]
-            width, height = shape
-            int(width), int(height)  # int() names a string or an infinity in its own words
-            try:
-                width, height = check_integer(width, "width"), check_integer(height, "height")
-            except ConfigError:
-                raise ValueError(f"shape values must be integers, got {shape!r}") from None
+            width, height = merged["shape"]
             merged["shape"] = GridShape(width, height)
         return SynthSpec(**merged)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scene spec: {exc}") from exc
-
-
-def _json_object(value, what: str) -> dict:
-    """A copy of ``value`` if it is a JSON object, else ``TypeError`` naming ``what``."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{what} must be a JSON object, got {value!r}")
-    return dict(value)
 
 
 def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
@@ -488,23 +481,17 @@ def bench_generate(spec_path, out_dir) -> tuple[Path, list[str]]:
     # a JSONDecodeError is a ValueError; an int too large for a float an OverflowError
     with naming_file(spec_path, (ConfigError, TypeError, ValueError, OverflowError),
                      "bad benchmark spec: "):
-        payload = json.loads(spec_path.read_text())
-        if not isinstance(payload, dict):
-            raise TypeError("benchmark spec must be a JSON object")
-        defaults = _json_object(payload.get("defaults", {}), "defaults")
-        noise = NoiseSpec(**_json_object(payload.get("noise", {}), "noise"))
+        payload = dio.check_json(json.loads(spec_path.read_text()), dict, "benchmark spec")
+        defaults = dio.check_json(payload.get("defaults", {}), dict, "defaults")
+        noise = NoiseSpec(**dio.check_json(payload.get("noise", {}), dict, "noise"))
         if "scenes" in payload:
-            scenes = payload["scenes"]
-            if not isinstance(scenes, list):
-                raise TypeError(f"scenes must be a list, got {scenes!r}")
-            scene_specs = [_json_object(o, f"scenes[{i}]") for i, o in enumerate(scenes)]
+            scenes = dio.check_json(payload["scenes"], list, "scenes")
+            scene_specs = [dio.check_json(o, dict, f"scenes[{i}]") for i, o in enumerate(scenes)]
         else:
             count = check_integer(payload.get("count", 10), "count")
             start = check_integer(payload.get("seed_start", 0), "seed_start")
             scene_specs = [{"seed": start + i} for i in range(count)]
-        dataset_id = payload.get("dataset_id", spec_path.stem)
-        if not isinstance(dataset_id, str):
-            raise TypeError(f"dataset_id must be a string, got {dataset_id!r}")
+        dataset_id = dio.check_json(payload.get("dataset_id", spec_path.stem), str, "dataset_id")
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

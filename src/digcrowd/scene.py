@@ -157,13 +157,12 @@ def check_heads(heads) -> np.ndarray:
 def _check_annotations(heads: np.ndarray, count: float) -> None:
     """The rule annotations keep: in a ``SceneRecord`` and in an annotation file.
 
-    Head coordinates are finite, the count is finite and non-negative, and
-    with heads listed the count equals their number. ``ConfigError`` if not.
+    Head coordinates are finite and, with heads listed, the count equals
+    their number. ``ConfigError`` if not. The count has already passed
+    ``check_number(count, "count", 0.0)``.
     """
     if not np.isfinite(heads).all():
         raise ConfigError("head coordinates must be finite")
-    if not (math.isfinite(count) and count >= 0.0):
-        raise ConfigError(f"count must be finite and >= 0, got {count}")
     if len(heads) and count != len(heads):
         raise ConfigError(f"count {count} != {len(heads)} heads")
 
@@ -391,5 +390,5 @@ class SceneRecord:
 
     def __post_init__(self):
         _store(self, heads=_frozen(check_heads(self.heads), self.heads),
-               ground_truth_count=check_number(self.ground_truth_count, "count"))
+               ground_truth_count=check_number(self.ground_truth_count, "count", 0.0))
         _check_annotations(self.heads, self.ground_truth_count)

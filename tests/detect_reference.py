@@ -10,7 +10,7 @@ in the same order.
 
 import numpy as np
 
-from digcrowd import DetectionSet, GridPrediction, combine_confidence
+from digcrowd import DetectionSet, GridPrediction
 from digcrowd.detect import check_nms_iou
 
 
@@ -35,7 +35,7 @@ def decode_reference(pred: GridPrediction, score_threshold: float) -> DetectionS
             class_prob = float(cell[spec.b * 5 :].max())
             for b in range(spec.b):
                 x, y, w, h, conf = cell[b * 5 : b * 5 + 5]
-                score = combine_confidence(class_prob, float(conf))
+                score = class_prob * float(conf)
                 if score < score_threshold:
                     continue
                 cx = (col + float(x)) * width / spec.s

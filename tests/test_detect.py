@@ -16,7 +16,6 @@ from digcrowd import (
     FormatError,
     GridPrediction,
     GridShape,
-    combine_confidence,
     decode,
     iou,
     nms,
@@ -76,22 +75,19 @@ class TestDetectionSet:
             DetectionSet((good, good, bad, bad))
 
 
-class TestCombineConfidence:
-    def test_product(self):
-        assert combine_confidence(0.8, 0.5) == pytest.approx(0.4)
-
-    def test_identity_class(self):
-        assert combine_confidence(1.0, 0.37) == 0.37
-
-    def test_zero_annihilates(self):
-        assert combine_confidence(0.0, 0.9) == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ConfigError):
-            combine_confidence(1.2, 0.5)
-
-
 class TestDecode:
+    @pytest.mark.parametrize(
+        "class_prob, conf, score",
+        [(0.8, 0.5, pytest.approx(0.4)), (1.0, 0.37, 0.37), (0.0, 0.9, 0.0)],
+        ids=["product", "identity-class", "zero-annihilates"],
+    )
+    def test_score_is_class_prob_times_confidence(self, class_prob, conf, score):
+        spec = DetectorGridSpec(1, 1, 1)
+        vals = _empty_tensor(spec)
+        _set_box(vals, 0, 0, 0, 0.5, 0.5, 0.5, 0.5, conf, class_prob=class_prob)
+        dets = decode(GridPrediction(spec, GridShape(100, 100), vals), 0.0)
+        assert _rows(dets) == [(25.0, 25.0, 75.0, 75.0, score)]
+
     def test_all_zero_tensor_empty(self):
         pred = GridPrediction(DetectorGridSpec(), GridShape(700, 700), _empty_tensor())
         assert len(decode(pred, 0.2)) == 0

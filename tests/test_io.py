@@ -472,19 +472,20 @@ class TestAnnotationAndConfig:
         assert count == 2.0
 
     @pytest.mark.parametrize(
-        "heads, count, message",
+        "heads, count, message, read_prefix",
         [
-            ([[1.0, np.nan]], 1.0, "head coordinates must be finite"),
-            ([[np.inf, 2.0]], 1.0, "head coordinates must be finite"),
-            ([[1.0, 2.0]], np.nan, "count must be finite and >= 0, got nan"),
-            ([], np.inf, "count must be finite and >= 0, got inf"),
-            ([], -1.0, "count must be finite and >= 0, got -1.0"),
-            ([[1.0, 2.0], [3.0, 4.0]], 3.0, "count 3.0 != 2 heads"),
+            ([[1.0, np.nan]], 1.0, "head coordinates must be finite", ""),
+            ([[np.inf, 2.0]], 1.0, "head coordinates must be finite", ""),
+            # the count is checked with the payload's types, under the reader's prefix
+            ([[1.0, 2.0]], np.nan, "count nan must be finite and >= 0", "bad annotation file: "),
+            ([], np.inf, "count inf must be finite and >= 0", "bad annotation file: "),
+            ([], -1.0, "count -1.0 must be finite and >= 0", "bad annotation file: "),
+            ([[1.0, 2.0], [3.0, 4.0]], 3.0, "count 3.0 != 2 heads", ""),
         ],
         ids=["nan-head", "inf-head", "nan-count", "inf-count", "negative-count", "count-mismatch"],
     )
     def test_write_annotations_refuses_what_the_reader_rejects(self, tmp_path, heads, count,
-                                                               message):
+                                                               message, read_prefix):
         path = tmp_path / "ann.json"
         with pytest.raises(ConfigError, match=re.escape(message)):
             write_annotations(path, np.array(heads, dtype=np.float64).reshape(-1, 2), count)
@@ -492,7 +493,7 @@ class TestAnnotationAndConfig:
         # the same content, written by hand, is what read_annotations refuses
         path.write_text(json.dumps({"heads": [{"x": x, "y": y} for x, y in heads],
                                     "count": count}))
-        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {read_prefix}{message}")):
             read_annotations(path)
 
     @settings(max_examples=60, deadline=None)
@@ -589,8 +590,8 @@ class TestAnnotationAndConfig:
         "edit, message",
         [
             ({"scene_id": 7}, "scene_id must be a string, got 7"),
-            ({"depth_threshold": True}, "depth_threshold must be a number, got True"),
-            ({"depth_threshold": "0.4"}, "depth_threshold must be a number, got '0.4'"),
+            ({"depth_threshold": True}, "depth threshold must be a number, got True"),
+            ({"depth_threshold": "0.4"}, "depth threshold must be a number, got '0.4'"),
             ({"segment": {"x_start": False}}, "polyline x_start must be a number, got False"),
             ({"segment": {"k": True}}, "polyline k must be a number, got True"),
             ({"segment": {"b": "3"}}, "polyline b must be a number, got '3'"),

@@ -127,7 +127,7 @@ class TestBenchGenerate:
         [
             ({"scenes": [{"seed": 1, "n_people": "x"}]},
              "n_people must be an integer >= 1, got 'x'"),
-            ({"defaults": {"shape": "ab"}, "count": 1}, "invalid literal for int()"),
+            ({"defaults": {"shape": "ab"}, "count": 1}, "grid width must be an integer, got 'a'"),
             ({"defaults": {"shape": []}, "count": 1}, "not enough values to unpack"),
             ({"scenes": [{"seed": "x"}]}, "seed must be an integer >= 0, got 'x'"),
             ({"scenes": [{"seed": 1.5}]}, "seed must be an integer >= 0, got 1.5"),
@@ -136,9 +136,9 @@ class TestBenchGenerate:
             ({"scenes": [{"seed": 1, "n_people": True}]},
              "n_people must be an integer >= 1, got True"),
             ({"defaults": {"shape": [160.9, 120], "n_people": 10, "horizon_y": 100.0},
-              "count": 1}, "shape values must be integers, got [160.9, 120]"),
+              "count": 1}, "grid width must be an integer, got 160.9"),
             ({"defaults": {"shape": [float("inf"), 120]}, "count": 1},
-             "cannot convert float infinity to integer"),
+             "grid width must be an integer, got inf"),
             ({"defaults": {**SMALL_DEFAULTS, "n_peeple": 50}, "count": 1},
              "unexpected keyword argument 'n_peeple'"),
             ({"defaults": SMALL_DEFAULTS, "scenes": [{"seed": True}]},
@@ -154,7 +154,7 @@ class TestBenchGenerate:
             ({"defaults": {**SMALL_DEFAULTS, "exclusion_margin": False}, "count": 1},
              "exclusion_margin must be a number, got False"),
             ({"defaults": {**SMALL_DEFAULTS, "shape": [160, True]}, "count": 1},
-             "shape values must be integers, got [160, True]"),
+             "grid height must be an integer, got True"),
             # json writes and reads these as the literals NaN and Infinity
             ({"defaults": {**SMALL_DEFAULTS, "clustering_intensity": math.nan}, "count": 1},
              "clustering_intensity nan must be finite and >= 0"),
@@ -832,7 +832,41 @@ class TestRunDataset:
         assert load_manifest(path).dataset_id == "night-run"
 
 
+@pytest.mark.parametrize(
+    "read, kind",
+    [
+        (dio.read_annotations, "annotation file"),
+        (dio.read_scene_config, "scene config"),
+        (load_manifest, "manifest"),
+        (lambda path: bench_generate(path, path.parent / "out"), "benchmark spec"),
+    ],
+    ids=["annotations", "scene-config", "manifest", "benchmark-spec"],
+)
+def test_json_payload_must_be_an_object(tmp_path, read, kind):
+    path = tmp_path / "payload.json"
+    path.write_text("[1, 2]")
+    prefix = {"annotation file": "bad annotation file", "scene config": "bad scene config",
+              "manifest": "bad manifest", "benchmark spec": "bad benchmark spec"}[kind]
+    message = f"{path}: {prefix}: {kind} must be a JSON object, got [1, 2]"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read(path)
+
+
+def test_manifest_scenes_must_be_a_list(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"scenes": {"a": 1}}))
+    message = f"{path}: bad manifest: scenes must be a list, got {{'a': 1}}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_manifest(path)
+
+
 class TestCli:
+    def test_version_is_the_package_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"digcrowd {digcrowd.__version__}\n"
+
     def test_bench_gen_and_evaluate_exit_codes(self, tmp_path):
         spec = _write_spec(tmp_path / "spec.json", count=3)
         out = tmp_path / "bench"
@@ -1009,7 +1043,6 @@ class TestCli:
                 str(tmp_path / "cfg.json"),
                 "--out-dir",
                 str(tmp_path / "p"),
-                "--render-debug",
             ]
         )
         assert rc == 0
@@ -1065,8 +1098,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["partition", "--help"])
         usage = capsys.readouterr().out
-        for flag in ("--clusters", "--compactness", "--max-iters", "--simplify-tol"):
+        for flag in ("--clusters", "--compactness", "--max-iters", "--simplify-tol",
+                     "--render-debug"):
             assert flag not in usage
+
+    def test_partition_subcommand_refuses_render_debug(self, tmp_path, capsys):
+        argv = ["partition", "--depth", "d", "--config", "c", "--out-dir", str(tmp_path),
+                "--render-debug"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --render-debug" in capsys.readouterr().err
+
+    def test_partition_writes_the_split_rasters_evaluate_renders(self, bench_dir, tmp_path):
+        out, manifest_path = bench_dir
+        entry = load_manifest(manifest_path).entries[0]
+        cfg = json.loads(entry.config.read_text())
+        cfg["polyline"] = None
+        entry.config.write_text(json.dumps(cfg))
+        report = run_dataset(Manifest("one", (entry,)), PipelineParams(render_debug=True),
+                             tmp_path / "r")
+        assert report.n_succeeded == 1
+        argv = ["partition", "--depth", str(entry.depth), "--config", str(entry.config),
+                "--out-dir", str(tmp_path / "p")]
+        assert cli_main(argv) == 0
+        for suffix in ("_mask.pgm", "_clusters.pgm"):
+            name = f"{entry.scene_id}{suffix}"
+            rendered = (tmp_path / "r" / "debug" / name).read_bytes()
+            assert (tmp_path / "p" / name).read_bytes() == rendered
 
     def test_render_subcommand(self, tmp_path, bench_dir):
         out, _ = bench_dir

@@ -220,8 +220,8 @@ class TestTypes:
     @pytest.mark.parametrize("heads, count, message", [
         ([[1.0, np.nan]], 1.0, "head coordinates must be finite"),
         ([[np.inf, 2.0]], 1.0, "head coordinates must be finite"),
-        ([[1.0, 2.0]], np.nan, "count must be finite and >= 0, got nan"),
-        ([], np.nan, "count must be finite and >= 0, got nan"),
+        ([[1.0, 2.0]], np.nan, "count nan must be finite and >= 0"),
+        ([], np.nan, "count nan must be finite and >= 0"),
     ])
     def test_scene_record_keeps_the_annotation_rule(self, heads, count, message):
         depth = DepthMap(GridShape(4, 4), np.zeros((4, 4)))
