@@ -25,7 +25,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DigCrowdError
-from .scene import GridShape, RegionMask, _checked_raster, check_heads
+from .scene import (
+    GridShape,
+    RegionMask,
+    _checked_raster,
+    check_heads,
+    check_integer,
+    check_number,
+    check_positive,
+)
 
 __all__ = [
     "DensityField",
@@ -83,8 +91,7 @@ def knn_mean_distance(heads: np.ndarray, k: int) -> np.ndarray:
     A lone head has no neighbors; its mean is NaN and the sigma floor takes
     over downstream.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = check_integer(k, "k", 1)
     pts = check_heads(heads)
     n = pts.shape[0]
     if n == 0:
@@ -111,10 +118,8 @@ def adaptive_sigma(
 
     A mean that is not finite (a lone head) gets the floor.
     """
-    if not (beta > 0.0):
-        raise ConfigError(f"beta must be positive, got {beta}")
-    if not (sigma_floor > 0.0):
-        raise ConfigError(f"sigma floor must be positive, got {sigma_floor}")
+    beta = check_positive(beta, "beta")
+    sigma_floor = check_positive(sigma_floor, "sigma floor")
     means = np.asarray(means, dtype=np.float64)
     return np.where(np.isfinite(means), np.maximum(beta * means, sigma_floor), sigma_floor)
 
@@ -198,6 +203,7 @@ def rasterize_density(
     restriction); renormalization then keeps each head's mass at exactly
     1.0 inside the masked region.
     """
+    truncation_radius = check_number(truncation_radius, "truncation radius", 1.0)
     pts = check_heads(heads)
     sigmas = np.asarray(sigmas, dtype=np.float64)
     if sigmas.shape != (pts.shape[0],):
@@ -207,8 +213,6 @@ def rasterize_density(
         return DensityField.zeros(shape)
     if not np.all((sigmas > 0.0) & (sigmas < np.inf)):
         raise ConfigError("sigmas must be positive and finite")
-    if not (truncation_radius >= 1.0):
-        raise ConfigError(f"truncation radius must be >= 1, got {truncation_radius}")
     if not np.all((pts >= 0.0) & (pts < (width, height))):
         raise ConfigError("head positions must lie inside the grid")
     field = np.zeros((height, width), dtype=np.float64)
@@ -218,7 +222,7 @@ def rasterize_density(
         valid = np.ascontiguousarray(support_mask, dtype=bool)
         if valid.shape != (height, width):
             raise ConfigError("support mask does not match the grid shape")
-    _deposit_gaussians(field, pts[:, 0], pts[:, 1], sigmas, float(truncation_radius), valid)
+    _deposit_gaussians(field, pts[:, 0], pts[:, 1], sigmas, truncation_radius, valid)
     field.flags.writeable = False
     return DensityField(shape, field)
 

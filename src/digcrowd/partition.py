@@ -31,7 +31,9 @@ from .scene import (
     RegionMask,
     SceneConfig,
     _frozen,
+    check_integer,
     check_number,
+    check_positive,
     mask_from_polyline,
 )
 
@@ -282,6 +284,9 @@ def cluster_depth(
     ramps later iterations gain little and move the split line away from
     the iso-depth contour.
     """
+    target_cluster_count = check_integer(target_cluster_count, "target cluster count")
+    compactness = check_positive(compactness, "compactness")
+    max_iters = check_integer(max_iters, "max_iters", 0)
     grid = np.asarray(depth.values, dtype=np.float64)
     height, width = grid.shape
     n = height * width
@@ -291,10 +296,6 @@ def cluster_depth(
         raise ConfigError(
             f"target cluster count {target_cluster_count} outside [2, {n}]"
         )
-    if not (compactness > 0.0):
-        raise ConfigError("compactness must be positive")
-    if max_iters < 0:
-        raise ConfigError("max_iters must be >= 0")
 
     step = float(np.sqrt(n / target_cluster_count))
     ratio2 = (compactness / step) ** 2
@@ -616,6 +617,7 @@ def partition(
     the returned polyline, so detector filtering and density integration
     see complementary regions.
     """
+    target_cluster_count = check_integer(target_cluster_count, "target cluster count")
     if cfg.polyline is not None:
         mask = mask_from_polyline(cfg.polyline, depth.shape)
         return PartitionResult(mask=mask, polyline=cfg.polyline)

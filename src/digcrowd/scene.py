@@ -27,6 +27,7 @@ __all__ = [
     "check_heads",
     "check_integer",
     "check_number",
+    "check_positive",
     "check_scene_id",
     "mask_from_polyline",
 ]
@@ -344,6 +345,14 @@ def check_number(value, what: str, minimum: float | None = None,
             raise ConfigError(f"{what} {value} outside [{minimum:g}, {maximum:g}]")
     elif minimum is not None and not minimum <= number < math.inf:
         raise ConfigError(f"{what} {value} must be finite and >= {minimum:g}")
+    return number
+
+
+def check_positive(value, what: str) -> float:
+    """``check_number(value, what, 0.0)`` with zero refused too: a finite float > 0."""
+    number = check_number(value, what, 0.0)
+    if number == 0.0:
+        raise ConfigError(f"{what} {value} must be finite and > 0")
     return number
 
 

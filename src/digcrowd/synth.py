@@ -148,6 +148,8 @@ def generate_step_depth(
     seed: int = 0,
 ) -> DepthMap:
     """Two-level depth with a known horizontal boundary, for partition checks."""
+    boundary_row = check_integer(boundary_row, "boundary row")
+    ripple = check_number(ripple, "ripple", 0.0)
     if not (0 < boundary_row < shape.height):
         raise ConfigError(f"boundary row {boundary_row} outside (0, {shape.height})")
     rng = np.random.default_rng(seed)

@@ -3,7 +3,8 @@
 Float fields go through ``scene.check_number`` and integer fields through
 ``scene.check_integer``. Each field refuses bools, strings and None with the
 rule's wording, takes numpy scalars and stores the Python type, and refuses
-NaN and infinity wherever it has a bound.
+NaN and infinity wherever it has a bound. The numeric arguments of the
+library's functions follow the same rule (``ARGUMENT_CASES``).
 """
 
 import math
@@ -14,14 +15,17 @@ import numpy as np
 import pytest
 
 from digcrowd import ConfigError, DepthMap, DetectionSet, GridShape, SceneConfig, SceneRecord
+from digcrowd.density import adaptive_sigma, knn_mean_distance, rasterize_density
 from digcrowd.detect import DetectorGridSpec
 from digcrowd.metrics import SceneEstimate, fuse
-from digcrowd.partition import classify_clusters, cluster_depth
+from digcrowd.partition import classify_clusters, cluster_depth, partition
 from digcrowd.pipeline import PipelineParams
-from digcrowd.synth import NoiseSpec, SynthSpec
+from digcrowd.synth import NoiseSpec, SynthSpec, generate_step_depth
 
-_STATE = cluster_depth(DepthMap(GridShape(8, 6), np.linspace(0.0, 1.0, 48).reshape(6, 8)), 4)
+_RAMP = DepthMap(GridShape(8, 6), np.linspace(0.0, 1.0, 48).reshape(6, 8))
+_STATE = cluster_depth(_RAMP, 4)
 _DEPTH = DepthMap(GridShape(2, 2), np.zeros((2, 2)))
+_HEADS = np.array([[1.0, 1.0], [3.0, 2.0], [5.0, 4.0]])
 
 
 class Field(NamedTuple):
@@ -152,5 +156,54 @@ def test_unbounded_ground_truth_keeps_nan():
          "clustering-intensity", "far-count"],
 )
 def test_range_messages(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+ARGUMENT_CASES = {
+    "cluster_depth-compactness-inf": (lambda: cluster_depth(_RAMP, 4, compactness=math.inf),
+                                      "compactness inf must be finite and >= 0"),
+    "cluster_depth-compactness-zero": (lambda: cluster_depth(_RAMP, 4, compactness=0),
+                                       "compactness 0 must be finite and > 0"),
+    "cluster_depth-max_iters-bool": (lambda: cluster_depth(_RAMP, 4, max_iters=True),
+                                     "max_iters must be an integer >= 0, got True"),
+    "cluster_depth-max_iters-float": (lambda: cluster_depth(_RAMP, 4, max_iters=2.5),
+                                      "max_iters must be an integer >= 0, got 2.5"),
+    "cluster_depth-target-float": (lambda: cluster_depth(_RAMP, 4.5),
+                                   "target cluster count must be an integer, got 4.5"),
+    "cluster_depth-target-numpy-float": (
+        lambda: cluster_depth(_RAMP, np.float64(4.0)),
+        f"target cluster count must be an integer, got {np.float64(4.0)!r}"),
+    "partition-target-float": (
+        lambda: partition(_RAMP, SceneConfig("s"), target_cluster_count=4.5),
+        "target cluster count must be an integer, got 4.5"),
+    "partition-target-numpy-float": (
+        lambda: partition(_RAMP, SceneConfig("s"), target_cluster_count=np.float64(4.0)),
+        f"target cluster count must be an integer, got {np.float64(4.0)!r}"),
+    "knn_mean_distance-k-float": (lambda: knn_mean_distance(_HEADS, 1.5),
+                                  "k must be an integer >= 1, got 1.5"),
+    "knn_mean_distance-k-bool": (lambda: knn_mean_distance(_HEADS, True),
+                                 "k must be an integer >= 1, got True"),
+    "adaptive_sigma-beta-inf": (lambda: adaptive_sigma(np.ones(3), math.inf),
+                                "beta inf must be finite and >= 0"),
+    "adaptive_sigma-sigma_floor-inf": (lambda: adaptive_sigma(np.ones(3), 0.3, math.inf),
+                                       "sigma floor inf must be finite and >= 0"),
+    "adaptive_sigma-beta-zero": (lambda: adaptive_sigma(np.ones(3), 0.0),
+                                 "beta 0.0 must be finite and > 0"),
+    "rasterize_density-truncation_radius-inf": (
+        lambda: rasterize_density(_HEADS, np.ones(3), GridShape(8, 6),
+                                  truncation_radius=math.inf),
+        "truncation radius inf must be finite and >= 1"),
+    "generate_step_depth-boundary_row-float": (
+        lambda: generate_step_depth(GridShape(8, 6), 2.5),
+        "boundary row must be an integer, got 2.5"),
+    "generate_step_depth-ripple-nan": (
+        lambda: generate_step_depth(GridShape(8, 6), 2, ripple=math.nan),
+        "ripple nan must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("build, message", ARGUMENT_CASES.values(), ids=ARGUMENT_CASES)
+def test_function_arguments_follow_the_rule(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build()

@@ -833,21 +833,20 @@ class TestRunDataset:
 
 
 @pytest.mark.parametrize(
-    "read, kind",
+    "read, prefix",
     [
-        (dio.read_annotations, "annotation file"),
-        (dio.read_scene_config, "scene config"),
-        (load_manifest, "manifest"),
-        (lambda path: bench_generate(path, path.parent / "out"), "benchmark spec"),
+        (dio.read_annotations, "bad annotation file: annotation file"),
+        (dio.read_scene_config, "bad scene config: scene config"),
+        (load_manifest, "bad manifest: manifest"),
+        (lambda path: bench_generate(path, path.parent / "out"),
+         "bad benchmark spec: benchmark spec"),
     ],
     ids=["annotations", "scene-config", "manifest", "benchmark-spec"],
 )
-def test_json_payload_must_be_an_object(tmp_path, read, kind):
+def test_json_payload_must_be_an_object(tmp_path, read, prefix):
     path = tmp_path / "payload.json"
     path.write_text("[1, 2]")
-    prefix = {"annotation file": "bad annotation file", "scene config": "bad scene config",
-              "manifest": "bad manifest", "benchmark spec": "bad benchmark spec"}[kind]
-    message = f"{path}: {prefix}: {kind} must be a JSON object, got [1, 2]"
+    message = f"{path}: {prefix} must be a JSON object, got [1, 2]"
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         read(path)
 
