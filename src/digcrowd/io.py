@@ -87,9 +87,11 @@ _JSON_KINDS = {dict: "a JSON object", list: "a list", str: "a string"}
 
 
 def check_json(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (``dict``, ``list`` or ``str``), else
-    ``TypeError("{what} must be a JSON object, got …")`` (or a list, or a string),
-    which the reader's ``naming_file`` turns into a ``FormatError`` naming its file."""
+    """``value`` if it is a ``kind``: ``dict``, ``list`` or ``str``.
+
+    Otherwise a ``TypeError`` ("``what`` must be a JSON object, got …"), which
+    the reader's ``naming_file`` turns into a ``FormatError`` naming the file.
+    """
     if not isinstance(value, kind):
         raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
